@@ -7,7 +7,7 @@ matching phases cost less — construction effort buys pruning.
 
 import pytest
 
-from repro.core import create_matcher
+from repro.core import RunContext, create_matcher
 
 ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
 
@@ -31,7 +31,7 @@ def test_match_phase(benchmark, cm_graph, workload, algorithm):
     matcher.prepare()  # build once, outside the timed region
 
     def match():
-        return sum(1 for _ in matcher.run())
+        return sum(1 for _ in matcher.run(RunContext()))
 
     count = benchmark(match)
     benchmark.extra_info["matches"] = count

@@ -21,9 +21,8 @@ stability tiers)::
 Everything exported here is **stable**: additions are backwards
 compatible and removals go through a deprecation cycle.  Deeper imports
 (``repro.core.engine``, ``repro.service.executor``, ...) are internal —
-they move without notice.  The legacy keyword shims on
-:func:`repro.core.find_matches` / ``Matcher.run`` are **deprecated**;
-this facade only speaks :class:`MatchOptions` / :class:`RunContext`.
+they move without notice.  Run behaviour is chosen only through
+:class:`MatchOptions` (callers) and :class:`RunContext` (matchers).
 """
 
 from __future__ import annotations
@@ -39,9 +38,8 @@ from .core import (
     create_matcher,
     find_matches,
 )
-from .core.engine import prepare_matcher
 from .graphs import GraphView, QueryGraph, TemporalConstraints
-from .obs import NULL_TRACER, Tracer
+from .obs import Tracer
 
 if TYPE_CHECKING:
     from .service import ServiceConfig, TCSMService
@@ -69,9 +67,8 @@ def match(
 ) -> MatchResult:
     """Run one TCSM query end to end and return matches plus timings.
 
-    The facade twin of :func:`repro.core.find_matches`, minus the
-    deprecated keyword shim: all run behaviour is chosen through
-    *options*.  Pass a *matcher* from :func:`prepare` to reuse a warm
+    The facade twin of :func:`repro.core.find_matches`: all run
+    behaviour is chosen through *options*.  Pass a *matcher* from :func:`prepare` to reuse a warm
     plan (its algorithm wins over the *algorithm* argument).
     """
     return find_matches(
@@ -108,7 +105,7 @@ def prepare(
     built = create_matcher(
         algorithm, query, constraints, graph, **matcher_options
     )
-    prepare_matcher(built, NULL_TRACER)
+    built.prepare()
     return built
 
 

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from typing import cast
 
 from ...core.match import Match
-from ...core.options import RunContext, resolve_run_context
+from ...core.options import RunContext
 from ...core.stats import SearchStats
 from ...graphs import TemporalEdge
 from .stream import CSMMatcherBase, connected_edge_order
@@ -41,20 +41,6 @@ class SJTreeMatcher(CSMMatcherBase):
         ]
 
     # The generic pinned search is replaced wholesale.
-    def run(
-        self,
-        ctx: RunContext | None = None,
-        *,
-        limit: int | None = None,
-        stats: SearchStats | None = None,
-        deadline: float | None = None,
-    ) -> Iterator[Match]:
-        context = resolve_run_context(
-            ctx, limit=limit, stats=stats, deadline=deadline
-        )
-        self.prepare()
-        return self._run(context)
-
     def _run(self, ctx: RunContext) -> Iterator[Match]:
         limit = ctx.limit
         deadline = ctx.deadline

@@ -30,7 +30,7 @@ from collections.abc import Hashable, Iterator
 from typing import cast
 
 from ...core.match import Match
-from ...core.options import RunContext, resolve_run_context
+from ...core.options import RunContext
 from ...core.stats import SearchStats
 from ...errors import AlgorithmError
 from ...obs import TraceSink
@@ -205,20 +205,10 @@ class CSMMatcherBase:
         self._on_prepare()
         self._prepared = True
 
-    def run(
-        self,
-        ctx: RunContext | None = None,
-        *,
-        limit: int | None = None,
-        stats: SearchStats | None = None,
-        deadline: float | None = None,
-    ) -> Iterator[Match]:
+    def run(self, ctx: RunContext) -> Iterator[Match]:
         """Replay the stream, reporting TC-satisfying delta matches."""
-        context = resolve_run_context(
-            ctx, limit=limit, stats=stats, deadline=deadline
-        )
         self.prepare()
-        return self._run(context)
+        return self._run(ctx)
 
     def _run(self, ctx: RunContext) -> Iterator[Match]:
         limit = ctx.limit

@@ -23,7 +23,7 @@ from collections.abc import Iterator, Sequence
 from typing import cast
 
 from ..core.match import Match
-from ..core.options import RunContext, resolve_run_context
+from ..core.options import RunContext
 from ..core.stats import SearchStats
 from ..core.timestamps import iter_timestamp_assignments
 from ..errors import AlgorithmError
@@ -167,20 +167,10 @@ class RIMatcher:
             self._edge_checks.append(tuple(checks))
         self._prepared = True
 
-    def run(
-        self,
-        ctx: RunContext | None = None,
-        *,
-        limit: int | None = None,
-        stats: SearchStats | None = None,
-        deadline: float | None = None,
-    ) -> Iterator[Match]:
+    def run(self, ctx: RunContext) -> Iterator[Match]:
         """Enumerate static embeddings, then timestamp assignments."""
-        context = resolve_run_context(
-            ctx, limit=limit, stats=stats, deadline=deadline
-        )
         self.prepare()
-        return self._run(context)
+        return self._run(ctx)
 
     def _run(self, ctx: RunContext) -> Iterator[Match]:
         limit = ctx.limit

@@ -6,12 +6,10 @@ from .e2e import E2EMatcher
 from .engine import (
     MatchResult,
     Matcher,
-    PartitionedMatcher,
     available_algorithms,
     count_matches,
     create_matcher,
     find_matches,
-    invoke_run,
     invoke_run_sink,
     register_algorithm,
     supports_codegen,
@@ -39,7 +37,7 @@ from .filters import (
     nlf,
 )
 from .match import Match, is_valid_match
-from .options import MatchOptions, RunContext, resolve_run_context
+from .options import MatchOptions, RunContext
 from .partition import check_partition, partition_slice
 from .planner import (
     PLAN_CHOICES,
@@ -98,7 +96,6 @@ __all__ = [
     "TopKEarliestSink",
     "NO_WINDOW",
     "PLAN_CHOICES",
-    "PartitionedMatcher",
     "PlanCosts",
     "RunContext",
     "SearchStats",
@@ -126,7 +123,6 @@ __all__ = [
     "drain_into_sink",
     "estimate_match_count",
     "estimate_with_ci",
-    "invoke_run",
     "invoke_run_sink",
     "match_sort_key",
     "explain_match",
@@ -148,7 +144,6 @@ __all__ = [
     "register_algorithm",
     "render_tcq",
     "render_tcq_plus",
-    "resolve_run_context",
     "score_edge_order",
     "score_vertex_order",
     "set_codegen_listener",

@@ -23,10 +23,9 @@ from ..graphs import GraphView, QueryGraph, TemporalConstraints, ensure_snapshot
 from ..obs import TraceSink
 
 from .match import Match
-from .options import RunContext, resolve_run_context
+from .options import RunContext
 from .partition import partition_slice
 from .sinks import CollectSink, ResultSink, StopEnumeration
-from .stats import SearchStats
 
 __all__ = ["BruteForceMatcher", "brute_force_matches"]
 
@@ -68,31 +67,14 @@ class BruteForceMatcher:
         """Resolve the data-plane view (kept for protocol compatibility)."""
         self._resolve_view()
 
-    def run(
-        self,
-        ctx: RunContext | None = None,
-        *,
-        limit: int | None = None,
-        stats: SearchStats | None = None,
-        deadline: float | None = None,
-        partition: tuple[int, int] | None = None,
-    ) -> Iterator[Match]:
+    def run(self, ctx: RunContext) -> Iterator[Match]:
         """Yield every match, in deterministic order.
 
-        Run-time state arrives as one :class:`RunContext`; the individual
-        keywords are the legacy shim.  ``ctx.partition=(index, count)``
-        restricts the search to the slice of the first query vertex's
-        candidates owned by that partition (see
-        :mod:`repro.core.partition`).  Compat facade over
-        :meth:`run_sink`: the returned generator replays the collected
-        prefix.
+        ``ctx.partition=(index, count)`` restricts the search to the slice
+        of the first query vertex's candidates owned by that partition
+        (see :mod:`repro.core.partition`).  Pull facade over
+        :meth:`run_sink`: the generator replays the collected prefix.
         """
-        context = resolve_run_context(
-            ctx, limit=limit, stats=stats, deadline=deadline, partition=partition
-        )
-        return self._run_collected(context)
-
-    def _run_collected(self, ctx: RunContext) -> Iterator[Match]:
         sink = CollectSink(limit=ctx.limit)
         self.run_sink(ctx, sink)
         yield from sink.finish()
@@ -203,7 +185,7 @@ def brute_force_matches(
     """All matches of the instance, as a list (convenience wrapper).
 
     This is the differential-testing reference path: it deliberately
-    accumulates a plain list through the compat ``run`` facade instead
+    accumulates a plain list through the pull ``run`` facade instead
     of configuring a sink, so the oracle's answer shares no result-path
     code with the pipeline under test.
     """

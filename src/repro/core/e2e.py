@@ -27,9 +27,9 @@ from ..graphs import (
 from ..obs import NULL_TRACER, TraceSink
 
 from .codegen import CompiledPlan, compile_enumerator
-from .filters import check_prefilter, initial_edge_candidate_pairs
+from .filters import initial_edge_candidate_pairs
 from .match import Match
-from .options import RunContext, resolve_run_context
+from .options import RunContext
 from .partition import partition_slice
 from .planner import plan_costs, validate_plan
 from .sinks import CollectSink, ResultSink, StopEnumeration
@@ -82,12 +82,6 @@ class E2EMatcher:
         to it; match multisets and every ``SearchStats`` counter are
         pinned bit-identical to the interpreted loop.  Shapes the
         generator bails on fall back to the interpreted path silently.
-    prefilter:
-        ``"bitset"`` prunes LDF candidate *sources* with int-mask label
-        prefilters before the pair scan (see
-        :func:`repro.core.filters.initial_edge_candidate_pairs`);
-        ``"none"`` (default) keeps the plain scan.  Candidate sets are
-        identical either way.
     """
 
     name = "tcsm-e2e"
@@ -111,7 +105,6 @@ class E2EMatcher:
         plan: str = "paper",
         compile_graph: bool = True,
         codegen: bool = False,
-        prefilter: str = "none",
     ) -> None:
         if constraints.num_edges != query.num_edges:
             raise AlgorithmError(
@@ -133,7 +126,6 @@ class E2EMatcher:
         self.use_window_kernel = use_window_kernel
         self.plan = validate_plan(plan)
         self.codegen = codegen
-        self.prefilter = check_prefilter(prefilter)
         #: Specialized enumerator compiled by ``prepare`` when
         #: ``codegen`` is set; None means the interpreted loop runs.
         self._compiled: CompiledPlan | None = None
@@ -163,7 +155,6 @@ class E2EMatcher:
                 self.query,
                 self._view,
                 stats=self.prepare_stats,
-                prefilter=self.prefilter,
             )
             sp.annotate(**self.prepare_stats.filter("ldf").as_dict())
         self.tcq_plus = build_tcq_plus(
@@ -232,31 +223,18 @@ class E2EMatcher:
     # ------------------------------------------------------------------
     # matching (Algorithm 4 lines 5-27)
     # ------------------------------------------------------------------
-    def run(
-        self,
-        ctx: RunContext | None = None,
-        *,
-        limit: int | None = None,
-        stats: SearchStats | None = None,
-        deadline: float | None = None,
-        partition: tuple[int, int] | None = None,
-    ) -> Iterator[Match]:
-        """Yield all matches (compat facade over :meth:`run_sink`).
+    def run(self, ctx: RunContext) -> Iterator[Match]:
+        """Yield all matches (pull facade over :meth:`run_sink`).
 
-        Run-time state arrives as one :class:`RunContext`; the individual
-        keywords are the legacy shim.  ``ctx.partition=(index, count)``
-        restricts the search to the slice of the *root* edge's candidate
-        pairs owned by that partition (see :mod:`repro.core.partition`);
-        the ``count`` partitions jointly enumerate exactly the
-        unpartitioned match set, disjointly.  ``ctx.limit`` and the
-        deadline still stop the search early; the returned generator
-        replays the collected prefix.
+        ``ctx.partition=(index, count)`` restricts the search to the
+        slice of the *root* edge's candidate pairs owned by that partition
+        (see :mod:`repro.core.partition`); the ``count`` partitions
+        jointly enumerate exactly the unpartitioned match set, disjointly.
+        ``ctx.limit`` and the deadline still stop the search early; the
+        returned generator replays the collected prefix.
         """
-        context = resolve_run_context(
-            ctx, limit=limit, stats=stats, deadline=deadline, partition=partition
-        )
         self.prepare()
-        return self._run_collected(context)
+        return self._run_collected(ctx)
 
     def _run_collected(self, ctx: RunContext) -> Iterator[Match]:
         sink = CollectSink(limit=ctx.limit)

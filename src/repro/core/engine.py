@@ -7,14 +7,11 @@ phase timing (preparation vs matching, the split plotted in Fig. 14 /
 Table VI of the paper) and optional per-phase tracing spans
 (:mod:`repro.obs`).
 
-Callers choose run behaviour through a frozen :class:`MatchOptions`
+Callers choose run behaviour through one frozen :class:`MatchOptions`
 (limit, time budget, STN tightening, match collection, partition,
-tracing); the individual ``limit=`` / ``time_budget=`` / ... keywords
-remain as a back-compat shim that builds one.  Matchers receive run-time
-state as a single :class:`RunContext`; whether a matcher supports seed
-partitioning is declared by its ``supports_partition`` class attribute
-(signature probing remains only as a fallback for unregistered
-third-party matchers).
+tracing).  Matchers receive run-time state as one :class:`RunContext`;
+whether a matcher supports seed partitioning is declared by its
+``supports_partition`` class attribute.
 
 Baselines live in :mod:`repro.baselines` and are imported lazily on first
 use of an unknown name, so ``import repro`` stays cheap and the core has
@@ -23,11 +20,9 @@ no dependency on the baselines package.
 
 from __future__ import annotations
 
-import inspect
 import time
-import warnings
 from collections.abc import Callable, Iterator
-from typing import Any, Protocol, cast
+from typing import Any, Protocol
 
 from ..errors import AlgorithmError, UnknownAlgorithmError
 from ..graphs import (
@@ -55,15 +50,12 @@ __all__ = [
     "MatchOptions",
     "Matcher",
     "MatchResult",
-    "PartitionedMatcher",
     "RunContext",
     "available_algorithms",
     "count_matches",
     "create_matcher",
     "find_matches",
-    "invoke_run",
     "invoke_run_sink",
-    "prepare_matcher",
     "register_algorithm",
     "supports_codegen",
     "supports_partition",
@@ -74,9 +66,12 @@ class Matcher(Protocol):
     """Protocol all matchers implement.
 
     ``supports_partition`` declares whether ``run`` honours
-    ``RunContext.partition`` (the engine consults the attribute, not the
-    signature).  ``run`` takes one :class:`RunContext`; the legacy
-    ``limit``/``stats``/``deadline`` keywords are the back-compat shim.
+    ``RunContext.partition``: ``partition=(index, count)`` restricts the
+    search to a deterministic slice of the root position's candidates
+    (see :mod:`repro.core.partition`), and the ``count`` slices jointly
+    enumerate exactly the unpartitioned match set, pairwise disjointly.
+    The three TCSM algorithms and the brute-force oracle implement this;
+    baselines need not.
     """
 
     name: str
@@ -88,97 +83,14 @@ class Matcher(Protocol):
         ...
 
     def run(
-        self,
-        ctx: RunContext | None = None,
-        *,
-        limit: int | None = None,
-        stats: SearchStats | None = None,
-        deadline: float | None = None,
-    ) -> Iterator[Match]:  # pragma: no cover - protocol
-        ...
-
-
-class PartitionedMatcher(Matcher, Protocol):
-    """A matcher that honours ``RunContext.partition``.
-
-    ``partition=(index, count)`` restricts the search to a deterministic
-    slice of the root position's candidates (see
-    :mod:`repro.core.partition`); the ``count`` slices jointly enumerate
-    exactly the unpartitioned match set, pairwise disjointly.  The three
-    TCSM algorithms and the brute-force oracle implement this
-    (``supports_partition = True``); baselines need not.
-    """
-
-    def run(
-        self,
-        ctx: RunContext | None = None,
-        *,
-        limit: int | None = None,
-        stats: SearchStats | None = None,
-        deadline: float | None = None,
-        partition: tuple[int, int] | None = None,
+        self, ctx: RunContext
     ) -> Iterator[Match]:  # pragma: no cover - protocol
         ...
 
 
 def supports_partition(matcher: Matcher) -> bool:
-    """True when *matcher* declares (or exhibits) partition support.
-
-    Registered matchers declare it with a ``supports_partition`` class
-    attribute; for unregistered third-party matchers without the
-    attribute, the legacy signature probe (a ``partition`` parameter on
-    ``run``) is retained as a fallback.
-    """
-    flag = getattr(matcher, "supports_partition", None)
-    if flag is not None:
-        return bool(flag)
-    try:
-        parameters = inspect.signature(matcher.run).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    return "partition" in parameters
-
-
-_CTX_SUPPORT: dict[type, bool] = {}  # reprolint: disable=R016 -- idempotent memo; a racy double-probe writes the same value
-
-
-def _run_accepts_context(matcher: Matcher) -> bool:
-    """True when ``matcher.run`` takes a ``ctx`` parameter (cached per type)."""
-    cls = type(matcher)
-    cached = _CTX_SUPPORT.get(cls)
-    if cached is None:
-        try:
-            parameters = inspect.signature(cls.run).parameters
-        except (TypeError, ValueError):  # pragma: no cover - exotic callables
-            cached = False
-        else:
-            cached = "ctx" in parameters
-        _CTX_SUPPORT[cls] = cached
-    return cached
-
-
-def invoke_run(matcher: Matcher, ctx: RunContext) -> Iterator[Match]:
-    """Call ``matcher.run`` with *ctx*, shimming third-party matchers.
-
-    In-repo matchers take the context directly; an unregistered matcher
-    whose ``run`` predates :class:`RunContext` is called with the legacy
-    keywords instead (``partition`` only when set, so old three-keyword
-    signatures keep working).
-    """
-    if _run_accepts_context(matcher):
-        return matcher.run(ctx)
-    # Shim interior: third-party matchers predating RunContext are the
-    # one legitimate consumer of the legacy keywords.
-    if ctx.partition is not None:
-        return cast(PartitionedMatcher, matcher).run(  # reprolint: disable=R018
-            limit=ctx.limit,
-            stats=ctx.stats,
-            deadline=ctx.deadline,
-            partition=ctx.partition,
-        )
-    return matcher.run(  # reprolint: disable=R018
-        limit=ctx.limit, stats=ctx.stats, deadline=ctx.deadline
-    )
+    """True when *matcher* declares partition support."""
+    return matcher.supports_partition
 
 
 def invoke_run_sink(matcher: Matcher, ctx: RunContext, sink: ResultSink) -> None:
@@ -195,28 +107,7 @@ def invoke_run_sink(matcher: Matcher, ctx: RunContext, sink: ResultSink) -> None
     if callable(run_sink):
         run_sink(ctx, sink)
         return
-    drain_into_sink(invoke_run(matcher, ctx), sink, ctx.stats)
-
-
-def prepare_matcher(matcher: Matcher, tracer: TraceSink) -> None:
-    """Run ``matcher.prepare``, forwarding the tracer when accepted.
-
-    Third-party matchers whose ``prepare`` predates the ``tracer``
-    parameter are called bare; they simply emit no candidate-filter
-    spans.  The probe only runs when tracing is enabled.
-    """
-    if not tracer.enabled:
-        matcher.prepare()
-        return
-    try:
-        parameters = inspect.signature(matcher.prepare).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        matcher.prepare()
-        return
-    if "tracer" in parameters:
-        matcher.prepare(tracer=tracer)
-    else:
-        matcher.prepare()
+    drain_into_sink(matcher.run(ctx), sink, ctx.stats)
 
 
 MatcherFactory = Callable[..., Matcher]
@@ -289,54 +180,6 @@ def create_matcher(
     return factory(query, constraints, graph, **options)
 
 
-def _resolve_options(
-    options: MatchOptions | None,
-    limit: int | None,
-    time_budget: float | None,
-    tighten: bool,
-    collect_matches: bool,
-    partition: tuple[int, int] | None,
-    trace: bool,
-) -> MatchOptions:
-    """Fold an explicit :class:`MatchOptions` or the legacy keywords.
-
-    The legacy keywords alone are a deprecated shim (see docs/API.md):
-    they emit a :class:`DeprecationWarning` and will be removed two
-    releases after the ``repro.api`` facade stabilises.
-    """
-    legacy_used = (
-        limit is not None
-        or time_budget is not None
-        or tighten
-        or not collect_matches
-        or partition is not None
-        or trace
-    )
-    if options is not None:
-        if legacy_used:
-            raise TypeError(
-                "pass either MatchOptions or the legacy limit/time_budget/"
-                "tighten/collect_matches/partition/trace keywords, not both"
-            )
-        return options
-    if legacy_used:
-        warnings.warn(
-            "the limit=/time_budget=/tighten=/collect_matches=/partition=/"
-            "trace= keywords on find_matches() are deprecated; pass "
-            "options=MatchOptions(...) instead (see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return MatchOptions(
-        limit=limit,
-        time_budget=time_budget,
-        tighten=tighten,
-        collect_matches=collect_matches,
-        partition=partition,
-        trace=trace,
-    )
-
-
 def find_matches(
     query: QueryGraph,
     constraints: TemporalConstraints,
@@ -345,13 +188,7 @@ def find_matches(
     *,
     options: MatchOptions | None = None,
     matcher: Matcher | None = None,
-    tracer: Tracer | None = None,
-    limit: int | None = None,
-    time_budget: float | None = None,
-    tighten: bool = False,
-    collect_matches: bool = True,
-    partition: tuple[int, int] | None = None,
-    trace: bool = False,
+    tracer: TraceSink | None = None,
     **matcher_options: Any,
 ) -> MatchResult:
     """Run a matcher end to end and return matches plus measurements.
@@ -365,36 +202,28 @@ def find_matches(
         :func:`available_algorithms`.
     options:
         A :class:`MatchOptions` bundling limit, time budget, tightening,
-        match collection, partition and tracing.  The individual keywords
-        below are a back-compat shim that builds one; passing both is an
-        error.
+        match collection, partition and tracing.
     matcher:
         A pre-built (possibly already prepared) matcher to reuse instead
         of constructing one from *algorithm*; ``prepare()`` is idempotent,
         so reusing a warm matcher skips the preparation cost.  This is the
         plan-reuse hook the query service's plan cache builds on.
-        *algorithm* and *matcher_options* are ignored when given.
+        *algorithm* is ignored when given, and *matcher_options* must then
+        be empty (a ``TypeError`` names any that would be ignored).
     tracer:
         An explicit tracer to record spans into (the service injects its
-        sampled tracer here).  ``options.trace`` / ``trace=True`` creates
-        a fresh one instead; the tracer used comes back on
-        ``result.trace``.
-    limit, time_budget, tighten, collect_matches, partition, trace:
-        Legacy keywords; see :class:`MatchOptions` for semantics.
+        sampled tracer here).  ``options.trace`` creates a fresh one
+        instead; a recording tracer comes back on ``result.trace``.
     matcher_options:
         Forwarded to the matcher constructor.
     """
-    opts = _resolve_options(
-        options, limit, time_budget, tighten, collect_matches, partition, trace
-    )
+    opts = options or MatchOptions()
     tr: TraceSink
     if tracer is not None:
         tr = tracer
-    elif opts.trace:
-        tracer = Tracer()
-        tr = tracer
     else:
-        tr = NULL_TRACER
+        tr = Tracer() if opts.trace else NULL_TRACER
+    trace = tr if isinstance(tr, Tracer) else None
 
     if opts.tighten:
         with tr.span("stn-closure", constraints=len(constraints)):
@@ -418,19 +247,17 @@ def find_matches(
             build_seconds=0.0,
             match_seconds=time.perf_counter() - est_start,
             estimate=estimate,
-            trace=tracer,
+            trace=trace,
         )
-    if (
-        matcher is None
-        and (opts.sanitize or sanitize_enabled())
-        and isinstance(graph, GraphSnapshot)
-    ):
-        # Sanitizer mode: the matcher sees a write-barrier wrapped
-        # snapshot, so any post-compile mutation raises at the site.
-        # Pre-built matchers already hold their graph reference and are
-        # left alone (the service wraps at registry.register instead).
-        graph = snapshot_write_barrier(graph)
     if matcher is None:
+        if (opts.sanitize or sanitize_enabled()) and isinstance(
+            graph, GraphSnapshot
+        ):
+            # Sanitizer mode: the matcher sees a write-barrier wrapped
+            # snapshot, so any post-compile mutation raises at the site.
+            # Pre-built matchers already hold their graph reference and
+            # are left alone (the service wraps at registry.register).
+            graph = snapshot_write_barrier(graph)
         # Forward the planning mode to matchers that take the knob; the
         # "paper" default is every matcher's default already, and
         # baseline factories without a ``plan`` parameter must keep
@@ -445,11 +272,19 @@ def find_matches(
         matcher = create_matcher(
             algorithm, query, constraints, graph, **matcher_options
         )
+    elif matcher_options:
+        # A pre-built matcher is already constructed, so constructor
+        # options would be dropped; so would a stale run-time keyword
+        # (limit=, time_budget=, ...) from before MatchOptions.
+        raise TypeError(
+            "find_matches() got keyword arguments a pre-built matcher "
+            f"would ignore: {', '.join(sorted(matcher_options))}"
+        )
     stats = SearchStats()
 
     build_start = time.perf_counter()
     with tr.span("prepare", algorithm=matcher.name):
-        prepare_matcher(matcher, tr)
+        matcher.prepare(tracer=tr)
     build_seconds = time.perf_counter() - build_start
     prepare_stats = getattr(matcher, "prepare_stats", None)
     if isinstance(prepare_stats, SearchStats):
@@ -473,7 +308,7 @@ def find_matches(
     # Exact top-k earliest needs the *full* enumeration (the heap keeps
     # the k best); a context limit would make pull-based matchers stop
     # at the first k found instead.  Every other sink enforces its own
-    # limit, so the context limit is only kept for the pull-based shim.
+    # limit, so the context limit is only kept for pull-based matchers.
     ctx_limit = opts.limit
     if opts.order_by == "earliest":
         ctx_limit = None
@@ -511,7 +346,7 @@ def find_matches(
         or (stats.budget_exhausted and not stats.deadline_hit),
         truncated_by_limit=truncated_by_limit,
         ordered=opts.order_by == "earliest",
-        trace=tracer,
+        trace=trace,
     )
     return result
 
@@ -530,35 +365,10 @@ def count_matches(
     A thin sink configuration: the run is forced to ``mode="count"``
     (a :class:`~repro.core.sinks.CountSink`), so match objects are
     never built up regardless of the caller's ``collect_matches``.
-    Accepts the same legacy keywords as :func:`find_matches` (same
-    deprecation shim: they warn, and both-forms-at-once is an error).
     """
-    if options is not None:
-        mode = "estimate" if options.mode == "estimate" else "count"
-        options = options.replace(collect_matches=False, mode=mode)
-    else:
-        legacy = {
-            key: kwargs.pop(key)
-            for key in (
-                "limit",
-                "time_budget",
-                "tighten",
-                "partition",
-                "partition_strategy",
-                "trace",
-            )
-            if key in kwargs
-        }
-        kwargs.pop("collect_matches", None)
-        if legacy:
-            warnings.warn(
-                "the limit=/time_budget=/tighten=/partition=/trace= "
-                "keywords on count_matches() are deprecated; pass "
-                "options=MatchOptions(...) instead (see docs/API.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        options = MatchOptions(collect_matches=False, mode="count", **legacy)
+    options = options or MatchOptions()
+    mode = "estimate" if options.mode == "estimate" else "count"
+    options = options.replace(collect_matches=False, mode=mode)
     result = find_matches(
         query,
         constraints,

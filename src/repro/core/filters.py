@@ -10,83 +10,20 @@ The classic Neighbourhood Label Frequency filter the paper cites [27] uses
 query neighbours must map to distinct data neighbours).  ``count_based``
 selects between the two; the default (count-based) prunes more and is the
 variant ablated in ``benchmarks/bench_ablation_filters.py``.
-
-Both entry points additionally take a ``prefilter`` knob.  With
-``prefilter="bitset"`` a cheap int-mask pass runs ahead of the full
-filter: one arbitrary-precision Python int per needed label, bit ``v``
-set when data vertex ``v`` has a neighbour carrying that label, built in
-one sweep over the snapshot's label index.  A candidate failing the mask
-test would necessarily fail the full filter too (a required neighbour
-label that is absent entirely certainly cannot be present ``needed``
-times), so the resulting candidate *sets* are identical — only the
-number of full-filter evaluations drops.  Mask pruning is recorded in
-the ``"bitset-nlf"`` / ``"bitset-ldf"`` :class:`FilterStats` buckets;
-note the downstream ``"nlf"`` / ``"ldf"`` buckets then see (and count)
-only the mask survivors, which is why the knob defaults to ``"none"``
-wherever counter streams are pinned.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
-
-from ..errors import AlgorithmError
 from ..graphs import GraphView, QueryGraph, StaticView
 
 from .stats import SearchStats
 
 __all__ = [
-    "PREFILTERS",
-    "check_prefilter",
     "nlf",
     "ldf",
     "initial_vertex_candidates",
     "initial_edge_candidate_pairs",
-    "neighbor_label_mask",
-    "out_label_mask",
 ]
-
-#: Recognised values for the ``prefilter`` knob.
-PREFILTERS: tuple[str, ...] = ("none", "bitset")
-
-
-def check_prefilter(prefilter: str) -> str:
-    """Validate a ``prefilter`` knob value; returns it unchanged."""
-    if prefilter not in PREFILTERS:
-        known = ", ".join(repr(p) for p in PREFILTERS)
-        raise AlgorithmError(
-            f"prefilter must be one of {known}, not {prefilter!r}"
-        )
-    return prefilter
-
-
-def neighbor_label_mask(graph: GraphView, label: Hashable) -> int:
-    """Int mask: bit ``v`` set iff ``v`` has an *undirected* neighbour
-    labelled *label* (the neighbourhood NLF's
-    ``neighbor_label_counts`` is defined over).
-
-    Built from the label index side: every in- or out-neighbour of a
-    *label*-carrying vertex is, symmetrically, adjacent to one — so one
-    sweep over those adjacency lists covers every vertex the mask must
-    set, in O(sum degree of the label's vertices).
-    """
-    mask = 0
-    for w in graph.vertices_with_label(label):
-        for x in graph.out_neighbor_ids(w):
-            mask |= 1 << x
-        for x in graph.in_neighbor_ids(w):
-            mask |= 1 << x
-    return mask
-
-
-def out_label_mask(graph: GraphView, label: Hashable) -> int:
-    """Int mask: bit ``u`` set iff ``u`` has an out-neighbour labelled
-    *label* (every in-neighbour of a *label* vertex has one)."""
-    mask = 0
-    for w in graph.vertices_with_label(label):
-        for x in graph.in_neighbor_ids(w):
-            mask |= 1 << x
-    return mask
 
 
 def nlf(
@@ -150,7 +87,6 @@ def initial_vertex_candidates(
     graph: GraphView,
     count_based: bool = True,
     stats: SearchStats | None = None,
-    prefilter: str = "none",
 ) -> list[frozenset[int]]:
     """Per query vertex, the set of NLF-passing data vertices.
 
@@ -158,38 +94,13 @@ def initial_vertex_candidates(
     query label are examined, via the data graph's label index.  When
     *stats* is given, the ``"nlf"`` filter bucket records how many
     label-compatible vertices were considered and how many NLF pruned.
-
-    ``prefilter="bitset"`` screens each vertex against the intersection
-    of the :func:`neighbor_label_mask` of every neighbour label the
-    query vertex requires before the (dict-walking) NLF check runs; the
-    ``"bitset-nlf"`` bucket records that pass.  The returned sets are
-    identical either way — a vertex missing a required neighbour label
-    fails NLF's containment check too.
     """
-    check_prefilter(prefilter)
     data = graph.static_view()
-    tallies = stats or SearchStats()
-    counters = tallies.filter("nlf")
-    bitset = prefilter == "bitset"
-    bit_counters = tallies.filter("bitset-nlf") if bitset else None
-    label_masks: dict[Hashable, int] = {}
+    counters = (stats or SearchStats()).filter("nlf")
     candidates: list[frozenset[int]] = []
     for u in query.vertices():
-        allowed = -1  # all bits set: the empty intersection prunes nothing
-        if bitset:
-            for label in query.neighbor_label_counts(u):
-                mask = label_masks.get(label)
-                if mask is None:
-                    mask = neighbor_label_mask(graph, label)
-                    label_masks[label] = mask
-                allowed &= mask
         passing: set[int] = set()
         for v in graph.vertices_with_label(query.label(u)):
-            if bit_counters is not None:
-                bit_counters.considered += 1
-                if not (allowed >> v) & 1:
-                    bit_counters.pruned += 1
-                    continue
             counters.considered += 1
             if nlf(query, data, u, v, count_based=count_based):
                 passing.add(v)
@@ -203,7 +114,6 @@ def initial_edge_candidate_pairs(
     query: QueryGraph,
     graph: GraphView,
     stats: SearchStats | None = None,
-    prefilter: str = "none",
 ) -> list[frozenset[tuple[int, int]]]:
     """Per query edge, the set of LDF-passing data vertex *pairs*.
 
@@ -213,39 +123,14 @@ def initial_edge_candidate_pairs(
     only at labels and degrees).  Matchers expand timestamps on demand.
     When *stats* is given, the ``"ldf"`` bucket records scanned vs pruned
     pairs.
-
-    ``prefilter="bitset"`` screens each candidate *source* against the
-    :func:`out_label_mask` of the edge's target label before its
-    adjacency list is scanned at all; the ``"bitset-ldf"`` bucket
-    records sources screened vs skipped.  The returned pair sets are
-    identical either way — a source with no correctly-labelled
-    out-neighbour contributes no LDF-passing pair.
     """
-    check_prefilter(prefilter)
     data = graph.static_view()
-    tallies = stats or SearchStats()
-    counters = tallies.filter("ldf")
-    bitset = prefilter == "bitset"
-    bit_counters = tallies.filter("bitset-ldf") if bitset else None
-    target_masks: dict[Hashable, int] = {}
+    counters = (stats or SearchStats()).filter("ldf")
     candidates: list[frozenset[tuple[int, int]]] = []
-    for edge_index, (qu, qv) in enumerate(query.edges):
-        allowed = -1
-        if bitset:
-            target_label = query.label(qv)
-            mask = target_masks.get(target_label)
-            if mask is None:
-                mask = out_label_mask(graph, target_label)
-                target_masks[target_label] = mask
-            allowed = mask
+    for edge_index, (qu, _) in enumerate(query.edges):
         passing: set[tuple[int, int]] = set()
         # Scan only pairs whose source carries the right label.
         for data_u in graph.vertices_with_label(query.label(qu)):
-            if bit_counters is not None:
-                bit_counters.considered += 1
-                if not (allowed >> data_u) & 1:
-                    bit_counters.pruned += 1
-                    continue
             for data_v in data.out_neighbors(data_u):
                 counters.considered += 1
                 if ldf(query, data, edge_index, data_u, data_v):

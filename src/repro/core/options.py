@@ -1,7 +1,7 @@
-"""The consolidated matching API surface: options and run context.
+"""The matching API surface: options and run context.
 
-Two small frozen dataclasses replace the keyword sprawl that had been
-growing on :func:`repro.core.find_matches` and ``Matcher.run``:
+Two small frozen dataclasses carry every run-time choice into
+:func:`repro.core.find_matches` and ``Matcher.run``:
 
 :class:`MatchOptions`
     Everything a *caller* chooses about one end-to-end match run — limit,
@@ -12,16 +12,13 @@ growing on :func:`repro.core.find_matches` and ``Matcher.run``:
 :class:`RunContext`
     Everything a *matcher* needs inside ``run()`` — the resolved limit,
     deadline, stats sink, partition slice, and tracer.  Matchers accept
-    it as the single first parameter; the legacy ``limit=``/``stats=``/
-    ``deadline=``/``partition=`` keywords remain as a back-compat shim
-    that :func:`resolve_run_context` folds into a context.
+    it as their one parameter.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -31,7 +28,7 @@ from .partition import check_partition_strategy
 from .planner import validate_plan
 from .stats import SearchStats
 
-__all__ = ["MatchOptions", "RunContext", "resolve_run_context"]
+__all__ = ["MatchOptions", "RunContext"]
 
 
 @dataclass(frozen=True)
@@ -198,47 +195,3 @@ class RunContext:
         return replace(
             self, partition=(index, count), stats=SearchStats()
         )
-
-
-def resolve_run_context(
-    ctx: RunContext | None,
-    limit: int | None = None,
-    stats: SearchStats | None = None,
-    deadline: float | None = None,
-    partition: tuple[int, int] | None = None,
-) -> RunContext:
-    """Fold a ``RunContext`` or the legacy keywords into one context.
-
-    Passing both a context *and* any non-default legacy keyword is an
-    error — the values would silently compete otherwise.  The legacy
-    keywords alone are a deprecated shim (see docs/API.md): they emit a
-    :class:`DeprecationWarning` and will be removed two releases after
-    the ``repro.api`` facade stabilises.
-    """
-    legacy_used = (
-        limit is not None
-        or stats is not None
-        or deadline is not None
-        or partition is not None
-    )
-    if ctx is not None:
-        if legacy_used:
-            raise TypeError(
-                "pass either a RunContext or the legacy "
-                "limit/stats/deadline/partition keywords, not both"
-            )
-        return ctx
-    if legacy_used:
-        warnings.warn(
-            "the limit=/stats=/deadline=/partition= keywords on "
-            "Matcher.run() are deprecated; pass a RunContext instead "
-            "(see docs/API.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return RunContext(
-        limit=limit,
-        deadline=deadline,
-        partition=partition,
-        stats=stats if stats is not None else SearchStats(),
-    )

@@ -26,9 +26,9 @@ from ..graphs import (
 from ..obs import NULL_TRACER, TraceSink
 
 from .codegen import CompiledPlan, compile_enumerator
-from .filters import check_prefilter, initial_vertex_candidates
+from .filters import initial_vertex_candidates
 from .match import Match
-from .options import RunContext, resolve_run_context
+from .options import RunContext
 from .partition import partition_slice
 from .planner import plan_costs, validate_plan
 from .sinks import CollectSink, ResultSink, StopEnumeration
@@ -85,12 +85,6 @@ class V2VMatcher:
         closure) via :mod:`repro.core.codegen` and ``run_sink``
         dispatches to it; match multisets and every ``SearchStats``
         counter are pinned bit-identical to the interpreted loop.
-    prefilter:
-        ``"bitset"`` prunes NLF candidates with int-mask neighbour-label
-        prefilters before the full NLF check (see
-        :func:`repro.core.filters.initial_vertex_candidates`);
-        ``"none"`` (default) keeps the plain scan.  Candidate sets are
-        identical either way.
     """
 
     name = "tcsm-v2v"
@@ -112,7 +106,6 @@ class V2VMatcher:
         plan: str = "paper",
         compile_graph: bool = True,
         codegen: bool = False,
-        prefilter: str = "none",
     ) -> None:
         if constraints.num_edges != query.num_edges:
             raise AlgorithmError(
@@ -132,7 +125,6 @@ class V2VMatcher:
         self.use_window_kernel = use_window_kernel
         self.plan = validate_plan(plan)
         self.codegen = codegen
-        self.prefilter = check_prefilter(prefilter)
         #: Specialized enumerator compiled by ``prepare`` when
         #: ``codegen`` is set; None means the interpreted loop runs.
         self._compiled: CompiledPlan | None = None
@@ -165,7 +157,6 @@ class V2VMatcher:
                 self._view,
                 count_based=self.count_based_nlf,
                 stats=self.prepare_stats,
-                prefilter=self.prefilter,
             )
             sp.annotate(**self.prepare_stats.filter("nlf").as_dict())
         self.tcq = build_tcq(
@@ -234,31 +225,18 @@ class V2VMatcher:
     # ------------------------------------------------------------------
     # matching (Algorithm 2 lines 5-27)
     # ------------------------------------------------------------------
-    def run(
-        self,
-        ctx: RunContext | None = None,
-        *,
-        limit: int | None = None,
-        stats: SearchStats | None = None,
-        deadline: float | None = None,
-        partition: tuple[int, int] | None = None,
-    ) -> Iterator[Match]:
-        """Yield all matches (compat facade over :meth:`run_sink`).
+    def run(self, ctx: RunContext) -> Iterator[Match]:
+        """Yield all matches (pull facade over :meth:`run_sink`).
 
-        Run-time state arrives as one :class:`RunContext`; the individual
-        keywords are the legacy shim.  ``ctx.partition=(index, count)``
-        restricts the search to the slice of the *root* vertex's
-        candidates owned by that partition (see
-        :mod:`repro.core.partition`); the ``count`` partitions jointly
-        enumerate exactly the unpartitioned match set, disjointly.
+        ``ctx.partition=(index, count)`` restricts the search to the
+        slice of the *root* vertex's candidates owned by that partition
+        (see :mod:`repro.core.partition`); the ``count`` partitions
+        jointly enumerate exactly the unpartitioned match set, disjointly.
         ``ctx.limit`` and the deadline still stop the search early; the
         returned generator replays the collected prefix.
         """
-        context = resolve_run_context(
-            ctx, limit=limit, stats=stats, deadline=deadline, partition=partition
-        )
         self.prepare()
-        return self._run_collected(context)
+        return self._run_collected(ctx)
 
     def _run_collected(self, ctx: RunContext) -> Iterator[Match]:
         sink = CollectSink(limit=ctx.limit)

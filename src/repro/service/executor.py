@@ -16,7 +16,7 @@ Two pool flavours, per the ``concurrent.futures`` split:
     Best for short queries and for keeping deadline checks responsive.
 
 ``process`` (opt-in)
-    Workers run :func:`repro.core.find_matches` in forked child
+    Workers build, prepare and run their own matcher in forked child
     processes, sidestepping the GIL for CPU-bound searches.  When the
     spec's graph is a :class:`~repro.graphs.SharedSnapshot`, workers
     attach to the one shared-memory graph image by segment *name* —
@@ -42,20 +42,19 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, cast
+from typing import Any
 
 from ..core import (
     Match,
-    MatchOptions,
     Matcher,
-    PartitionedMatcher,
     RunContext,
     SearchStats,
-    find_matches,
+    create_matcher,
     supports_partition,
 )
 from ..core.engine import invoke_run_sink
 from ..core.sinks import build_sink, match_sort_key
+from ..errors import AlgorithmError
 from ..graphs import (
     GraphSnapshot,
     GraphView,
@@ -63,8 +62,9 @@ from ..graphs import (
     SharedSnapshot,
     TemporalConstraints,
     snapshot_compile_count,
+    snapshot_write_barrier,
 )
-from ..obs import NULL_TRACER, TraceSink
+from ..obs import NULL_TRACER, TraceSink, sanitize_enabled
 
 __all__ = ["ExecutionOutcome", "ProcessSpec", "QueryExecutor"]
 
@@ -130,18 +130,6 @@ class ProcessSpec:
             return self.graph.snapshot()
         return self.graph
 
-    def match_options(self, partition: tuple[int, int] | None) -> MatchOptions:
-        """The spec's knobs as one :class:`MatchOptions`."""
-        return MatchOptions(
-            limit=self.limit,
-            time_budget=self.time_budget,
-            collect_matches=self.collect_matches,
-            partition=partition,
-            partition_strategy=self.partition_strategy,
-            order_by=self.order_by,
-            mode=self.mode,
-        )
-
 
 #: Spec inherited by fork-started workers; set under the process lock of
 #: the executor that owns the fan-out (one process fan-out at a time)
@@ -157,6 +145,50 @@ def _set_process_spec(spec: ProcessSpec | None, epoch: int) -> None:
     global _PROCESS_SPEC, _PROCESS_EPOCH
     _PROCESS_SPEC = spec
     _PROCESS_EPOCH = epoch
+
+
+def _run_slice(
+    spec: ProcessSpec, graph: GraphView, partition: tuple[int, int] | None
+) -> tuple[tuple[Match, ...], SearchStats, bool]:
+    """Create, prepare and run one slice of *spec* against *graph*.
+
+    The same steps the thread path takes on a cached plan, so the
+    returned stats cover the slice's enumeration only: prepare-time
+    filter counters stay on the matcher, and the service merges its own
+    plan's copy once per query (merging every worker's copy would
+    multiply them by the worker count).  Returns the slice's matches,
+    its stats, and whether the limit shaped them.
+    """
+    if sanitize_enabled() and isinstance(graph, GraphSnapshot):
+        graph = snapshot_write_barrier(graph)
+    matcher = create_matcher(
+        spec.algorithm, spec.query, spec.constraints, graph, **spec.options
+    )
+    matcher.prepare()
+    if partition is not None and not supports_partition(matcher):
+        raise AlgorithmError(
+            f"matcher {matcher.name!r} does not support partitioned "
+            "execution"
+        )
+    deadline = None
+    if spec.time_budget is not None:
+        deadline = time.monotonic() + spec.time_budget
+    ctx = RunContext(
+        # Exact top-k needs the full enumeration (see run_matcher).
+        limit=None if spec.order_by == "earliest" else spec.limit,
+        deadline=deadline,
+        partition=partition,
+        partition_strategy=spec.partition_strategy,
+    )
+    sink = build_sink(
+        mode=spec.mode,
+        order_by=spec.order_by,
+        limit=spec.limit,
+        collect=spec.collect_matches,
+    )
+    invoke_run_sink(matcher, ctx, sink)
+    truncated = ctx.stats.limit_hit or bool(getattr(sink, "overflowed", False))
+    return tuple(sink.finish()), ctx.stats, truncated
 
 
 def _run_partition_in_process(
@@ -179,17 +211,10 @@ def _run_partition_in_process(
         )
     compile_floor = snapshot_compile_count()
     graph = spec.resolve_graph()
-    result = find_matches(
-        spec.query,
-        spec.constraints,
-        graph,
-        algorithm=spec.algorithm,
-        options=spec.match_options((index, count)),
-        **spec.options,
-    )
+    matches, stats, _ = _run_slice(spec, graph, (index, count))
     compiles = snapshot_compile_count() - compile_floor
     owned = graph.owned_nbytes if isinstance(graph, GraphSnapshot) else -1
-    return tuple(result.matches), result.stats, compiles, owned
+    return matches, stats, compiles, owned
 
 
 def _merge_partitions(
@@ -323,7 +348,6 @@ class QueryExecutor:
                 ordered=ordered,
             )
 
-        runner = cast(PartitionedMatcher, matcher)
         base_ctx = RunContext(
             limit=ctx_limit,
             deadline=deadline,
@@ -340,7 +364,7 @@ class QueryExecutor:
             with tr.span(
                 f"partition:{index}/{count}", algorithm=matcher.name
             ) as span:
-                invoke_run_sink(runner, ctx, sink)
+                invoke_run_sink(matcher, ctx, sink)
                 span.annotate(matches=ctx.stats.matches)
             return started, tuple(sink.finish()), ctx.stats
 
@@ -374,29 +398,26 @@ class QueryExecutor:
         Serialised per executor: the spec travels to fork-started workers
         through epoch-stamped module state captured at fork time, which
         supports one fan-out at a time.  With one worker the query runs
-        inline.
+        inline.  Like :meth:`run_matcher`, the outcome's stats cover
+        enumeration only; prepare-time filter counters are the caller's
+        to merge once.
         """
         requested = self.max_workers if workers is None else workers
         count = max(1, min(requested, self.max_workers))
         if count == 1:
             started = time.perf_counter()
-            result = find_matches(
-                spec.query,
-                spec.constraints,
-                spec.resolve_graph(),
-                algorithm=spec.algorithm,
-                options=spec.match_options(None),
-                **spec.options,
+            matches, stats, truncated = _run_slice(
+                spec, spec.resolve_graph(), None
             )
             finished = time.perf_counter()
             return ExecutionOutcome(
-                matches=tuple(result.matches),
-                stats=result.stats,
+                matches=matches,
+                stats=stats,
                 partitions=1,
                 queue_seconds=0.0,
                 match_seconds=finished - started,
-                truncated_by_limit=result.truncated_by_limit,
-                ordered=result.ordered,
+                truncated_by_limit=truncated,
+                ordered=spec.order_by == "earliest",
             )
 
         if "fork" in multiprocessing.get_all_start_methods():

@@ -34,7 +34,6 @@ from ..core import (
     find_matches,
     supports_codegen,
 )
-from ..core.engine import prepare_matcher
 from ..errors import (
     AdmissionError,
     ReproError,
@@ -50,7 +49,13 @@ from ..graphs import (
     load_snap_temporal,
     pattern_from_dict,
 )
-from ..obs import Tracer, render_span_tree, to_chrome_trace
+from ..obs import (
+    NULL_TRACER,
+    TraceSink,
+    Tracer,
+    render_span_tree,
+    to_chrome_trace,
+)
 from ..streaming import (
     Emission,
     IngestReport,
@@ -486,7 +491,7 @@ class TCSMService:
         try:
             handle = self.graphs.get(graph_name)
             traced = trace or self._sampler.should_sample()
-            tracer = Tracer() if traced else None
+            tr: TraceSink = Tracer() if traced else NULL_TRACER
             pattern_hash = pattern_fingerprint(query, constraints)
             if answer_mode == "estimate":
                 # Estimation short-circuits the whole enumeration stack:
@@ -498,7 +503,7 @@ class TCSMService:
                     query,
                     constraints,
                     options,
-                    tracer,
+                    tr,
                     pattern_hash,
                     budget,
                 )
@@ -548,11 +553,8 @@ class TCSMService:
                     algo, query, constraints, handle.snapshot, **options
                 )
                 build_start = time.perf_counter()
-                if tracer is not None:
-                    with tracer.span("prepare", algorithm=matcher.name):
-                        prepare_matcher(matcher, tracer)
-                else:
-                    matcher.prepare()
+                with tr.span("prepare", algorithm=matcher.name):
+                    matcher.prepare(tracer=tr)
                 build_seconds = time.perf_counter() - build_start
                 self.metrics.observe("prepare_seconds", build_seconds)
                 return CachedPlan(
@@ -567,56 +569,46 @@ class TCSMService:
             deadline = (
                 time.monotonic() + budget if budget is not None else None
             )
-            if self.config.pool == "process":
-                # Workers receive the shared-memory segment handle when
-                # the registry exported one (it pickles as the segment
-                # *name*, so workers attach to the single graph image);
-                # otherwise the compact immutable snapshot — never the
-                # mutable dict-backed builder graph.  The addref/close
-                # pair keeps a just-replaced segment mapped until this
-                # in-flight fan-out completes.
-                shared = handle.shared
-                if shared is not None:
-                    shared.addref()
-                try:
-                    spec = ProcessSpec(
-                        query=query,
-                        constraints=constraints,
-                        graph=shared if shared is not None else handle.snapshot,
-                        algorithm=algo,
-                        limit=limit,
-                        time_budget=budget,
-                        collect_matches=collect_matches,
-                        partition_strategy=strategy,
-                        order_by=order,
-                        mode=answer_mode,
-                        options=options,
-                    )
-                    outcome = self.executor.run_process(spec, workers=workers)
-                finally:
+            # Process workers record no spans (spans cannot cross the
+            # fork boundary); the thread pool records partition spans on
+            # the worker threads.
+            with tr.span("enumerate", algorithm=algo) as span:
+                if self.config.pool == "process":
+                    # Workers receive the shared-memory segment handle
+                    # when the registry exported one (it pickles as the
+                    # segment *name*, so workers attach to the single
+                    # graph image); otherwise the compact immutable
+                    # snapshot — never the mutable dict-backed builder
+                    # graph.  The addref/close pair keeps a just-replaced
+                    # segment mapped until this in-flight fan-out
+                    # completes.
+                    shared = handle.shared
                     if shared is not None:
-                        shared.close()
-            else:
-                # Process-pool runs stay untraced (spans cannot cross the
-                # fork boundary); the thread pool records partition spans
-                # on the worker threads.
-                if tracer is not None:
-                    with tracer.span("enumerate", algorithm=algo) as span:
-                        outcome = self.executor.run_matcher(
-                            plan.matcher,
+                        shared.addref()
+                    try:
+                        spec = ProcessSpec(
+                            query=query,
+                            constraints=constraints,
+                            graph=(
+                                shared
+                                if shared is not None
+                                else handle.snapshot
+                            ),
+                            algorithm=algo,
                             limit=limit,
-                            deadline=deadline,
-                            workers=workers,
+                            time_budget=budget,
                             collect_matches=collect_matches,
                             partition_strategy=strategy,
                             order_by=order,
                             mode=answer_mode,
-                            tracer=tracer,
+                            options=options,
                         )
-                        span.annotate(
-                            matches=outcome.stats.matches,
-                            partitions=outcome.partitions,
+                        outcome = self.executor.run_process(
+                            spec, workers=workers
                         )
+                    finally:
+                        if shared is not None:
+                            shared.close()
                 else:
                     outcome = self.executor.run_matcher(
                         plan.matcher,
@@ -627,18 +619,21 @@ class TCSMService:
                         partition_strategy=strategy,
                         order_by=order,
                         mode=answer_mode,
+                        tracer=tr,
                     )
-                # Merge prepare-time filter counters exactly once per
-                # query (not per partition, which would multiply them).
-                prepare_stats = getattr(plan.matcher, "prepare_stats", None)
-                if isinstance(prepare_stats, SearchStats):
-                    outcome.stats.merge(prepare_stats)
+                span.annotate(
+                    matches=outcome.stats.matches,
+                    partitions=outcome.partitions,
+                )
+            # Merge prepare-time filter counters exactly once per query
+            # (not per partition or per worker, which would multiply them).
+            prepare_stats = getattr(plan.matcher, "prepare_stats", None)
+            if isinstance(prepare_stats, SearchStats):
+                outcome.stats.merge(prepare_stats)
 
             trace_id: str | None = None
-            if tracer is not None:
-                trace_id = self._retain_trace(
-                    tracer, handle, algo, pattern_hash
-                )
+            if isinstance(tr, Tracer):
+                trace_id = self._retain_trace(tr, handle, algo, pattern_hash)
             timed_out = outcome.stats.deadline_hit
             truncated_by_limit = outcome.truncated_by_limit or (
                 outcome.stats.budget_exhausted and not timed_out
@@ -683,7 +678,7 @@ class TCSMService:
         query: QueryGraph,
         constraints: TemporalConstraints,
         options: dict[str, Any],
-        tracer: Tracer | None,
+        tr: TraceSink,
         pattern_hash: str,
         budget: float | None,
     ) -> ServiceResult:
@@ -704,14 +699,14 @@ class TCSMService:
             constraints,
             handle.snapshot,
             options=MatchOptions(mode="estimate", time_budget=budget),
-            tracer=tracer,
+            tracer=tr,
             probes=probes,
             seed=seed,
         )
         trace_id: str | None = None
-        if tracer is not None:
+        if isinstance(tr, Tracer):
             trace_id = self._retain_trace(
-                tracer, handle, engine_result.algorithm, pattern_hash
+                tr, handle, engine_result.algorithm, pattern_hash
             )
         return ServiceResult(
             graph=handle.name,

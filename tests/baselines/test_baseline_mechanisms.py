@@ -7,7 +7,7 @@ data structure must demonstrably do something on a real run.
 
 import pytest
 
-from repro.core import create_matcher, find_matches
+from repro.core import RunContext, create_matcher, find_matches
 from repro.datasets import load_dataset, paper_constraints, paper_query
 
 
@@ -23,7 +23,7 @@ def run_matcher(algo, instance, **options):
     query, constraints, graph = instance
     matcher = create_matcher(algo, query, constraints, graph, **options)
     matcher.prepare()
-    count = sum(1 for _ in matcher.run())
+    count = sum(1 for _ in matcher.run(RunContext()))
     return matcher, count
 
 

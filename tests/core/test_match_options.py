@@ -1,4 +1,4 @@
-"""The consolidated options API: MatchOptions, RunContext, the legacy shim."""
+"""The options API: MatchOptions, RunContext, and the one calling form."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from repro.core import (
     RunContext,
     SearchStats,
     count_matches,
+    create_matcher,
     find_matches,
-    resolve_run_context,
 )
 from repro.datasets import toy_instance
 from repro.errors import AlgorithmError
@@ -100,53 +100,19 @@ class TestRunContext:
         assert sliced.stats is not ctx.stats
         assert sliced.stats.matches == 0
 
-    def test_resolve_passes_context_through(self):
-        ctx = RunContext(limit=2)
-        assert resolve_run_context(ctx) is ctx
-
-    def test_resolve_folds_legacy_keywords(self):
-        stats = SearchStats()
-        with pytest.warns(DeprecationWarning, match="RunContext"):
-            ctx = resolve_run_context(  # reprolint: disable=R018
-                None, limit=4, stats=stats, deadline=1.0, partition=(0, 2)
-            )
-        assert ctx.limit == 4 and ctx.deadline == 1.0
-        assert ctx.partition == (0, 2)
-        assert ctx.stats is stats
-
-    def test_resolve_rejects_context_plus_keywords(self):
-        with pytest.raises(TypeError, match="not both"):
-            resolve_run_context(RunContext(), limit=4)
-        with pytest.raises(TypeError, match="not both"):
-            resolve_run_context(RunContext(), stats=SearchStats())
-
 
 class TestFindMatchesShim:
-    """options= and the legacy keywords must be interchangeable."""
-
-    @pytest.mark.parametrize("algo", TCSM)
-    def test_equivalent_results(self, toy, algo):
-        query, tc, graph, _, _ = toy
-        via_options = find_matches(
-            query, tc, graph, algorithm=algo,
-            options=MatchOptions(limit=2, tighten=True),
-        )
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            via_keywords = find_matches(  # reprolint: disable=R018
-                query, tc, graph, algorithm=algo, limit=2, tighten=True
-            )
-        assert set(via_options.matches) == set(via_keywords.matches)
-        assert via_options.stats.matches == via_keywords.stats.matches
-        assert via_options.truncated == via_keywords.truncated
+    """options= is the one way to choose run behaviour; the flat
+    keywords the old shim accepted are rejected, never ignored."""
 
     def test_options_plus_legacy_keyword_is_an_error(self, toy):
         query, tc, graph, _, _ = toy
-        with pytest.raises(TypeError, match="not both"):
-            find_matches(  # reprolint: disable=R018
+        with pytest.raises(TypeError, match="limit"):
+            find_matches(
                 query, tc, graph, options=MatchOptions(limit=2), limit=2
             )
-        with pytest.raises(TypeError, match="not both"):
-            find_matches(  # reprolint: disable=R018
+        with pytest.raises(TypeError, match="trace"):
+            find_matches(
                 query, tc, graph, options=MatchOptions(), trace=True
             )
 
@@ -170,11 +136,53 @@ class TestFindMatchesShim:
         assert count_matches(
             query, tc, graph, options=MatchOptions(collect_matches=True)
         ) == baseline
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            count = count_matches(  # reprolint: disable=R018
-                query, tc, graph, limit=1
+        assert count_matches(
+            query, tc, graph, options=MatchOptions(limit=1)
+        ) == 1
+
+
+class TestRemovedKeywords:
+    """The removed flat keywords and knobs raise ``TypeError``."""
+
+    def test_find_matches_flat_limit(self, toy):
+        query, tc, graph, _, _ = toy
+        with pytest.raises(TypeError, match="limit"):
+            find_matches(query, tc, graph, limit=1)
+
+    def test_count_matches_flat_limit(self, toy):
+        query, tc, graph, _, _ = toy
+        with pytest.raises(TypeError, match="limit"):
+            count_matches(query, tc, graph, limit=1)
+
+    @pytest.mark.parametrize("algo", TCSM)
+    def test_run_takes_only_a_context(self, toy, algo):
+        query, tc, graph, _, _ = toy
+        matcher = create_matcher(algo, query, tc, graph)
+        with pytest.raises(TypeError):
+            matcher.run(limit=1)  # type: ignore[call-arg]
+        assert len(list(matcher.run(RunContext(limit=1)))) == 1
+
+    @pytest.mark.parametrize("algo", ("tcsm-v2v", "tcsm-e2e"))
+    def test_prefilter_knob_is_gone(self, toy, algo):
+        query, tc, graph, _, _ = toy
+        with pytest.raises(TypeError, match="prefilter"):
+            create_matcher(algo, query, tc, graph, prefilter="bitset")
+
+    def test_prebuilt_matcher_rejects_ignored_keywords(self, toy):
+        # With a pre-built matcher, constructor options and stale run
+        # keywords would be dropped on the floor; they raise instead.
+        query, tc, graph, _, _ = toy
+        matcher = create_matcher("tcsm-eve", query, tc, graph)
+        with pytest.raises(TypeError, match="limit"):
+            find_matches(query, tc, graph, matcher=matcher, limit=5)
+        with pytest.raises(TypeError, match="intersect_candidates"):
+            find_matches(
+                query, tc, graph, matcher=matcher, intersect_candidates=False
             )
-        assert count == 1
+        result = find_matches(
+            query, tc, graph, matcher=matcher, options=MatchOptions(limit=1)
+        )
+        assert result.num_matches == 1
 
 
 class TestTraceOption:

@@ -110,8 +110,8 @@ class TestMatcherReuse:
 
         query, tc, graph, _, _ = toy_instance()
         matcher = create_matcher("tcsm-eve", query, tc, graph)
-        a = list(matcher.run())
-        b = list(matcher.run())
+        a = list(matcher.run(RunContext()))
+        b = list(matcher.run(RunContext()))
         assert a == b
 
     def test_abandoned_generator_leaves_no_corruption(self):
@@ -119,7 +119,7 @@ class TestMatcherReuse:
 
         query, tc, graph, _, _ = toy_instance()
         matcher = create_matcher("tcsm-eve", query, tc, graph)
-        gen = matcher.run()
+        gen = matcher.run(RunContext())
         next(gen)  # take one match, abandon the generator
         gen.close()
-        assert len(list(matcher.run())) == 2
+        assert len(list(matcher.run(RunContext()))) == 2

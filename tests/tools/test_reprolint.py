@@ -1644,94 +1644,6 @@ class TestR017:
 
 
 # ----------------------------------------------------------------------
-# R018 legacy-match-kwargs
-# ----------------------------------------------------------------------
-class TestR018:
-    def test_legacy_find_matches_keywords_flagged(
-        self, tmp_path: Path
-    ) -> None:
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def search(query, tc, graph):
-                return find_matches(query, tc, graph, limit=5, trace=True)
-            """,
-            select=["R018"],
-        )
-        assert rule_ids(findings) == ["R018"]
-        assert "limit, trace" in findings[0].message
-        assert "MatchOptions" in findings[0].message
-
-    def test_legacy_count_matches_keyword_flagged(
-        self, tmp_path: Path
-    ) -> None:
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def count(query, tc, graph):
-                return count_matches(query, tc, graph, time_budget=1.0)
-            """,
-            select=["R018"],
-        )
-        assert rule_ids(findings) == ["R018"]
-
-    def test_legacy_run_keywords_flagged(self, tmp_path: Path) -> None:
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def drive(matcher, stats):
-                return matcher.run(limit=3, stats=stats)
-            """,
-            select=["R018"],
-        )
-        assert rule_ids(findings) == ["R018"]
-        assert "RunContext" in findings[0].message
-
-    def test_options_and_run_context_pass(self, tmp_path: Path) -> None:
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def search(query, tc, graph, matcher):
-                res = find_matches(
-                    query, tc, graph, options=MatchOptions(limit=5)
-                )
-                count = count_matches(
-                    query, tc, graph, options=MatchOptions(tighten=True)
-                )
-                run = matcher.run(RunContext(limit=3))
-                return res, count, run
-            """,
-            select=["R018"],
-        )
-        assert findings == []
-
-    def test_unrelated_run_calls_pass(self, tmp_path: Path) -> None:
-        # .run() on arbitrary objects with *other* keywords is not ours.
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def launch(proc):
-                return proc.run(check=True, capture_output=True)
-            """,
-            select=["R018"],
-        )
-        assert findings == []
-
-    def test_pragma_suppresses(self, tmp_path: Path) -> None:
-        findings = lint_snippet(
-            tmp_path,
-            """
-            def shim_probe(query, tc, graph):
-                return find_matches(  # reprolint: disable=R018
-                    query, tc, graph, limit=2
-                )
-            """,
-            select=["R018"],
-        )
-        assert findings == []
-
-
-# ----------------------------------------------------------------------
 # R019 sink-protocol-bypass
 # ----------------------------------------------------------------------
 class TestR019:

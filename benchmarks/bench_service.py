@@ -12,19 +12,40 @@ Measures the two claims the serving subsystem makes (docs/SERVICE.md):
   throughput on a search-bound workload.  The speedup assertion is
   skipped on single-core hosts (the fan-out still runs, the hardware
   just cannot exhibit parallelism).
+* **Process fan-out overhead is small.**  The persistent process pool
+  keeps its workers and their prepared plans between queries, so the
+  median toy-instance query over a 3-worker process pool must take at
+  most ``MAX_FANOUT_MS`` (forking a pool per query cost about 15 ms on a
+  2-core host).
 
 Run standalone for a readable report::
 
     PYTHONPATH=src python benchmarks/bench_service.py
+
+or check the fan-out overhead alone and write ``BENCH_process_pool.json``
+(exits non-zero when the median exceeds the bar)::
+
+    PYTHONPATH=src python benchmarks/bench_service.py --fanout-overhead
 """
 
+import argparse
+import json
 import os
+import platform
 import statistics
+import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.datasets import load_dataset, paper_constraints, paper_query
+from repro.core import find_matches
+from repro.datasets import (
+    load_dataset,
+    paper_constraints,
+    paper_query,
+    toy_instance,
+)
 from repro.service import ServiceConfig, TCSMService
 
 
@@ -136,9 +157,10 @@ def test_process_pool_speedup(workload):
         ServiceConfig(max_workers=workers, pool="process")
     ) as service:
         service.load_graph("cm", graph)
-        service.query(  # warm the plan so both timings are search-only
-            "cm", query, constraints, workers=1, use_result_cache=False
-        )
+        for warm in (1, workers):  # warm the plan, start the pool
+            service.query(
+                "cm", query, constraints, workers=warm, use_result_cache=False
+            )
         solo_start = time.perf_counter()
         solo = service.query(
             "cm", query, constraints, workers=1, use_result_cache=False
@@ -159,9 +181,135 @@ def test_process_pool_speedup(workload):
 
 
 # ----------------------------------------------------------------------
+# process-pool fan-out overhead
+# ----------------------------------------------------------------------
+#: Bar on the median toy-instance query over the process pool.
+MAX_FANOUT_MS = 5.0
+FANOUT_WORKERS = 3
+FANOUT_QUERIES = 60
+FANOUT_PATH = Path("BENCH_process_pool.json")
+
+
+def _environment() -> dict[str, object]:
+    try:
+        commit = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            capture_output=True,
+            text=True,
+            check=True,
+            cwd=Path(__file__).resolve().parent,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "commit": commit,
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "platform": platform.platform(),
+        "nproc": os.cpu_count(),
+        "cores_available": _available_cores(),
+    }
+
+
+def measure_fanout_overhead() -> dict[str, object]:
+    """Per-query latency of tcsm-eve on the toy instance, 3 process workers.
+
+    The first query starts the pool and prepares the plan in every
+    worker; it is reported apart.  Every answer is checked against the
+    in-process engine.
+    """
+    query, constraints, graph, _, _ = toy_instance()
+    expected = sorted(find_matches(query, constraints, graph).matches)
+    config = ServiceConfig(max_workers=FANOUT_WORKERS, pool="process")
+    latencies: list[float] = []
+    queues: list[float] = []
+    hits: list[bool] = []
+    with TCSMService(config) as service:
+        service.load_graph("toy", graph)
+        for _ in range(FANOUT_QUERIES + 1):
+            start = time.perf_counter()
+            result = service.query(
+                "toy",
+                query,
+                constraints,
+                workers=FANOUT_WORKERS,
+                use_result_cache=False,
+            )
+            latencies.append(time.perf_counter() - start)
+            if sorted(result.matches) != expected:
+                raise AssertionError(
+                    f"process-pool answer differs: {result.match_count} "
+                    f"matches, expected {len(expected)}"
+                )
+            queues.append(result.queue_seconds)
+            hits.extend(result.worker_plan_hits)
+    warm = latencies[1:]
+    return {
+        "environment": _environment(),
+        "workload": {
+            "instance": "toy",
+            "algorithm": "tcsm-eve",
+            "pool": "process",
+            "workers": FANOUT_WORKERS,
+            "queries": FANOUT_QUERIES,
+            "matches": len(expected),
+        },
+        "max_median_ms": MAX_FANOUT_MS,
+        "first_query_ms": latencies[0] * 1e3,
+        "median_ms": statistics.median(warm) * 1e3,
+        "p95_ms": statistics.quantiles(warm, n=20)[-1] * 1e3,
+        "queue_median_ms": statistics.median(queues[1:]) * 1e3,
+        "worker_plan_hit_frac": hits.count(True) / len(hits),
+    }
+
+
+def check_fanout_overhead(report: dict[str, object]) -> list[str]:
+    """Regression messages (empty when the report meets the bar)."""
+    median = report["median_ms"]
+    assert isinstance(median, float)
+    if median > MAX_FANOUT_MS:
+        return [
+            f"median process-pool query {median:.2f} ms exceeds the "
+            f"{MAX_FANOUT_MS:.1f} ms fan-out overhead bar"
+        ]
+    return []
+
+
+def test_process_pool_fanout_overhead() -> None:
+    report = measure_fanout_overhead()
+    assert check_fanout_overhead(report) == [], report
+
+
+def fanout_main() -> int:
+    report = measure_fanout_overhead()
+    print(
+        f"toy x{FANOUT_WORKERS} process workers: "
+        f"first {report['first_query_ms']:.1f} ms, "
+        f"median {report['median_ms']:.2f} ms, "
+        f"p95 {report['p95_ms']:.2f} ms, "
+        f"queue {report['queue_median_ms']:.3f} ms, "
+        f"plan hits {report['worker_plan_hit_frac']:.2f}"
+    )
+    failures = check_fanout_overhead(report)
+    for failure in failures:
+        print(f"REGRESSION: {failure}")
+    FANOUT_PATH.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote report -> {FANOUT_PATH}")
+    return 1 if failures else 0
+
+
+# ----------------------------------------------------------------------
 # standalone report
 # ----------------------------------------------------------------------
-def main() -> None:  # pragma: no cover - manual reporting entry
+def main() -> int:  # pragma: no cover - manual reporting entry
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--fanout-overhead",
+        action="store_true",
+        help="check the process-pool fan-out overhead bar only",
+    )
+    if parser.parse_args().fanout_overhead:
+        return fanout_main()
     cores = _available_cores()
     graph = load_dataset("CM", scale=0.1, seed=1)
     query = paper_query(1)
@@ -193,10 +341,11 @@ def main() -> None:  # pragma: no cover - manual reporting entry
             ServiceConfig(max_workers=workers, pool=pool)
         ) as service:
             service.load_graph("cm", graph)
-            service.query(  # warm the plan; time the search alone
-                "cm", query, constraints, workers=1,
-                use_result_cache=False,
-            )
+            for warm in (1, workers):  # warm the plan; time the search
+                service.query(
+                    "cm", query, constraints, workers=warm,
+                    use_result_cache=False,
+                )
             solo_start = time.perf_counter()
             solo = service.query(
                 "cm", query, constraints, workers=1,
@@ -214,7 +363,8 @@ def main() -> None:  # pragma: no cover - manual reporting entry
               f"fanned={fan_s * 1e3:.1f}ms "
               f"speedup={solo_s / fan_s:.2f}x "
               f"matches={fanned.match_count}")
+    return fanout_main()
 
 
 if __name__ == "__main__":  # pragma: no cover - module entry
-    main()
+    raise SystemExit(main())

@@ -21,6 +21,7 @@ __all__ = [
     "ServiceError",
     "UnknownGraphError",
     "AdmissionError",
+    "WorkerCrashedError",
     "StreamingError",
     "UnknownSubscriptionError",
 ]
@@ -86,6 +87,14 @@ class AdmissionError(ServiceError):
 
     Load shedding, not failure: the request was never executed and can be
     retried once in-flight queries drain.
+    """
+
+
+class WorkerCrashedError(ServiceError):
+    """A process-pool worker died while the query was in flight.
+
+    The executor discards the broken pool; the next process-pool query
+    starts a fresh one, so a retry is safe.
     """
 
 

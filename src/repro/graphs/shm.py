@@ -26,12 +26,15 @@ the handle's refcount drops to zero (:meth:`SharedSnapshot.addref` /
 mapping.  Pickling a handle ships the segment *name* only — unpickling
 attaches (cached per process), which is what lets
 :class:`~repro.service.ProcessSpec` stay a few hundred bytes regardless
-of graph size.
+of graph size.  A long-lived worker drops its attachments to segments
+the exporter has since unlinked (:func:`retired_attachments`,
+:func:`detach_shared_snapshot`), so it never keeps old graphs mapped.
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import pickle
 import threading
@@ -46,6 +49,9 @@ __all__ = [
     "SharedGraphSnapshot",
     "SharedSnapshot",
     "attach_shared_snapshot",
+    "detach_shared_snapshot",
+    "release_inherited_segments",
+    "retired_attachments",
 ]
 
 #: Canonical order of the CSR planes inside the segment (mirrors the
@@ -63,6 +69,8 @@ _ARRAY_FIELDS = (
 
 _ITEMSIZE = array("q").itemsize  # 8 bytes on every supported platform
 _HEADER_BYTES = 8
+#: Where Linux lists the linked POSIX shared-memory segments.
+_SHM_DIR = "/dev/shm"
 
 
 def _align8(n: int) -> int:
@@ -218,8 +226,10 @@ class SharedSnapshot:
         # Attaching registers with this process's resource tracker; only
         # the exporting handle may own the tracker entry (and the
         # eventual unlink).  Attaching in the *owning* process must not
-        # untrack, or the owner's entry would be removed underneath it.
-        if not _owns_segment(name):
+        # untrack, or the owner's entry would be removed underneath it;
+        # nor may a multiprocessing child, which shares its parent's
+        # tracker (registering again there is a no-op).
+        if not _owns_segment(name) and multiprocessing.parent_process() is None:
             _untrack(shm)
         return cls(shm, owner=False)
 
@@ -296,10 +306,15 @@ class SharedSnapshot:
         also unlinks the segment from the OS; attached handles only
         close their local mapping.  Idempotent once fully closed.
         """
+        self._drop(force=False)
+
+    def _drop(self, force: bool) -> None:
+        """Drop one reference (every reference when *force*) and tear
+        the mapping down once none remain."""
         with self._lock:
             if self._closed:
                 return
-            self._refs -= 1
+            self._refs = 0 if force else self._refs - 1
             if self._refs > 0:
                 return
             self._closed = True
@@ -367,6 +382,37 @@ def attach_shared_snapshot(name: str) -> SharedGraphSnapshot:
     return _attach_handle_cached(name).snapshot()
 
 
+def detach_shared_snapshot(name: str) -> None:
+    """Close this process's cached attachment to segment *name*, if any.
+
+    Unmaps the segment here (never unlinks it: that stays with the
+    exporter); a later attach by name maps it afresh.  Snapshots taken
+    from the attachment must not be probed afterwards.
+    """
+    with _ATTACHED_LOCK:
+        handle = _ATTACHED.pop(name, None)
+    if handle is not None:
+        handle._drop(force=True)
+
+
+def retired_attachments() -> list[str]:
+    """Names of this process's cached attachments whose segment the
+    exporter has since unlinked (its graph was replaced or dropped).
+
+    Empty where the platform does not list linked segments under
+    ``/dev/shm``: there no attachment is ever judged retired.
+    """
+    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
+        return []
+    with _ATTACHED_LOCK:
+        names = list(_ATTACHED)
+    return [
+        name
+        for name in names
+        if not os.path.exists(os.path.join(_SHM_DIR, name.lstrip("/")))
+    ]
+
+
 # ----------------------------------------------------------------------
 # exit safety net: never leak /dev/shm segments from the owning process
 # ----------------------------------------------------------------------
@@ -397,9 +443,41 @@ def _cleanup_owners() -> None:  # pragma: no cover - exercised at exit
         handles = list(_OWNERS.values())
         _OWNERS.clear()
     for handle in handles:
-        with handle._lock:
-            handle._refs = 1
-        handle.close()
+        handle._drop(force=True)
+
+
+def release_inherited_segments() -> None:
+    """Unmap every segment handle a forked process inherited.
+
+    A forked worker starts with copies of its parent's owning and
+    attached handles, each mapping a graph image.  It attaches what its
+    tasks name instead, so the inherited copies would only keep graphs
+    mapped after the parent retires them.  Never unlinks: the owner's
+    unlink is guarded by the exporting process id.
+    """
+    with _OWNERS_LOCK:
+        handles = list(_OWNERS.values())
+        _OWNERS.clear()
+    with _ATTACHED_LOCK:
+        handles.extend(_ATTACHED.values())
+        _ATTACHED.clear()
+    for handle in handles:
+        handle._drop(force=True)
+
+
+def _fresh_locks_after_fork() -> None:  # pragma: no cover - forked child
+    """Give a forked child new shared-memory locks.
+
+    The child starts with the forking thread only, so a lock another
+    parent thread held at fork time would never be released in it.
+    """
+    global _ATTACHED_LOCK, _OWNERS_LOCK
+    _ATTACHED_LOCK = threading.Lock()
+    _OWNERS_LOCK = threading.Lock()
+    for handle in (*_OWNERS.values(), *_ATTACHED.values()):
+        handle._lock = threading.Lock()
 
 
 atexit.register(_cleanup_owners)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_locks_after_fork)

@@ -1,4 +1,4 @@
-"""Partitioned parallel query execution over a bounded worker pool.
+"""Partitioned parallel query execution over bounded worker pools.
 
 One query fans out as ``count`` partitions of the root candidate space
 (see :mod:`repro.core.partition`); each worker enumerates its slice with
@@ -16,33 +16,39 @@ Two pool flavours, per the ``concurrent.futures`` split:
     Best for short queries and for keeping deadline checks responsive.
 
 ``process`` (opt-in)
-    Workers build, prepare and run their own matcher in forked child
-    processes, sidestepping the GIL for CPU-bound searches.  When the
-    spec's graph is a :class:`~repro.graphs.SharedSnapshot`, workers
-    attach to the one shared-memory graph image by segment *name* —
-    zero buffer copies, zero recompiles, K workers ≈ one graph in
-    resident memory (each worker reports its compile delta and owned
-    CSR bytes on the outcome so tests and benchmarks can assert this).
-    On platforms without ``fork`` the spec is shipped to workers via the
-    pool initializer; a shared graph still travels as its segment name
-    (``SharedSnapshot.__reduce__``).
+    One persistent process pool per executor, started (forked) on the
+    first process query and joined by :meth:`QueryExecutor.close`.
+    Workers sidestep the GIL for CPU-bound searches.  Each task names
+    the graph by its shared-memory segment
+    (:class:`~repro.graphs.SharedSnapshot`), so workers attach to the one
+    graph image — zero buffer copies, zero recompiles — and each worker
+    keeps an LRU of prepared (and, with codegen, compiled) matchers
+    keyed by the query's plan key, so a repeated plan skips
+    ``prepare()`` in the worker just as the plan cache skips it on the
+    thread path.  Before each task a worker drops the plans and mappings
+    of graphs the parent has since replaced or dropped.  A worker that
+    dies mid-query fails that query with
+    :class:`~repro.errors.WorkerCrashedError`; the broken pool is
+    discarded and the next process query starts a fresh one.
 
-The spec travels to fork-started workers through module state captured
-at fork time.  That state is epoch-stamped and cleared after every
-fan-out (and on executor shutdown), so sequential services in one
-process can never observe a stale spec — a worker seeing a mismatched
-epoch fails loudly instead of silently running the wrong query.
+Each outcome carries per-worker probes (compiles, owned CSR bytes, plan
+cache hits, process ids) so tests and benchmarks can assert the
+compile-once, share-one-image and prepare-once guarantees.
 """
 
 from __future__ import annotations
 
-import itertools
+import gc
 import multiprocessing
+import os
 import threading
 import time
+from collections import OrderedDict
+from collections.abc import Hashable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..core import (
     Match,
@@ -54,15 +60,19 @@ from ..core import (
 )
 from ..core.engine import invoke_run_sink
 from ..core.sinks import build_sink, match_sort_key
-from ..errors import AlgorithmError
+from ..errors import AlgorithmError, WorkerCrashedError
 from ..graphs import (
     GraphSnapshot,
-    GraphView,
     QueryGraph,
     SharedSnapshot,
     TemporalConstraints,
     snapshot_compile_count,
     snapshot_write_barrier,
+)
+from ..graphs.shm import (
+    detach_shared_snapshot,
+    release_inherited_segments,
+    retired_attachments,
 )
 from ..obs import NULL_TRACER, TraceSink, sanitize_enabled
 
@@ -78,11 +88,12 @@ class ExecutionOutcome:
     exact top-k); ``ordered`` marks an ``order_by="earliest"`` run whose
     merged matches are globally sorted ascending by latest edge time.
 
-    ``worker_compiles`` / ``worker_graph_bytes`` are per-process-worker
-    probes (empty for thread runs): how many CSR snapshot compilations
-    the partition triggered in its worker, and how many CSR bytes the
-    worker's graph instance owns privately (0 when attached to a shared
-    segment; -1 when the worker ran against a non-snapshot view).
+    The ``worker_*`` fields are per-partition probes of process runs
+    (empty for thread runs): how many CSR snapshot compilations the
+    partition triggered in its worker, how many CSR bytes the worker's
+    graph owns privately (0: attached to the shared segment), whether
+    the worker's plan cache already held the prepared matcher, and the
+    worker's process id.
     """
 
     matches: tuple[Match, ...]
@@ -94,28 +105,32 @@ class ExecutionOutcome:
     ordered: bool = False
     worker_compiles: tuple[int, ...] = ()
     worker_graph_bytes: tuple[int, ...] = ()
+    worker_plan_hits: tuple[bool, ...] = ()
+    worker_pids: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Everything a worker process needs to run one partition.
+    """One process-pool query: its plan, its graph, its run parameters.
 
-    ``graph`` may be any in-process :data:`GraphView` *or* a
-    :class:`~repro.graphs.SharedSnapshot` handle; the latter pickles as
-    its segment name, so spawn-started workers receive a few hundred
-    bytes and attach to the one shared graph image
-    (:meth:`resolve_graph` performs the attach lazily in the worker).
+    ``graph`` is the graph's shared-memory export; it pickles as its
+    segment name, so a task costs a few hundred bytes plus the pattern
+    whatever the graph's size.  ``plan_key`` names the prepared plan in
+    each worker's cache (the service passes its
+    :class:`~repro.service.PlanKey`); the pattern, algorithm and options
+    ride along so a worker that misses can prepare the plan itself.
 
     ``time_budget`` is the *remaining* per-query budget at fan-out time;
-    each worker rebuilds its own absolute deadline from it, so process
-    workers honour the same budget protocol as thread workers (modulo
-    fork-startup skew).
+    each worker derives its own deadline from it when it starts its
+    partition, so process workers honour the same budget protocol as
+    thread workers.
     """
 
     query: QueryGraph
     constraints: TemporalConstraints
-    graph: GraphView | SharedSnapshot
+    graph: SharedSnapshot
     algorithm: str
+    plan_key: Hashable
     limit: int | None = None
     time_budget: float | None = None
     collect_matches: bool = True
@@ -124,97 +139,147 @@ class ProcessSpec:
     mode: str = "enumerate"
     options: dict[str, Any] = field(default_factory=dict)
 
-    def resolve_graph(self) -> GraphView:
-        """The matcher-facing graph view (attaching shared segments)."""
-        if isinstance(self.graph, SharedSnapshot):
-            return self.graph.snapshot()
-        return self.graph
-
-
-#: Spec inherited by fork-started workers; set under the process lock of
-#: the executor that owns the fan-out (one process fan-out at a time)
-#: and epoch-stamped so a worker can detect staleness.
-_PROCESS_SPEC: ProcessSpec | None = None
-_PROCESS_EPOCH = 0
-
-#: Monotonic fan-out counter (parent process only).
-_EPOCH_COUNTER = itertools.count(1)
-
-
-def _set_process_spec(spec: ProcessSpec | None, epoch: int) -> None:
-    global _PROCESS_SPEC, _PROCESS_EPOCH
-    _PROCESS_SPEC = spec
-    _PROCESS_EPOCH = epoch
-
 
 def _run_slice(
-    spec: ProcessSpec, graph: GraphView, partition: tuple[int, int] | None
-) -> tuple[tuple[Match, ...], SearchStats, bool]:
-    """Create, prepare and run one slice of *spec* against *graph*.
+    matcher: Matcher,
+    ctx: RunContext,
+    mode: str,
+    order_by: str,
+    limit: int | None,
+    collect: bool,
+) -> tuple[tuple[Match, ...], bool]:
+    """Run *matcher* under *ctx* into a fresh sink built from (*mode*,
+    *order_by*, *limit*, *collect*).
 
-    The same steps the thread path takes on a cached plan, so the
-    returned stats cover the slice's enumeration only: prepare-time
-    filter counters stay on the matcher, and the service merges its own
-    plan's copy once per query (merging every worker's copy would
-    multiply them by the worker count).  Returns the slice's matches,
-    its stats, and whether the limit shaped them.
+    The one run step of every path (inline, thread partition, process
+    worker).  The slice's stats land on ``ctx.stats``; returns its
+    matches and whether the limit shaped them.
     """
-    if sanitize_enabled() and isinstance(graph, GraphSnapshot):
-        graph = snapshot_write_barrier(graph)
-    matcher = create_matcher(
-        spec.algorithm, spec.query, spec.constraints, graph, **spec.options
+    sink = build_sink(
+        mode=mode, order_by=order_by, limit=limit, collect=collect
     )
-    matcher.prepare()
+    invoke_run_sink(matcher, ctx, sink)
+    truncated = ctx.stats.limit_hit or bool(getattr(sink, "overflowed", False))
+    return tuple(sink.finish()), truncated
+
+
+class _WorkerPlans:
+    """One pool worker's LRU of prepared (and compiled) matchers.
+
+    Keyed by (segment name, plan key): a hit reuses the matcher its
+    first task prepared; a miss prepares one against the attached graph.
+    A worker runs one task at a time, so the cache needs no lock.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._plans: OrderedDict[tuple[str, Hashable], Matcher] = OrderedDict()
+
+    def matcher_for(self, spec: ProcessSpec) -> tuple[Matcher, bool]:
+        """The prepared matcher for *spec*, and whether it was cached."""
+        key = (spec.graph.name, spec.plan_key)
+        matcher = self._plans.get(key)
+        if matcher is not None:
+            self._plans.move_to_end(key)
+            return matcher, True
+        graph: GraphSnapshot = spec.graph.snapshot()
+        if sanitize_enabled():
+            graph = snapshot_write_barrier(graph)
+        matcher = create_matcher(
+            spec.algorithm, spec.query, spec.constraints, graph, **spec.options
+        )
+        matcher.prepare()
+        self._plans[key] = matcher
+        while len(self._plans) > self.capacity:
+            self._plans.popitem(last=False)
+        return matcher, False
+
+    def sweep(self) -> None:
+        """Drop the plans and the mappings of graphs the parent retired."""
+        retired = retired_attachments()
+        if not retired:
+            return
+        for key in [key for key in self._plans if key[0] in retired]:
+            del self._plans[key]
+        gc.collect()  # evicted matchers hold views into the mapping
+        for name in retired:
+            detach_shared_snapshot(name)
+
+
+#: This process's plan cache when it is a pool worker (set once by the
+#: pool initializer; None in every other process).
+_WORKER_PLANS: _WorkerPlans | None = None
+
+
+def _start_worker(capacity: int) -> None:
+    """Pool initializer: drop inherited graph mappings, start the cache."""
+    global _WORKER_PLANS
+    release_inherited_segments()
+    _WORKER_PLANS = _WorkerPlans(capacity)
+
+
+class _SliceResult(NamedTuple):
+    """What a worker returns for one partition."""
+
+    matches: tuple[Match, ...]
+    stats: SearchStats
+    #: ``time.monotonic()`` when the worker picked the task up.
+    started: float
+    pid: int
+    plan_hit: bool
+    #: CSR compilations the task triggered in the worker (0: it attaches).
+    compiles: int
+    #: CSR bytes the worker's graph owns privately (0: shared segment).
+    graph_bytes: int
+
+
+def _run_task(
+    spec: ProcessSpec, partition: tuple[int, int] | None
+) -> _SliceResult:
+    """Worker entry point: run one partition on the cached plan.
+
+    Returns slice-only stats: prepare-time filter counters stay on the
+    worker's matcher, and the service merges its own plan's copy once
+    per query, exactly as on the thread path.
+    """
+    started = time.monotonic()
+    plans = _WORKER_PLANS
+    if plans is None:
+        raise RuntimeError("_run_task runs only in a QueryExecutor pool worker")
+    compile_floor = snapshot_compile_count()
+    plans.sweep()
+    matcher, hit = plans.matcher_for(spec)
     if partition is not None and not supports_partition(matcher):
         raise AlgorithmError(
             f"matcher {matcher.name!r} does not support partitioned "
             "execution"
         )
-    deadline = None
-    if spec.time_budget is not None:
-        deadline = time.monotonic() + spec.time_budget
     ctx = RunContext(
         # Exact top-k needs the full enumeration (see run_matcher).
         limit=None if spec.order_by == "earliest" else spec.limit,
-        deadline=deadline,
+        deadline=(
+            None if spec.time_budget is None else started + spec.time_budget
+        ),
         partition=partition,
         partition_strategy=spec.partition_strategy,
     )
-    sink = build_sink(
-        mode=spec.mode,
-        order_by=spec.order_by,
-        limit=spec.limit,
-        collect=spec.collect_matches,
+    matches, _ = _run_slice(
+        matcher,
+        ctx,
+        spec.mode,
+        spec.order_by,
+        spec.limit,
+        spec.collect_matches,
     )
-    invoke_run_sink(matcher, ctx, sink)
-    truncated = ctx.stats.limit_hit or bool(getattr(sink, "overflowed", False))
-    return tuple(sink.finish()), ctx.stats, truncated
-
-
-def _run_partition_in_process(
-    index: int, count: int, epoch: int
-) -> tuple[tuple[Match, ...], SearchStats, int, int]:
-    """Worker-process entry point: run one partition to completion.
-
-    Returns the partition's matches and stats plus two fan-out probes:
-    the number of CSR compilations this partition triggered in the
-    worker (0 under snapshot/shared-snapshot shipping — the compile-once
-    guarantee) and the CSR bytes the worker's graph owns privately
-    (0 when attached to a shared-memory segment).
-    """
-    spec = _PROCESS_SPEC
-    if spec is None or epoch != _PROCESS_EPOCH:
-        raise RuntimeError(
-            f"worker process spec is stale or missing (expected epoch "
-            f"{epoch}, have {_PROCESS_EPOCH}); the owning executor must "
-            "set the spec for every fan-out"
-        )
-    compile_floor = snapshot_compile_count()
-    graph = spec.resolve_graph()
-    matches, stats, _ = _run_slice(spec, graph, (index, count))
-    compiles = snapshot_compile_count() - compile_floor
-    owned = graph.owned_nbytes if isinstance(graph, GraphSnapshot) else -1
-    return matches, stats, compiles, owned
+    return _SliceResult(
+        matches=matches,
+        stats=ctx.stats,
+        started=started,
+        pid=os.getpid(),
+        plan_hit=hit,
+        compiles=snapshot_compile_count() - compile_floor,
+        graph_bytes=spec.graph.snapshot().owned_nbytes,
+    )
 
 
 def _merge_partitions(
@@ -258,19 +323,29 @@ def _merge_partitions(
 
 
 class QueryExecutor:
-    """Bounded worker pool that fans queries out across seed partitions."""
+    """Bounded worker pools that fan queries out across seed partitions.
 
-    def __init__(self, max_workers: int = 4, pool: str = "thread") -> None:
+    ``worker_plans`` bounds each process worker's plan cache.
+    """
+
+    def __init__(
+        self, max_workers: int = 4, pool: str = "thread", worker_plans: int = 64
+    ) -> None:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, not {max_workers}")
         if pool not in ("thread", "process"):
             raise ValueError(f"pool must be 'thread' or 'process', not {pool!r}")
+        if worker_plans < 1:
+            raise ValueError(f"worker_plans must be >= 1, not {worker_plans}")
         self.max_workers = max_workers
         self.pool = pool
+        self.worker_plans = worker_plans
         self._threads = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-query"
         )
-        self._process_lock = threading.Lock()
+        self._processes: ProcessPoolExecutor | None = None
+        self._closed = False
+        self._processes_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # sizing
@@ -301,7 +376,7 @@ class QueryExecutor:
         mode: str = "enumerate",
         tracer: TraceSink | None = None,
     ) -> ExecutionOutcome:
-        """Run *matcher* across the thread pool, merging partitions.
+        """Run *matcher* inline or across the thread pool, merging partitions.
 
         The matcher must already be prepared (the plan cache guarantees
         this); per-run state is local to each run, so all partitions
@@ -320,31 +395,20 @@ class QueryExecutor:
         # context limit would stop pull-based matchers at the first k.
         ctx_limit = None if ordered else limit
 
-        def make_sink() -> Any:
-            return build_sink(
-                mode=mode,
-                order_by=order_by,
-                limit=limit,
-                collect=collect_matches,
-            )
-
         if count == 1:
-            stats = SearchStats()
-            ctx = RunContext(
-                limit=ctx_limit, deadline=deadline, stats=stats, tracer=tr
-            )
-            sink = make_sink()
+            ctx = RunContext(limit=ctx_limit, deadline=deadline, tracer=tr)
             started = time.perf_counter()
-            invoke_run_sink(matcher, ctx, sink)
+            matches, truncated = _run_slice(
+                matcher, ctx, mode, order_by, limit, collect_matches
+            )
             finished = time.perf_counter()
             return ExecutionOutcome(
-                matches=tuple(sink.finish()),
-                stats=stats,
+                matches=matches,
+                stats=ctx.stats,
                 partitions=1,
                 queue_seconds=max(0.0, started - enqueued),
                 match_seconds=finished - started,
-                truncated_by_limit=stats.limit_hit
-                or bool(getattr(sink, "overflowed", False)),
+                truncated_by_limit=truncated,
                 ordered=ordered,
             )
 
@@ -360,13 +424,14 @@ class QueryExecutor:
         ) -> tuple[float, tuple[Match, ...], SearchStats]:
             started = time.perf_counter()
             ctx = base_ctx.with_partition(index, count)
-            sink = make_sink()
             with tr.span(
                 f"partition:{index}/{count}", algorithm=matcher.name
             ) as span:
-                invoke_run_sink(matcher, ctx, sink)
+                matches, _ = _run_slice(
+                    matcher, ctx, mode, order_by, limit, collect_matches
+                )
                 span.annotate(matches=ctx.stats.matches)
-            return started, tuple(sink.finish()), ctx.stats
+            return started, matches, ctx.stats
 
         futures = [
             self._threads.submit(run_partition, index) for index in range(count)
@@ -388,67 +453,44 @@ class QueryExecutor:
         )
 
     # ------------------------------------------------------------------
-    # process execution (opt-in; per-query pool)
+    # process execution (opt-in; one persistent pool)
     # ------------------------------------------------------------------
     def run_process(
         self, spec: ProcessSpec, workers: int | None = None
     ) -> ExecutionOutcome:
-        """Run *spec* across a fresh process pool, merging partitions.
+        """Run *spec* across the persistent process pool, merging partitions.
 
-        Serialised per executor: the spec travels to fork-started workers
-        through epoch-stamped module state captured at fork time, which
-        supports one fan-out at a time.  With one worker the query runs
-        inline.  Like :meth:`run_matcher`, the outcome's stats cover
-        enumeration only; prepare-time filter counters are the caller's
-        to merge once.
+        Starts the pool on first use.  Concurrent calls share it.  Like
+        :meth:`run_matcher`, the outcome's stats cover enumeration only;
+        prepare-time filter counters are the caller's to merge once.
+        ``queue_seconds`` runs until the first worker starts its task.
+
+        Raises :class:`~repro.errors.WorkerCrashedError` when a worker
+        dies mid-query; the broken pool is discarded, so the next call
+        starts a fresh one.
         """
         requested = self.max_workers if workers is None else workers
         count = max(1, min(requested, self.max_workers))
-        if count == 1:
-            started = time.perf_counter()
-            matches, stats, truncated = _run_slice(
-                spec, spec.resolve_graph(), None
-            )
-            finished = time.perf_counter()
-            return ExecutionOutcome(
-                matches=matches,
-                stats=stats,
-                partitions=1,
-                queue_seconds=0.0,
-                match_seconds=finished - started,
-                truncated_by_limit=truncated,
-                ordered=spec.order_by == "earliest",
-            )
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        else:  # pragma: no cover - non-POSIX fallback
-            context = multiprocessing.get_context()
-        forked = context.get_start_method() == "fork"
-        with self._process_lock:
-            epoch = next(_EPOCH_COUNTER)
-            _set_process_spec(spec, epoch)
-            try:
-                pool = ProcessPoolExecutor(
-                    max_workers=count,
-                    mp_context=context,
-                    initializer=None if forked else _set_process_spec,
-                    initargs=() if forked else (spec, epoch),
+        enqueued = time.monotonic()
+        pool = self._process_pool()
+        try:
+            futures = [
+                pool.submit(
+                    _run_task, spec, (index, count) if count > 1 else None
                 )
-                started = time.perf_counter()
-                with pool:
-                    futures = [
-                        pool.submit(
-                            _run_partition_in_process, index, count, epoch
-                        )
-                        for index in range(count)
-                    ]
-                    parts = [future.result() for future in futures]
-                finished = time.perf_counter()
-            finally:
-                _set_process_spec(None, epoch)
+                for index in range(count)
+            ]
+            parts = [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            self._discard(pool)
+            raise WorkerCrashedError(
+                f"a process-pool worker died ({exc}); the pool restarts "
+                "on the next query"
+            ) from exc
+        finished = time.monotonic()
+        first_start = min(part.started for part in parts)
         matches_merged, stats_merged, truncated = _merge_partitions(
-            [(matches, stats) for matches, stats, _, _ in parts],
+            [(part.matches, part.stats) for part in parts],
             spec.limit,
             spec.order_by,
         )
@@ -456,31 +498,59 @@ class QueryExecutor:
             matches=matches_merged,
             stats=stats_merged,
             partitions=count,
-            queue_seconds=0.0,
-            match_seconds=finished - started,
+            queue_seconds=max(0.0, first_start - enqueued),
+            match_seconds=finished - first_start,
             truncated_by_limit=truncated,
             ordered=spec.order_by == "earliest",
-            worker_compiles=tuple(compiles for _, _, compiles, _ in parts),
-            worker_graph_bytes=tuple(owned for _, _, _, owned in parts),
+            worker_compiles=tuple(part.compiles for part in parts),
+            worker_graph_bytes=tuple(part.graph_bytes for part in parts),
+            worker_plan_hits=tuple(part.plan_hit for part in parts),
+            worker_pids=tuple(part.pid for part in parts),
         )
+
+    def _process_pool(self) -> ProcessPoolExecutor:
+        """The persistent process pool, created on first use."""
+        with self._processes_lock:
+            if self._closed:
+                raise RuntimeError("cannot run a query on a closed executor")
+            if self._processes is None:
+                self._processes = ProcessPoolExecutor(
+                    max_workers=self.max_workers,
+                    mp_context=_pool_context(),
+                    initializer=_start_worker,
+                    initargs=(self.worker_plans,),
+                )
+            return self._processes
+
+    def _discard(self, pool: ProcessPoolExecutor) -> None:
+        """Forget the broken *pool* (unless already replaced) and reap it."""
+        with self._processes_lock:
+            if self._processes is pool:
+                self._processes = None
+        pool.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the pools down and drop any fan-out state (idempotent).
-
-        Clearing the module-level spec here is a belt-and-braces
-        companion to the per-fan-out ``finally``: a process that builds
-        sequential services must never leak one service's spec (and its
-        graph reference) into the next pool's forked workers.
-        """
+        """Shut both pools down, joining every worker process (idempotent)."""
         self._threads.shutdown(wait=True)
-        with self._process_lock:
-            _set_process_spec(None, next(_EPOCH_COUNTER))
+        with self._processes_lock:
+            pool, self._processes = self._processes, None
+            self._closed = True
+        if pool is not None:
+            pool.shutdown(wait=True)
 
     def __enter__(self) -> "QueryExecutor":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _pool_context() -> Any:
+    """The fork context where the platform has one (workers then inherit
+    the imported program instead of re-importing it)."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return multiprocessing.get_context()  # pragma: no cover - non-POSIX

@@ -8,10 +8,11 @@ never resets, even across a drop — cache keys embed ``(name, version)``,
 so replacing a graph implicitly invalidates every plan and result cached
 against the old snapshot without any cache traversal.
 
-With ``share_snapshots=True`` the registry additionally exports each
-compiled snapshot into a :class:`~repro.graphs.SharedSnapshot`
-shared-memory segment at registration time, so the process-pool executor
-can ship segment *names* to workers instead of pickled CSR buffers.
+With ``export_shared=True`` (the service sets it exactly when its pool
+is ``"process"``) the registry additionally exports each compiled
+snapshot into a :class:`~repro.graphs.SharedSnapshot` shared-memory
+segment at registration time, so the process-pool executor ships
+segment *names* to workers instead of pickled CSR buffers.
 Replacing or dropping a graph releases the old segment's registry
 reference; in-flight fan-outs keep it alive through their own
 ``addref``/``close`` pairs (refcounted unlink).
@@ -45,7 +46,7 @@ class GraphHandle:
     (compact to pickle, safe to share lock-free across threads), never
     the mutable builder graph.  ``shared`` is the snapshot's
     shared-memory export when the registry was built with
-    ``share_snapshots=True`` (``None`` otherwise).
+    ``export_shared=True`` (``None`` otherwise).
     """
 
     name: str
@@ -73,8 +74,8 @@ class GraphHandle:
 class GraphRegistry:
     """Thread-safe mapping of graph names to versioned snapshots."""
 
-    def __init__(self, share_snapshots: bool = False) -> None:
-        self.share_snapshots = share_snapshots
+    def __init__(self, export_shared: bool = False) -> None:
+        self.export_shared = export_shared
         self._handles: dict[str, GraphHandle] = {}
         self._versions: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -91,7 +92,7 @@ class GraphRegistry:
         The CSR snapshot is compiled here, outside the registry lock and
         exactly once per ``(graph, version)`` (``freeze()`` caches on the
         graph, so re-registering the same object reuses its compilation).
-        Under ``share_snapshots`` the compiled payload is also exported
+        Under ``export_shared`` the compiled payload is also exported
         into a shared-memory segment, once per registration.
         """
         snapshot = ensure_snapshot(graph)
@@ -102,7 +103,7 @@ class GraphRegistry:
             # post-compile mutation anywhere in the service raises.
             snapshot = snapshot_write_barrier(snapshot)
         shared = (
-            SharedSnapshot.export(snapshot) if self.share_snapshots else None
+            SharedSnapshot.export(snapshot) if self.export_shared else None
         )
         with self._lock:
             version = self._versions.get(name, 0) + 1

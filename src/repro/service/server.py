@@ -98,11 +98,6 @@ class ServiceConfig:
     #: sampling); a request's ``trace: true`` forces tracing regardless.
     trace_sample_rate: float = 0.0
     trace_store_size: int = 32
-    #: Export registered snapshots into shared memory so process-pool
-    #: workers attach to one graph image by name instead of each
-    #: deserialising a pickled CSR copy.  Only takes effect with
-    #: ``pool="process"`` (thread workers already share the snapshot).
-    share_snapshots: bool = True
     #: Hard cap on one JSONL request line; longer lines get a structured
     #: error response instead of being parsed (protocol back-pressure
     #: against unbounded payloads).
@@ -145,12 +140,14 @@ class ServiceResult:
     estimate: CountEstimate | None = None
     stats: SearchStats = field(repr=False, default_factory=SearchStats)
     trace_id: str | None = None
-    #: Per-worker fan-out probes from process-pool runs (empty for
-    #: thread runs): CSR compiles each worker triggered (0 under
-    #: snapshot shipping) and CSR bytes each worker's graph owns
-    #: privately (0 when attached to a shared-memory segment).
+    #: Per-partition fan-out probes from process-pool runs (empty for
+    #: thread and inline runs): CSR compiles each worker triggered (0:
+    #: workers attach), CSR bytes each worker's graph owns privately (0:
+    #: attached to the shared-memory segment), and whether each worker's
+    #: plan cache already held the prepared matcher.
     worker_compiles: tuple[int, ...] = ()
     worker_graph_bytes: tuple[int, ...] = ()
+    worker_plan_hits: tuple[bool, ...] = ()
 
     def to_dict(self, include_matches: bool = True) -> dict[str, Any]:
         """Plain-data view used for JSONL responses."""
@@ -179,6 +176,7 @@ class ServiceResult:
         if self.worker_compiles:
             payload["worker_compiles"] = list(self.worker_compiles)
             payload["worker_graph_bytes"] = list(self.worker_graph_bytes)
+            payload["worker_plan_hits"] = list(self.worker_plan_hits)
         if include_matches:
             payload["matches"] = [
                 {
@@ -200,17 +198,15 @@ class TCSMService:
     ) -> None:
         self.config = config or ServiceConfig()
         self.metrics = metrics or MetricsRegistry()
-        self.graphs = GraphRegistry(
-            share_snapshots=(
-                self.config.pool == "process" and self.config.share_snapshots
-            )
-        )
+        self.graphs = GraphRegistry(export_shared=self.config.pool == "process")
         self.plans = PlanCache(capacity=self.config.plan_cache_size)
         self.results: ResultCache[ServiceResult] = ResultCache(
             capacity=self.config.result_cache_size
         )
         self.executor = QueryExecutor(
-            max_workers=self.config.max_workers, pool=self.config.pool
+            max_workers=self.config.max_workers,
+            pool=self.config.pool,
+            worker_plans=self.config.plan_cache_size,
         )
         self.traces = TraceStore(capacity=self.config.trace_store_size)
         self._sampler = TraceSampler(self.config.trace_sample_rate)
@@ -569,34 +565,34 @@ class TCSMService:
             deadline = (
                 time.monotonic() + budget if budget is not None else None
             )
+            count = self.executor.effective_workers(plan.matcher, workers)
             # Process workers record no spans (spans cannot cross the
-            # fork boundary); the thread pool records partition spans on
-            # the worker threads.
+            # process boundary); the thread pool records partition spans
+            # on the worker threads.
             with tr.span("enumerate", algorithm=algo) as span:
-                if self.config.pool == "process":
-                    # Workers receive the shared-memory segment handle
-                    # when the registry exported one (it pickles as the
-                    # segment *name*, so workers attach to the single
-                    # graph image); otherwise the compact immutable
-                    # snapshot — never the mutable dict-backed builder
-                    # graph.  The addref/close pair keeps a just-replaced
-                    # segment mapped until this in-flight fan-out
-                    # completes.
-                    shared = handle.shared
-                    if shared is not None:
-                        shared.addref()
+                # The registry exports a shared segment exactly when the
+                # pool is "process"; a one-partition query runs inline on
+                # the cached plan either way.
+                shared = handle.shared
+                if shared is not None and count > 1:
+                    # Workers attach to the segment by name and keep
+                    # their own prepared copy of this plan under its
+                    # key.  The addref/close pair keeps a just-replaced
+                    # segment linked until this fan-out completes.
+                    shared.addref()
                     try:
                         spec = ProcessSpec(
                             query=query,
                             constraints=constraints,
-                            graph=(
-                                shared
-                                if shared is not None
-                                else handle.snapshot
-                            ),
+                            graph=shared,
                             algorithm=algo,
+                            plan_key=plan_key,
                             limit=limit,
-                            time_budget=budget,
+                            time_budget=(
+                                None
+                                if deadline is None
+                                else max(0.0, deadline - time.monotonic())
+                            ),
                             collect_matches=collect_matches,
                             partition_strategy=strategy,
                             order_by=order,
@@ -604,17 +600,16 @@ class TCSMService:
                             options=options,
                         )
                         outcome = self.executor.run_process(
-                            spec, workers=workers
+                            spec, workers=count
                         )
                     finally:
-                        if shared is not None:
-                            shared.close()
+                        shared.close()
                 else:
                     outcome = self.executor.run_matcher(
                         plan.matcher,
                         limit=limit,
                         deadline=deadline,
-                        workers=workers,
+                        workers=count,
                         collect_matches=collect_matches,
                         partition_strategy=strategy,
                         order_by=order,
@@ -664,6 +659,7 @@ class TCSMService:
                 trace_id=trace_id,
                 worker_compiles=outcome.worker_compiles,
                 worker_graph_bytes=outcome.worker_graph_bytes,
+                worker_plan_hits=outcome.worker_plan_hits,
             )
             if use_result_cache and not timed_out and not traced:
                 self.results.put(result_key, result)

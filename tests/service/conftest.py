@@ -8,6 +8,8 @@ from repro.datasets import (
     paper_query,
     toy_instance,
 )
+from repro.graphs import SharedSnapshot
+from repro.service import ProcessSpec
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +29,18 @@ def workload():
     query = paper_query(1)
     constraints = paper_constraints(2, num_edges=query.num_edges)
     return query, constraints
+
+
+@pytest.fixture()
+def toy_spec(toy):
+    """A tcsm-eve process spec over the toy graph's shared-memory export."""
+    query, tc, graph, _, _ = toy
+    shared = SharedSnapshot.export(graph.freeze())
+    yield ProcessSpec(
+        query=query,
+        constraints=tc,
+        graph=shared,
+        algorithm="tcsm-eve",
+        plan_key="toy-eve",
+    )
+    shared.close()

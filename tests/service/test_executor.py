@@ -3,7 +3,13 @@
 import pytest
 
 from repro.core import create_matcher, find_matches
-from repro.service import ExecutionOutcome, ProcessSpec, QueryExecutor
+from repro.service import (
+    ExecutionOutcome,
+    ProcessSpec,
+    QueryExecutor,
+    ServiceConfig,
+    TCSMService,
+)
 
 
 @pytest.fixture(scope="module")
@@ -166,23 +172,29 @@ class TestDeadlineConsistency:
 
 class TestProcessExecution:
     def test_single_worker_runs_inline(self, toy):
+        # A one-partition query on a process-pool service runs the cached
+        # plan inline: no worker probes, no pool started.
         query, tc, graph, _, _ = toy
         reference = find_matches(query, tc, graph, algorithm="tcsm-eve")
-        spec = ProcessSpec(
-            query=query, constraints=tc, graph=graph, algorithm="tcsm-eve"
-        )
-        with QueryExecutor(max_workers=4, pool="process") as executor:
-            outcome = executor.run_process(spec, workers=1)
-        assert outcome.partitions == 1
-        assert sorted(outcome.matches) == sorted(reference.matches)
+        config = ServiceConfig(max_workers=4, pool="process")
+        with TCSMService(config) as svc:
+            svc.load_graph("toy", graph)
+            result = svc.query("toy", query, tc, workers=1)
+            assert svc.executor._processes is None
+        assert result.partitions == 1
+        assert result.worker_compiles == ()
+        assert sorted(result.matches) == sorted(reference.matches)
 
-    def test_fanned_out_processes_match_single_worker(self, toy):
+    def test_fanned_out_processes_match_single_worker(self, toy, toy_spec):
         query, tc, graph, _, _ = toy
         reference = find_matches(query, tc, graph, algorithm="tcsm-eve")
-        spec = ProcessSpec(
-            query=query, constraints=tc, graph=graph, algorithm="tcsm-eve"
-        )
         with QueryExecutor(max_workers=2, pool="process") as executor:
-            outcome = executor.run_process(spec, workers=2)
+            outcome = executor.run_process(toy_spec, workers=2)
         assert outcome.partitions == 2
         assert sorted(outcome.matches) == sorted(reference.matches)
+
+    def test_queue_time_is_measured(self, toy_spec):
+        with QueryExecutor(max_workers=2, pool="process") as executor:
+            outcomes = [executor.run_process(toy_spec) for _ in range(3)]
+        assert all(o.queue_seconds > 0.0 for o in outcomes)
+        assert all(o.queue_seconds < 5.0 for o in outcomes)

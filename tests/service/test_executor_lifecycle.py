@@ -1,79 +1,190 @@
-"""Lifecycle of the fork-inherited process spec (the epoch guard).
+"""Lifecycle of the persistent process pool.
 
-``_PROCESS_SPEC`` is a module global so forked workers inherit the
-query spec without pickling the graph.  That makes its lifecycle a
-correctness surface: a spec that outlives its fan-out must never be
-runnable (stale reads would silently answer the *previous* query), and
-a closed executor must leave nothing behind for the next fork to
-inherit.
+A process-pool executor forks its workers once, on the first process
+query, and every later query reuses them: each worker keeps its prepared
+plans, attaches graphs by shared-memory segment name, and lets go of the
+segments of graphs the parent has replaced.  ``close()`` joins the
+workers; a worker that dies mid-query becomes a structured error and the
+next query starts a fresh pool.
 """
+
+import multiprocessing
+import os
+import signal
+import threading
 
 import pytest
 
-from repro.service import ProcessSpec, QueryExecutor
+from repro.core import create_matcher, engine, find_matches
+from repro.graphs import pattern_to_dict, shm
+from repro.service import QueryExecutor, ServiceConfig, TCSMService
 from repro.service import executor as executor_module
 
-
-@pytest.fixture()
-def spec(toy):
-    query, tc, graph, _, _ = toy
-    return ProcessSpec(
-        query=query,
-        constraints=tc,
-        graph=graph.freeze(),
-        algorithm="tcsm-eve",
-        options={},
-    )
+LINUX_PROC = os.path.isdir("/proc/self") and os.path.isdir("/dev/shm")
 
 
-class TestEpochGuard:
-    def test_worker_rejects_missing_spec(self):
-        executor_module._set_process_spec(
-            None, next(executor_module._EPOCH_COUNTER)
+def mapped_segments(pid):
+    """Names of the graph segments process *pid* has mapped."""
+    with open(f"/proc/{pid}/maps") as maps:
+        return {
+            line.split("/dev/shm/", 1)[1].split()[0]
+            for line in maps
+            if "/dev/shm/psm_" in line
+        }
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+class _KillsItsWorker:
+    """tcsm-eve, except that partition 0 SIGKILLs the pool worker running it."""
+
+    def __init__(self, query, constraints, graph, **options):
+        self._inner = create_matcher(
+            "tcsm-eve", query, constraints, graph, **options
         )
-        with pytest.raises(RuntimeError, match="stale or missing"):
-            executor_module._run_partition_in_process(0, 1, epoch=10**9)
 
-    def test_worker_rejects_stale_epoch(self, spec):
-        epoch = next(executor_module._EPOCH_COUNTER)
-        executor_module._set_process_spec(spec, epoch)
-        try:
-            with pytest.raises(RuntimeError, match="stale"):
-                executor_module._run_partition_in_process(
-                    0, 1, epoch=epoch + 1
-                )
-        finally:
-            executor_module._set_process_spec(
-                None, next(executor_module._EPOCH_COUNTER)
-            )
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
-    def test_worker_runs_with_current_epoch(self, spec):
-        epoch = next(executor_module._EPOCH_COUNTER)
-        executor_module._set_process_spec(spec, epoch)
-        try:
-            matches, stats, compiles, owned = (
-                executor_module._run_partition_in_process(0, 1, epoch)
-            )
-        finally:
-            executor_module._set_process_spec(
-                None, next(executor_module._EPOCH_COUNTER)
-            )
-        assert stats.matches == len(matches) == 2
-        assert compiles == 0  # the spec ships a pre-compiled snapshot
-        assert owned > 0  # plain snapshot: the worker owns its buffers
+    def run_sink(self, ctx, sink):
+        in_worker = multiprocessing.parent_process() is not None
+        if in_worker and ctx.partition is not None and ctx.partition[0] == 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        self._inner.run_sink(ctx, sink)
 
 
-class TestSpecCleared:
-    def test_fanout_clears_spec_on_completion(self, spec):
+class TestPersistentPool:
+    def test_same_workers_serve_consecutive_queries(self, toy_spec):
         with QueryExecutor(max_workers=2, pool="process") as executor:
-            outcome = executor.run_process(spec, workers=2)
-            assert outcome.stats.matches == 2
-            assert executor_module._PROCESS_SPEC is None
+            outcomes = [executor.run_process(toy_spec) for _ in range(10)]
+            pids = {pid for o in outcomes for pid in o.worker_pids}
+            assert len(pids) <= 2
+            assert all(alive(pid) for pid in pids)
+        assert all(o.stats.matches == 2 for o in outcomes)
 
-    def test_close_clears_spec(self, spec):
+    def test_repeated_plan_key_hits_worker_cache(self, toy_spec):
+        with QueryExecutor(max_workers=2, pool="process") as executor:
+            outcomes = [executor.run_process(toy_spec) for _ in range(10)]
+        hits = [hit for o in outcomes for hit in o.worker_plan_hits]
+        # Each worker prepares the plan at most once.
+        assert hits.count(False) <= 2
+        assert outcomes[-1].worker_plan_hits == (True, True)
+        assert all(o.worker_compiles == (0, 0) for o in outcomes)
+
+    def test_task_outside_a_worker_is_rejected(self, toy_spec):
+        with pytest.raises(RuntimeError, match="pool worker"):
+            executor_module._run_task(toy_spec, None)
+
+    def test_thread_pool_service_starts_no_process(self, toy):
+        query, tc, graph, _, _ = toy
+        before = set(multiprocessing.active_children())
+        with TCSMService(ServiceConfig(max_workers=2)) as svc:
+            svc.load_graph("toy", graph)
+            result = svc.query("toy", query, tc, workers=2)
+            assert svc.executor._processes is None
+            assert set(multiprocessing.active_children()) == before
+        assert result.partitions == 2
+
+    def test_close_leaves_no_live_children(self, toy_spec):
         executor = QueryExecutor(max_workers=2, pool="process")
-        executor_module._set_process_spec(
-            spec, next(executor_module._EPOCH_COUNTER)
-        )
+        pids = executor.run_process(toy_spec).worker_pids
         executor.close()
-        assert executor_module._PROCESS_SPEC is None
+        assert not any(alive(pid) for pid in pids)
+        assert multiprocessing.active_children() == []
+
+    def test_pool_starts_while_another_thread_holds_a_shm_lock(
+        self, toy_spec
+    ):
+        # The fork happens on the runner thread while this thread holds a
+        # lock the new workers take when they start.
+        executor = QueryExecutor(max_workers=2, pool="process")
+        outcomes = []
+        runner = threading.Thread(
+            target=lambda: outcomes.append(executor.run_process(toy_spec))
+        )
+        with shm._OWNERS_LOCK:
+            runner.start()
+            runner.join(timeout=30)
+        try:
+            assert not runner.is_alive(), "pool workers hung on start"
+            assert outcomes[0].stats.matches == 2
+        finally:
+            if runner.is_alive():
+                for child in multiprocessing.active_children():
+                    child.kill()
+                runner.join(timeout=30)
+            executor.close()
+
+    def test_closed_executor_refuses_process_queries(self, toy_spec):
+        executor = QueryExecutor(max_workers=2, pool="process")
+        executor.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            executor.run_process(toy_spec)
+
+
+class TestDeadWorker:
+    def test_killed_worker_is_an_error_and_the_pool_respawns(
+        self, toy, monkeypatch
+    ):
+        query, tc, graph, _, _ = toy
+        reference = sorted(find_matches(query, tc, graph).matches)
+        # Registered before the pool forks, so the workers know it too.
+        monkeypatch.setitem(
+            engine._REGISTRY, "test-kills-worker", _KillsItsWorker
+        )
+        with TCSMService(ServiceConfig(max_workers=2, pool="process")) as svc:
+            svc.load_graph("toy", graph)
+            segment = svc.graphs.get("toy").shared.name
+            reply = svc.submit(
+                {
+                    "op": "query",
+                    "id": 7,
+                    "graph": "toy",
+                    "pattern": pattern_to_dict(query, tc),
+                    "algorithm": "test-kills-worker",
+                    "workers": 2,
+                }
+            )
+            assert reply["status"] == "error", reply
+            assert reply["id"] == 7
+            assert "worker died" in reply["error"]
+            again = svc.query(
+                "toy", query, tc, workers=2, use_result_cache=False
+            )
+            assert sorted(again.matches) == reference
+            assert svc.inflight == 0
+        assert multiprocessing.active_children() == []
+        if LINUX_PROC:
+            assert not os.path.exists(f"/dev/shm/{segment}")
+
+
+@pytest.mark.skipif(not LINUX_PROC, reason="reads /proc/<pid>/maps")
+class TestRetiredSegments:
+    def test_workers_let_go_of_replaced_graphs(self, toy):
+        query, tc, graph, _, _ = toy
+        segments = []
+        with TCSMService(ServiceConfig(max_workers=2, pool="process")) as svc:
+            for _ in range(5):
+                segments.append(svc.load_graph("toy", graph).shared.name)
+                for _ in range(4):
+                    result = svc.query(
+                        "toy", query, tc, workers=2, use_result_cache=False
+                    )
+                    assert result.match_count == 2
+                workers = multiprocessing.active_children()
+                assert 1 <= len(workers) <= 2
+                for worker in workers:
+                    mapped = mapped_segments(worker.pid)
+                    # One live graph: at most one mapping, and never a
+                    # graph older than the one just replaced.
+                    assert len(mapped) <= 1, mapped
+                    assert mapped <= set(segments[-2:]), mapped
+        for segment in segments:
+            assert not os.path.exists(f"/dev/shm/{segment}")
+        assert multiprocessing.active_children() == []

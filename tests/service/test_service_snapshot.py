@@ -14,6 +14,7 @@ from repro.core import find_matches
 from repro.graphs import (
     GraphSnapshot,
     QueryBuilder,
+    SharedSnapshot,
     TemporalConstraints,
     TemporalGraphBuilder,
     snapshot_compile_count,
@@ -134,15 +135,22 @@ class TestProcessPoolShipsSnapshot:
     def test_spec_with_snapshot_round_trips_workers(self, labeled_workload):
         query, constraints, graph = labeled_workload
         reference = find_matches(query, constraints, graph)
+        # What the server ships: the snapshot's shared-memory export.
+        shared = SharedSnapshot.export(graph.freeze())
         spec = ProcessSpec(
             query=query,
             constraints=constraints,
-            graph=graph.freeze(),  # what the server ships: the snapshot
+            graph=shared,
             algorithm="tcsm-eve",
+            plan_key="ledger-eve",
         )
-        with QueryExecutor(max_workers=2, pool="process") as executor:
-            outcome = executor.run_process(spec, workers=2)
+        try:
+            with QueryExecutor(max_workers=2, pool="process") as executor:
+                outcome = executor.run_process(spec, workers=2)
+        finally:
+            shared.close()
         assert outcome.partitions == 2
+        assert outcome.worker_compiles == (0, 0)
         assert sorted(outcome.matches) == sorted(reference.matches)
 
     def test_process_pool_service_uses_snapshot(self, labeled_workload):

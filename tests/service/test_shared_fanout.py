@@ -23,9 +23,7 @@ STRATEGIES = ("stride", "range", "label")
 
 @pytest.fixture(scope="module")
 def shared_service(cm_graph):
-    config = ServiceConfig(
-        max_workers=WORKERS, pool="process", share_snapshots=True
-    )
+    config = ServiceConfig(max_workers=WORKERS, pool="process")
     with TCSMService(config) as svc:
         svc.load_graph("cm", cm_graph)
         yield svc
@@ -46,9 +44,7 @@ class TestSharedSegmentLifecycle:
         assert handle.shared.nbytes <= 1.3 * handle.snapshot.nbytes
 
     def test_drop_releases_the_segment(self, cm_graph):
-        config = ServiceConfig(
-            max_workers=2, pool="process", share_snapshots=True
-        )
+        config = ServiceConfig(max_workers=2, pool="process")
         with TCSMService(config) as svc:
             handle = svc.load_graph("g", cm_graph)
             shared = handle.shared
@@ -109,25 +105,3 @@ class TestZeroCopyFanOut:
         payload = result.to_dict()
         assert payload["worker_compiles"] == [0, 0]
         assert payload["worker_graph_bytes"] == [0, 0]
-
-
-class TestUnsharedFanOutStillWorks:
-    def test_process_pool_without_sharing_ships_copies(
-        self, cm_graph, workload
-    ):
-        # The counterfactual configuration: works, but every worker
-        # deserialises its own CSR copy (nonzero owned bytes).
-        query, constraints = workload
-        config = ServiceConfig(
-            max_workers=2, pool="process", share_snapshots=False
-        )
-        with TCSMService(config) as svc:
-            svc.load_graph("cm", cm_graph)
-            solo = svc.query(
-                "cm", query, constraints, workers=1, use_result_cache=False
-            )
-            fanned = svc.query(
-                "cm", query, constraints, workers=2, use_result_cache=False
-            )
-            assert sorted(fanned.matches) == sorted(solo.matches)
-            assert all(b > 0 for b in fanned.worker_graph_bytes)

@@ -1,17 +1,21 @@
-"""Window-bisect kernel: timestamps materialised and wall-clock, by gap.
+"""Window-bisect kernel: timestamps materialised, by gap, against a record.
 
 The paper's Exp-10 sweeps the constraint gap ``k``: small gaps mean each
 candidate pair's sorted timestamp run contains mostly-infeasible times,
-which the old expand-then-filter loops materialised and rejected one by
-one.  The window kernel (:mod:`repro.core.windows`) bisects each run to
-its feasible ``[lo, hi]`` slice instead, so the work it saves *grows* as
-gaps tighten.  This benchmark pins that on the medium CollegeMsg
-stand-in across an Exp-10-style gap sweep:
+which expand-then-filter loops materialise and reject one by one.  The
+window kernel (:mod:`repro.core.windows`) bisects each run to its
+feasible ``[lo, hi]`` slice instead, so the work it saves *grows* as
+gaps tighten.
 
-* summed over the sweep, the kernel materialises at most half the
-  timestamps of the kernel-off ablation (>= 2x reduction);
-* kernel-on wall-clock is no slower than kernel-off (min-of-repeats,
-  with a noise tolerance).
+The matchers no longer have a kernel-off path, so the comparison is
+against ``BENCH_window_kernel.json``: the last measurement of both paths
+(on the medium CollegeMsg stand-in, over the same Exp-10-style sweep),
+frozen with its environment.  Per gap, the current run must:
+
+* find exactly the recorded number of matches;
+* materialise at most the recorded kernel-on count of timestamps;
+* materialise at least ``MIN_EXPANSION_REDUCTION``x fewer timestamps
+  than the recorded kernel-off count.
 
 Runs standalone (``python benchmarks/bench_window_kernel.py``, exits
 non-zero on regression, ``--out report.json`` writes the report) and
@@ -21,123 +25,107 @@ under pytest.
 import argparse
 import json
 import time
+from pathlib import Path
 
-from repro.core import MatchOptions, MatchResult, find_matches
+from repro.core import MatchOptions, find_matches
 from repro.datasets import load_dataset, paper_constraints, paper_query
 from repro.graphs import ensure_snapshot
 
-#: Medium synthetic dataset: ~700 vertices / ~7k temporal edges.
-SCALE = 0.12
-SEED = 1
+#: The frozen two-path measurement this benchmark checks against.
+RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_window_kernel.json"
 
-SECONDS_PER_DAY = 86_400
-
-#: Exp-10-style sweep: tight windows through multi-day gaps.
-GAPS = (
-    SECONDS_PER_DAY // 4,
-    SECONDS_PER_DAY,
-    4 * SECONDS_PER_DAY,
-    7 * SECONDS_PER_DAY,
-)
-
-#: Floor pinned by the issue: the kernel must at least halve the number
-#: of timestamps materialised across the sweep.
+#: Floor: the kernel must at least halve the timestamps materialised
+#: relative to the recorded kernel-off count, at every gap.
 MIN_EXPANSION_REDUCTION = 2.0
-
-#: Noise allowance for the runtime comparison (min-of-3 timings).
-RUNTIME_TOLERANCE = 1.15
 
 REPEATS = 3
 
-ALGORITHM = "tcsm-eve"
+
+def load_record(path: Path = RECORD_PATH) -> dict[str, object]:
+    with path.open(encoding="utf-8") as handle:
+        return json.load(handle)
 
 
-def _best_run(fn, repeats: int = REPEATS) -> tuple[float, "MatchResult"]:
-    best_seconds = float("inf")
-    result = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        result = fn()
-        best_seconds = min(best_seconds, time.perf_counter() - started)
-    assert result is not None
-    return best_seconds, result
-
-
-def measure(scale: float = SCALE, seed: int = SEED) -> dict[str, object]:
-    """The full gap sweep, kernel on vs off, as a flat report dict."""
-    graph = ensure_snapshot(load_dataset("CM", scale=scale, seed=seed))
+def measure(record: dict[str, object] | None = None) -> dict[str, object]:
+    """The recorded gap sweep, kernel on, as a flat report dict."""
+    record = record if record is not None else load_record()
+    workload = record["workload"]
+    assert isinstance(workload, dict)
+    graph = ensure_snapshot(
+        load_dataset(
+            workload["dataset"], scale=workload["scale"], seed=workload["seed"]
+        )
+    )
     query = paper_query(1)
 
     sweep: list[dict[str, float]] = []
-    for gap in GAPS:
+    for gap in workload["gaps"]:
         constraints = paper_constraints(
             2, num_edges=query.num_edges, gap=gap
         )
-
-        def run(use_kernel: bool) -> "MatchResult":
-            return find_matches(
+        best_seconds = float("inf")
+        for _ in range(REPEATS):
+            started = time.perf_counter()
+            result = find_matches(
                 query,
                 constraints,
                 graph,
-                algorithm=ALGORITHM,
+                algorithm=workload["algorithm"],
                 options=MatchOptions(collect_matches=False),
-                use_window_kernel=use_kernel,
             )
-
-        on_seconds, on = _best_run(lambda: run(True))
-        off_seconds, off = _best_run(lambda: run(False))
-        assert on.stats.matches == off.stats.matches  # ablation sanity
+            best_seconds = min(best_seconds, time.perf_counter() - started)
         sweep.append(
             {
                 "gap": float(gap),
-                "matches": float(on.stats.matches),
-                "expanded_on": float(on.stats.timestamps_expanded),
-                "expanded_off": float(off.stats.timestamps_expanded),
-                "skipped_on": float(on.stats.timestamps_skipped),
-                "seconds_on": on_seconds,
-                "seconds_off": off_seconds,
+                "matches": float(result.stats.matches),
+                "expanded_on": float(result.stats.timestamps_expanded),
+                "skipped_on": float(result.stats.timestamps_skipped),
+                "seconds_on": best_seconds,
             }
         )
-
-    expanded_on = sum(row["expanded_on"] for row in sweep)
-    expanded_off = sum(row["expanded_off"] for row in sweep)
     return {
-        "algorithm": ALGORITHM,
+        "algorithm": workload["algorithm"],
         "temporal_edges": float(graph.num_temporal_edges),
         "sweep": sweep,
-        "expanded_on": expanded_on,
-        "expanded_off": expanded_off,
-        "expansion_reduction": expanded_off / max(1.0, expanded_on),
+        "expanded_on": sum(row["expanded_on"] for row in sweep),
         "seconds_on": sum(row["seconds_on"] for row in sweep),
-        "seconds_off": sum(row["seconds_off"] for row in sweep),
     }
 
 
-def check(report: dict[str, object]) -> list[str]:
-    """Regression messages (empty when the report meets the bars)."""
+def check(
+    report: dict[str, object], record: dict[str, object] | None = None
+) -> list[str]:
+    """Regression messages (empty when every gap meets the record)."""
+    record = record if record is not None else load_record()
+    frozen = {row["gap"]: row for row in record["sweep"]}  # type: ignore[union-attr]
     failures: list[str] = []
-    reduction = report["expansion_reduction"]
-    assert isinstance(reduction, float)
-    if reduction < MIN_EXPANSION_REDUCTION:
-        failures.append(
-            f"timestamps-expanded reduction {reduction:.2f}x below the "
-            f"{MIN_EXPANSION_REDUCTION:.0f}x floor"
-        )
-    seconds_on = report["seconds_on"]
-    seconds_off = report["seconds_off"]
-    assert isinstance(seconds_on, float) and isinstance(seconds_off, float)
-    bound = seconds_off * RUNTIME_TOLERANCE
-    if seconds_on > bound:
-        failures.append(
-            f"kernel-on sweep {seconds_on:.4f}s slower than kernel-off "
-            f"bound {bound:.4f}s"
-        )
+    for row in report["sweep"]:  # type: ignore[union-attr]
+        gap = row["gap"]
+        want = frozen[gap]
+        if row["matches"] != want["matches"]:
+            failures.append(
+                f"k={gap:.0f}: {row['matches']:.0f} matches, record has "
+                f"{want['matches']:.0f}"
+            )
+        if row["expanded_on"] > want["expanded_on"]:
+            failures.append(
+                f"k={gap:.0f}: {row['expanded_on']:.0f} timestamps "
+                f"expanded, above the recorded {want['expanded_on']:.0f}"
+            )
+        ceiling = want["expanded_off"] / MIN_EXPANSION_REDUCTION
+        if row["expanded_on"] > ceiling:
+            failures.append(
+                f"k={gap:.0f}: {row['expanded_on']:.0f} timestamps "
+                f"expanded, less than {MIN_EXPANSION_REDUCTION:.0f}x below "
+                f"the recorded kernel-off {want['expanded_off']:.0f}"
+            )
     return failures
 
 
-def test_window_kernel_expansion_and_runtime() -> None:
-    report = measure()
-    assert check(report) == [], check(report)
+def test_window_kernel_expansion_against_record() -> None:
+    record = load_record()
+    report = measure(record)
+    assert check(report, record) == [], check(report, record)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,20 +135,21 @@ def main(argv: list[str] | None = None) -> int:
         help="also write the JSON report to this path",
     )
     args = parser.parse_args(argv)
-    report = measure()
+    record = load_record()
+    report = measure(record)
+    frozen = {row["gap"]: row for row in record["sweep"]}  # type: ignore[union-attr]
     print(f"algorithm:          {report['algorithm']}")
     print(f"temporal edges:     {report['temporal_edges']:.0f}")
-    print("gap sweep (expanded on/off, seconds on/off):")
+    print("gap sweep (expanded now / recorded on / recorded off, seconds):")
     for row in report["sweep"]:  # type: ignore[union-attr]
+        want = frozen[row["gap"]]
         print(
-            f"  k={row['gap']:>8.0f}: {row['expanded_on']:>9.0f} / "
-            f"{row['expanded_off']:>9.0f}   "
-            f"{row['seconds_on'] * 1e3:>7.1f} / "
-            f"{row['seconds_off'] * 1e3:>7.1f} ms   "
+            f"  k={row['gap']:>8.0f}: {row['expanded_on']:>7.0f} / "
+            f"{want['expanded_on']:>7.0f} / {want['expanded_off']:>7.0f}   "
+            f"{row['seconds_on'] * 1e3:>7.1f} ms   "
             f"({row['matches']:.0f} matches)"
         )
-    print(f"expansion reduction: {report['expansion_reduction']:.2f}x")
-    failures = check(report)
+    failures = check(report, record)
     for failure in failures:
         print(f"REGRESSION: {failure}")
     if args.out:

@@ -37,6 +37,7 @@ from .core import (
     RunContext,
     create_matcher,
     find_matches,
+    matcher_kwargs,
 )
 from .graphs import GraphView, QueryGraph, TemporalConstraints
 from .obs import Tracer
@@ -96,14 +97,13 @@ def prepare(
     Preparation (TCQ/TCQ+ compilation, candidate filtering, window
     plans) runs once here; the returned matcher can then serve many
     ``match(..., matcher=...)`` calls against the same graph without
-    re-preparing.  ``options.plan`` selects the matching-order planner;
-    the remaining option fields are per-run and take effect at
-    :func:`match` time.
+    re-preparing.  ``options.plan`` and ``options.codegen`` shape the
+    prepared plan, by the same rule :func:`match` applies; the remaining
+    option fields are per-run and take effect at :func:`match` time.
     """
-    if options is not None and options.plan != "paper":
-        matcher_options.setdefault("plan", options.plan)
+    implied = matcher_kwargs(algorithm, options or MatchOptions())
     built = create_matcher(
-        algorithm, query, constraints, graph, **matcher_options
+        algorithm, query, constraints, graph, **{**implied, **matcher_options}
     )
     built.prepare()
     return built

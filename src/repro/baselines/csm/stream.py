@@ -35,6 +35,7 @@ from ...core.stats import SearchStats
 from ...errors import AlgorithmError
 from ...obs import TraceSink
 from ...graphs import (
+    GraphSnapshot,
     GraphView,
     QueryGraph,
     TemporalConstraints,
@@ -101,7 +102,6 @@ class CSMMatcherBase:
         query: QueryGraph,
         constraints: TemporalConstraints,
         graph: GraphView,
-        compile_graph: bool = True,
     ) -> None:
         if constraints.num_edges != query.num_edges:
             raise AlgorithmError(
@@ -113,12 +113,10 @@ class CSMMatcherBase:
         self.query = query
         self.constraints = constraints
         self.graph = graph
-        self.compile_graph = compile_graph
-        #: Resolved stream source; ``prepare`` swaps in the frozen
-        #: snapshot when ``compile_graph`` is set.  Distinct from
-        #: :attr:`snapshot`, the *growing* mutable graph the stream is
-        #: replayed into.
-        self._view: GraphView = graph
+        #: The compiled stream source (set by ``prepare``).  Distinct
+        #: from :attr:`snapshot`, the *growing* mutable graph the stream
+        #: is replayed into.
+        self._view: GraphSnapshot
         self._prepared = False
 
     # ------------------------------------------------------------------
@@ -189,8 +187,7 @@ class CSMMatcherBase:
         if self._prepared:
             return
         query = self.query
-        if self.compile_graph:
-            self._view = ensure_snapshot(self.graph)
+        self._view = ensure_snapshot(self.graph)
         self._stream = self._view.edges_by_time()
         self.snapshot = TemporalGraph(self._view.labels)
         self._pin_orders = [

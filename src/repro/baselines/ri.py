@@ -28,6 +28,7 @@ from ..core.stats import SearchStats
 from ..core.timestamps import iter_timestamp_assignments
 from ..errors import AlgorithmError
 from ..graphs import (
+    GraphSnapshot,
     GraphView,
     QueryGraph,
     TemporalConstraints,
@@ -100,7 +101,6 @@ class RIMatcher:
         constraints: TemporalConstraints,
         graph: GraphView,
         use_domains: bool = True,
-        compile_graph: bool = True,
     ) -> None:
         if constraints.num_edges != query.num_edges:
             raise AlgorithmError(
@@ -110,10 +110,9 @@ class RIMatcher:
         self.query = query
         self.constraints = constraints
         self.graph = graph
-        self.compile_graph = compile_graph
-        #: Resolved data-plane view; ``prepare`` swaps in the frozen
-        #: snapshot when ``compile_graph`` is set.
-        self._view: GraphView = graph
+        #: The compiled data plane every read goes through (set by
+        #: ``prepare``).
+        self._view: GraphSnapshot
         self.use_domains = use_domains
         if not use_domains:
             self.name = "ri"
@@ -127,11 +126,10 @@ class RIMatcher:
         if self._prepared:
             return
         tr = tracer if tracer is not None else NULL_TRACER
-        if self.compile_graph:
-            with tr.span("compile-snapshot"):
-                self._view = ensure_snapshot(self.graph)
+        with tr.span("compile-snapshot"):
+            self._view = ensure_snapshot(self.graph)
         query = self.query
-        data = self._view.static_view()
+        data = self._view
         self._order = greatest_constraint_first_order(query)
         self._position = [0] * query.num_vertices
         for pos, u in enumerate(self._order):
@@ -143,7 +141,7 @@ class RIMatcher:
             domains: list[frozenset[int]] = []
             for u in query.vertices():
                 passing: set[int] = set()
-                for v in self._view.vertices_with_label(query.label(u)):
+                for v in data.vertices_with_label(query.label(u)):
                     domain_counters.considered += 1
                     if self.use_domains and (
                         data.in_degree(v) < query.in_degree(u)

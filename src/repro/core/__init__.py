@@ -11,6 +11,7 @@ from .engine import (
     create_matcher,
     find_matches,
     invoke_run_sink,
+    matcher_kwargs,
     register_algorithm,
     supports_codegen,
     supports_partition,
@@ -137,6 +138,7 @@ __all__ = [
     "is_valid_match",
     "iter_timestamp_assignments",
     "ldf",
+    "matcher_kwargs",
     "nlf",
     "partition_slice",
     "plan_costs",

@@ -19,7 +19,13 @@ from collections.abc import Collection, Iterator, Sequence
 from typing import cast
 
 from ..errors import AlgorithmError
-from ..graphs import GraphView, QueryGraph, TemporalConstraints, ensure_snapshot
+from ..graphs import (
+    GraphSnapshot,
+    GraphView,
+    QueryGraph,
+    TemporalConstraints,
+    ensure_snapshot,
+)
 from ..obs import TraceSink
 
 from .match import Match
@@ -41,7 +47,6 @@ class BruteForceMatcher:
         query: QueryGraph,
         constraints: TemporalConstraints,
         graph: GraphView,
-        compile_graph: bool = True,
     ) -> None:
         if constraints.num_edges != query.num_edges:
             raise AlgorithmError(
@@ -51,16 +56,12 @@ class BruteForceMatcher:
         self.query = query
         self.constraints = constraints
         self.graph = graph
-        self.compile_graph = compile_graph
-        self._view: GraphView = graph
-        self._resolved = False
+        self._view: GraphSnapshot | None = None
 
-    def _resolve_view(self) -> GraphView:
+    def _resolve_view(self) -> GraphSnapshot:
         """Freeze the data graph on first use (``run`` skips ``prepare``)."""
-        if not self._resolved:
-            if self.compile_graph:
-                self._view = ensure_snapshot(self.graph)
-            self._resolved = True
+        if self._view is None:
+            self._view = ensure_snapshot(self.graph)
         return self._view
 
     def prepare(self, tracer: TraceSink | None = None) -> None:

@@ -224,7 +224,6 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
     if any(qa == qb for qa, qb in query.edges):
         return None  # self-loop query edges keep the interpreted path
     graph = matcher._view
-    data = graph.static_view()
     window_plan = matcher._window_plan
     edge_labels = query.edge_labels
     intersect = matcher.intersect_candidates
@@ -236,7 +235,7 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
         "_IN": graph.in_neighbor_ids,
         "_TS": graph.timestamps_list,
         "_TSL": graph.timestamps_with_label,
-        "_NLC": data.neighbor_label_counts,
+        "_NLC": graph.neighbor_label_counts,
         "_BL": bisect.bisect_left,
         "_BR": bisect.bisect_right,
         "_MONO": time.monotonic,
@@ -453,7 +452,7 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
         _deadline_check(w)
         w.line("nodes_n += 1")
         w.line("produced = False")
-        entries = window_plan[pos] if window_plan is not None else ()
+        entries = window_plan[pos]
         windowed = bool(entries)
         if windowed:
             _emit_window(w, entries)
@@ -594,7 +593,6 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     edge_labels = query.edge_labels
     edge_endpoints = query.edges
     intersect = matcher.intersect_candidates
-    use_kernel = matcher._dist is not None
 
     ns: dict[str, Any] = {
         "_PART_SLICE": partition_slice,
@@ -635,7 +633,6 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line('b_inj = stats.filter("injectivity")')
     w.line('b_str = stats.filter("structure")')
     w.line('b_tmp = stats.filter("temporal")')
-    w.line('b_join = stats.filter("timestamp-join")')
     w.line("mono = _MONO")
     w.line("Stop = _STOP")
     w.line("Mk = _MATCH")
@@ -647,11 +644,10 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("hp = _HP")
     w.line("labf = _LAB")
     w.line("wc = _WC")
-    if use_kernel:
-        w.line("cs = _CS")
-        w.line("prop = _PROP")
-        w.line("wt = _WT")
-        w.line("dist = _DIST")
+    w.line("cs = _CS")
+    w.line("prop = _PROP")
+    w.line("wt = _WT")
+    w.line("dist = _DIST")
     w.line("iter_ts = _ITER_TS")
     w.line("cons = _CONS")
     for u in range(n):
@@ -711,20 +707,16 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
         w.line(f"r{e} = {run_expr(e, f'vm[{eu}]', f'vm[{ev}]')}")
     run_names = ", ".join(f"r{e}" for e in range(m))
     total_len = " + ".join(f"len(r{e})" for e in range(m))
-    if use_kernel:
-        w.line(f"wins = prop([{run_names}], dist)")
-        w.open("if wins is None:")
-        w.line(f"stats.timestamps_skipped += {total_len}")
-        w.line("join_c += 1")
-        w.line("join_p += 1")
-        w.line(f"fails[{n}] += 1")
-        w.line("return")
-        w.close()
-        opts = ", ".join(f"wt(r{e}, wins[{e}], stats)" for e in range(m))
-        w.line(f"opts = [{opts}]")
-    else:
-        w.line(f"stats.timestamps_expanded += {total_len}")
-        w.line(f"opts = [{run_names}]")
+    w.line(f"wins = prop([{run_names}], dist)")
+    w.open("if wins is None:")
+    w.line(f"stats.timestamps_skipped += {total_len}")
+    w.line("join_c += 1")
+    w.line("join_p += 1")
+    w.line(f"fails[{n}] += 1")
+    w.line("return")
+    w.close()
+    opts = ", ".join(f"wt(r{e}, wins[{e}], stats)" for e in range(m))
+    w.line(f"opts = [{opts}]")
     w.line("join_c += 1")
     w.line("produced = False")
     verts = ", ".join(f"vm[{u}]" for u in range(n))
@@ -812,12 +804,7 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
             lu, lv = edge_endpoints[c.later]
             w.line(f"e_ts = {run_expr(c.earlier, f'vm[{eu}]', f'vm[{ev}]')}")
             w.line(f"l_ts = {run_expr(c.later, f'vm[{lu}]', f'vm[{lv}]')}")
-            if use_kernel:
-                w.line(f"e_ts, l_ts = cs(e_ts, l_ts, {c.gap}, stats)")
-            else:
-                w.line(
-                    "stats.timestamps_expanded += len(e_ts) + len(l_ts)"
-                )
+            w.line(f"e_ts, l_ts = cs(e_ts, l_ts, {c.gap}, stats)")
             w.open(f"if not wc(e_ts, l_ts, {c.gap}):")
             w.line("tmp_p += 1")
             w.line(fail)
@@ -852,8 +839,13 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("b_str.pruned += str_p")
     w.line("b_tmp.considered += tmp_c")
     w.line("b_tmp.pruned += tmp_p")
+    # The interpreted loop opens this bucket at the first leaf, so a
+    # search that never reaches one must not create it either.
+    w.open("if join_c:")
+    w.line('b_join = stats.filter("timestamp-join")')
     w.line("b_join.considered += join_c")
     w.line("b_join.pruned += join_p")
+    w.close()
     w.line("_FLUSH_FAILS(stats, fails)")
     w.close()
     w.close()  # def _enumerate

@@ -56,9 +56,8 @@ class ContinuousTCSMMatcher(CSMMatcherBase):
         constraints: TemporalConstraints,
         graph: GraphView,
         use_windows: bool = True,
-        compile_graph: bool = True,
     ) -> None:
-        super().__init__(query, constraints, graph, compile_graph=compile_graph)
+        super().__init__(query, constraints, graph)
         self.use_windows = use_windows
 
     def _on_prepare(self) -> None:

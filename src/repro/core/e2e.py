@@ -18,6 +18,7 @@ from typing import cast
 
 from ..errors import AlgorithmError
 from ..graphs import (
+    GraphSnapshot,
     GraphView,
     QueryGraph,
     TemporalConstraints,
@@ -36,7 +37,6 @@ from .sinks import CollectSink, ResultSink, StopEnumeration
 from .stats import SearchStats
 from .tcq_plus import TCQPlus, build_tcq_plus
 from .windows import (
-    NO_WINDOW,
     WindowBounds,
     build_edge_window_plan,
     feasible_window,
@@ -52,29 +52,19 @@ class E2EMatcher:
     Parameters
     ----------
     query, constraints, graph:
-        The matching problem.
+        The matching problem.  Any graph backend is accepted;
+        ``prepare`` compiles it once into a
+        :class:`~repro.graphs.GraphSnapshot` (cached by ``freeze()``)
+        and every read goes through that snapshot.
     intersect_candidates:
         When True (default), DFS candidates must belong to the initial LDF
         candidate set of their query edge (Algorithm 4 lines 1-3); line 15
         alone would filter by endpoint labels only.  Sound either way;
         ablation knob.
-    use_window_kernel:
-        When True (default), each DFS layer intersects the STN-closure
-        bounds of already-bound edge times into one feasible ``[lo, hi]``
-        window and reads only that slice of each candidate pair's sorted
-        timestamp run (see :mod:`repro.core.windows`); skipped timestamps
-        are counted in ``stats.timestamps_skipped``.  False restores the
-        expand-then-filter behaviour (ablation knob; match multisets are
-        pinned identical either way).
     plan:
         ``"paper"`` (default) uses Algorithm 3's TCF-walking matching
         order; ``"cost"`` asks :mod:`repro.core.planner` to choose the
         cheapest order under the data graph's statistics.
-    compile_graph:
-        When True (default), ``prepare`` freezes the data graph into a
-        CSR :class:`~repro.graphs.GraphSnapshot` and the hot loops run
-        against it; pass False to run directly against the mutable
-        dict-backed graph (both paths are pinned equivalent by tests).
     codegen:
         When True, ``prepare`` compiles a specialized enumeration
         function for the concrete (query shape, matching order, window
@@ -101,9 +91,7 @@ class E2EMatcher:
         constraints: TemporalConstraints,
         graph: GraphView,
         intersect_candidates: bool = True,
-        use_window_kernel: bool = True,
         plan: str = "paper",
-        compile_graph: bool = True,
         codegen: bool = False,
     ) -> None:
         if constraints.num_edges != query.num_edges:
@@ -118,20 +106,17 @@ class E2EMatcher:
         self.query = query
         self.constraints = constraints
         self.graph = graph
-        self.compile_graph = compile_graph
-        #: Resolved data-plane view; ``prepare`` swaps in the frozen
-        #: snapshot when ``compile_graph`` is set.
-        self._view: GraphView = graph
+        #: The compiled data plane every read goes through (set by
+        #: ``prepare``).
+        self._view: GraphSnapshot
         self.intersect_candidates = intersect_candidates
-        self.use_window_kernel = use_window_kernel
         self.plan = validate_plan(plan)
         self.codegen = codegen
         #: Specialized enumerator compiled by ``prepare`` when
         #: ``codegen`` is set; None means the interpreted loop runs.
         self._compiled: CompiledPlan | None = None
-        #: Per-position window bounds for the kernel (set by ``prepare``
-        #: when ``use_window_kernel`` is on; None disables the kernel).
-        self._window_plan: tuple[WindowBounds, ...] | None = None
+        #: Per-position window bounds for the kernel (set by ``prepare``).
+        self._window_plan: tuple[WindowBounds, ...] = ()
         self.pair_candidates: list[frozenset[tuple[int, int]]] | None = None
         self.tcq_plus: TCQPlus | None = None
         #: Filter counters accumulated during ``prepare`` (the engine
@@ -147,9 +132,8 @@ class E2EMatcher:
         if self._prepared:
             return
         tr = tracer if tracer is not None else NULL_TRACER
-        if self.compile_graph:
-            with tr.span("compile-snapshot"):
-                self._view = ensure_snapshot(self.graph)
+        with tr.span("compile-snapshot"):
+            self._view = ensure_snapshot(self.graph)
         with tr.span("candidate-filter:ldf", edges=self.query.num_edges) as sp:
             self.pair_candidates = initial_edge_candidate_pairs(
                 self.query,
@@ -164,10 +148,9 @@ class E2EMatcher:
             plan=self.plan,
             costs=plan_costs(self._view) if self.plan == "cost" else None,
         )
-        if self.use_window_kernel:
-            self._window_plan = build_edge_window_plan(
-                self.tcq_plus.order, self.constraints
-            )
+        self._window_plan = build_edge_window_plan(
+            self.tcq_plus.order, self.constraints
+        )
         self._vmatch_plan = self._build_vmatch_plan()
         if self.codegen:
             with tr.span("codegen-compile", algorithm=self.name) as sp:
@@ -272,7 +255,6 @@ class E2EMatcher:
         )
         query = self.query
         graph = self._view
-        data = graph.static_view()
         m = query.num_edges
         n = query.num_vertices
         edge_map: list[TemporalEdge | None] = [None] * m
@@ -301,7 +283,7 @@ class E2EMatcher:
 
         def vmatch(u: int, v: int, required_labels: frozenset[Hashable]) -> bool:
             """Vmatch (Algorithm 5 lines 24-28): label look-ahead on BN."""
-            counts = data.neighbor_label_counts(v)
+            counts = graph.neighbor_label_counts(v)
             return all(label in counts for label in required_labels)
 
         def temporal_ok(pos: int) -> bool:
@@ -327,20 +309,16 @@ class E2EMatcher:
         def candidate_edges(pos: int) -> Iterator[TemporalEdge]:
             """Candidates per Algorithm 4 line 14, driven by the vertex map.
 
-            With the window kernel on, the feasible ``[lo, hi]`` interval
-            for this layer's timestamp is computed once from the bound
-            edge times (it does not depend on the candidate pair), every
-            run probe is bisected down to it, and a collapsed window
-            short-circuits the layer with zero expansions.
+            The feasible ``[lo, hi]`` interval for this layer's timestamp
+            is computed once from the bound edge times (it does not
+            depend on the candidate pair), every run probe is bisected
+            down to it, and a collapsed window short-circuits the layer
+            with zero expansions.
             """
             edge_index = tcq.order[pos]
-            if window_plan is not None:
-                feasible = feasible_window(window_plan[pos], bound_times)
-                if feasible is None:
-                    return
-                window = feasible
-            else:
-                window = NO_WINDOW
+            window = feasible_window(window_plan[pos], bound_times)
+            if window is None:
+                return
             qa, qb = query.edge(edge_index)
             da, db = vertex_map[qa], vertex_map[qb]
             allowed = pair_candidates[edge_index]

@@ -56,6 +56,7 @@ __all__ = [
     "create_matcher",
     "find_matches",
     "invoke_run_sink",
+    "matcher_kwargs",
     "register_algorithm",
     "supports_codegen",
     "supports_partition",
@@ -159,6 +160,23 @@ def supports_codegen(algorithm: str) -> bool:
     return bool(getattr(factory, "supports_codegen", False))
 
 
+def matcher_kwargs(algorithm: str, options: MatchOptions) -> dict[str, Any]:
+    """Constructor keywords that *options* implies for *algorithm*.
+
+    The one rule shared by :func:`find_matches` and ``repro.api.prepare``:
+    a non-default ``plan`` is forwarded (every matcher's default is
+    ``"paper"``, so baselines without the parameter keep working), and
+    ``codegen`` only to matchers that declare a generator, so
+    ``codegen=True`` composes with every registered algorithm.
+    """
+    kwargs: dict[str, Any] = {}
+    if options.plan != "paper":
+        kwargs["plan"] = options.plan
+    if options.codegen and supports_codegen(algorithm):
+        kwargs["codegen"] = True
+    return kwargs
+
+
 def create_matcher(
     algorithm: str,
     query: QueryGraph,
@@ -258,17 +276,8 @@ def find_matches(
             # Pre-built matchers already hold their graph reference and
             # are left alone (the service wraps at registry.register).
             graph = snapshot_write_barrier(graph)
-        # Forward the planning mode to matchers that take the knob; the
-        # "paper" default is every matcher's default already, and
-        # baseline factories without a ``plan`` parameter must keep
-        # working.  An explicit ``plan=`` matcher option wins.
-        if opts.plan != "paper":
-            matcher_options.setdefault("plan", opts.plan)
-        # Same contract for plan specialization: forwarded only to
-        # matchers that declare a generator, so codegen=True composes
-        # with every registered algorithm.
-        if opts.codegen and supports_codegen(algorithm):
-            matcher_options.setdefault("codegen", True)
+        # An explicit matcher option wins over the one options imply.
+        matcher_options = {**matcher_kwargs(algorithm, opts), **matcher_options}
         matcher = create_matcher(
             algorithm, query, constraints, graph, **matcher_options
         )

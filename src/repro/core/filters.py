@@ -14,7 +14,7 @@ variant ablated in ``benchmarks/bench_ablation_filters.py``.
 
 from __future__ import annotations
 
-from ..graphs import GraphView, QueryGraph, StaticView
+from ..graphs import GraphSnapshot, QueryGraph
 
 from .stats import SearchStats
 
@@ -28,7 +28,7 @@ __all__ = [
 
 def nlf(
     query: QueryGraph,
-    data: StaticView,
+    data: GraphSnapshot,
     u: int,
     v: int,
     count_based: bool = True,
@@ -56,7 +56,7 @@ def nlf(
 
 def ldf(
     query: QueryGraph,
-    data: StaticView,
+    data: GraphSnapshot,
     edge_index: int,
     data_u: int,
     data_v: int,
@@ -84,23 +84,22 @@ def ldf(
 
 def initial_vertex_candidates(
     query: QueryGraph,
-    graph: GraphView,
+    data: GraphSnapshot,
     count_based: bool = True,
     stats: SearchStats | None = None,
 ) -> list[frozenset[int]]:
     """Per query vertex, the set of NLF-passing data vertices.
 
     This is lines 1-3 of Algorithm 2.  Only data vertices carrying the
-    query label are examined, via the data graph's label index.  When
+    query label are examined, via the snapshot's label index.  When
     *stats* is given, the ``"nlf"`` filter bucket records how many
     label-compatible vertices were considered and how many NLF pruned.
     """
-    data = graph.static_view()
     counters = (stats or SearchStats()).filter("nlf")
     candidates: list[frozenset[int]] = []
     for u in query.vertices():
         passing: set[int] = set()
-        for v in graph.vertices_with_label(query.label(u)):
+        for v in data.vertices_with_label(query.label(u)):
             counters.considered += 1
             if nlf(query, data, u, v, count_based=count_based):
                 passing.add(v)
@@ -112,7 +111,7 @@ def initial_vertex_candidates(
 
 def initial_edge_candidate_pairs(
     query: QueryGraph,
-    graph: GraphView,
+    data: GraphSnapshot,
     stats: SearchStats | None = None,
 ) -> list[frozenset[tuple[int, int]]]:
     """Per query edge, the set of LDF-passing data vertex *pairs*.
@@ -124,13 +123,12 @@ def initial_edge_candidate_pairs(
     When *stats* is given, the ``"ldf"`` bucket records scanned vs pruned
     pairs.
     """
-    data = graph.static_view()
     counters = (stats or SearchStats()).filter("ldf")
     candidates: list[frozenset[tuple[int, int]]] = []
     for edge_index, (qu, _) in enumerate(query.edges):
         passing: set[tuple[int, int]] = set()
         # Scan only pairs whose source carries the right label.
-        for data_u in graph.vertices_with_label(query.label(qu)):
+        for data_u in data.vertices_with_label(query.label(qu)):
             for data_v in data.out_neighbors(data_u):
                 counters.considered += 1
                 if ldf(query, data, edge_index, data_u, data_v):

@@ -18,6 +18,7 @@ from typing import cast
 
 from ..errors import AlgorithmError
 from ..graphs import (
+    GraphSnapshot,
     GraphView,
     QueryGraph,
     TemporalConstraints,
@@ -50,7 +51,10 @@ class V2VMatcher:
     Parameters
     ----------
     query, constraints, graph:
-        The matching problem.
+        The matching problem.  Any graph backend is accepted;
+        ``prepare`` compiles it once into a
+        :class:`~repro.graphs.GraphSnapshot` (cached by ``freeze()``)
+        and every read goes through that snapshot.
     count_based_nlf:
         Use count-based neighbour-label containment in the initial filter
         (default) rather than the set-based reading of Definition 6.
@@ -61,24 +65,10 @@ class V2VMatcher:
         strictly stronger (ablation knob, see DESIGN.md decision 3).
     use_windows:
         Forwarded to the joint timestamp solver (STN window pruning).
-    use_window_kernel:
-        When True (default), the existential temporal checks and the leaf
-        timestamp enumeration read only the STN-feasible slice of each
-        pair's sorted timestamp run (see :mod:`repro.core.windows`);
-        skipped timestamps are counted in ``stats.timestamps_skipped``.
-        False restores the expand-then-filter behaviour (ablation knob;
-        match multisets are pinned identical either way).
     plan:
         ``"paper"`` (default) uses Algorithm 1's tsup-greedy matching
         order; ``"cost"`` asks :mod:`repro.core.planner` to choose the
         cheapest order under the data graph's statistics.
-    compile_graph:
-        When True (default), ``prepare`` freezes the data graph into a
-        CSR :class:`~repro.graphs.GraphSnapshot` and the hot loops run
-        against it; pass False to run against the mutable dict-backed
-        graph directly (the equivalence tests pin that both paths
-        produce identical match multisets and filter counters).  A
-        :class:`GraphSnapshot` input is used as-is either way.
     codegen:
         When True, ``prepare`` compiles a specialized enumeration
         function for the concrete (query shape, matching order, STN
@@ -102,9 +92,7 @@ class V2VMatcher:
         count_based_nlf: bool = True,
         intersect_candidates: bool = True,
         use_windows: bool = True,
-        use_window_kernel: bool = True,
         plan: str = "paper",
-        compile_graph: bool = True,
         codegen: bool = False,
     ) -> None:
         if constraints.num_edges != query.num_edges:
@@ -115,22 +103,19 @@ class V2VMatcher:
         self.query = query
         self.constraints = constraints
         self.graph = graph
-        self.compile_graph = compile_graph
-        #: Resolved data-plane view; ``prepare`` swaps in the frozen
-        #: snapshot when ``compile_graph`` is set.
-        self._view: GraphView = graph
+        #: The compiled data plane every read goes through (set by
+        #: ``prepare``).
+        self._view: GraphSnapshot
         self.count_based_nlf = count_based_nlf
         self.intersect_candidates = intersect_candidates
         self.use_windows = use_windows
-        self.use_window_kernel = use_window_kernel
         self.plan = validate_plan(plan)
         self.codegen = codegen
         #: Specialized enumerator compiled by ``prepare`` when
         #: ``codegen`` is set; None means the interpreted loop runs.
         self._compiled: CompiledPlan | None = None
-        #: STN distance matrix for the window kernel (set by ``prepare``
-        #: when ``use_window_kernel`` is on; None disables the kernel).
-        self._dist: list[list[float]] | None = None
+        #: STN distance matrix for the window kernel (set by ``prepare``).
+        self._dist: list[list[float]] = []
         self.candidates: list[frozenset[int]] | None = None
         self.tcq: TCQ | None = None
         #: Filter counters accumulated during ``prepare`` (the engine
@@ -146,9 +131,8 @@ class V2VMatcher:
         if self._prepared:
             return
         tr = tracer if tracer is not None else NULL_TRACER
-        if self.compile_graph:
-            with tr.span("compile-snapshot"):
-                self._view = ensure_snapshot(self.graph)
+        with tr.span("compile-snapshot"):
+            self._view = ensure_snapshot(self.graph)
         with tr.span(
             "candidate-filter:nlf", vertices=self.query.num_vertices
         ) as sp:
@@ -166,8 +150,7 @@ class V2VMatcher:
             plan=self.plan,
             costs=plan_costs(self._view) if self.plan == "cost" else None,
         )
-        if self.use_window_kernel:
-            self._dist = self.constraints.distance_matrix()
+        self._dist = self.constraints.distance_matrix()
         # Per position: the directed query edges linking the vertex to its
         # prec, and the forward-vertex structural checks.
         query = self.query
@@ -214,8 +197,7 @@ class V2VMatcher:
         (honours the edge-label generalisation).
 
         Returns the full sorted run without touching counters; callers
-        account expansion via :mod:`repro.core.windows` (kernel on) or
-        directly (kernel off).
+        account expansion via :mod:`repro.core.windows`.
         """
         required = self._required_edge_labels[edge_index]
         if required is None:
@@ -294,28 +276,21 @@ class V2VMatcher:
         structure_counters = search_stats.filter("structure")
         temporal_counters = search_stats.filter("temporal")
 
-        use_kernel = self._dist is not None
-
         def temporal_ok(pos: int) -> bool:
             """Existential window check for constraints closing at *pos*.
 
-            With the window kernel on, each run is first bisected to the
-            slice the *other* run's endpoints allow — the pair check then
-            touches only mutually feasible timestamps.
+            Each run is first bisected to the slice the *other* run's
+            endpoints allow — the pair check then touches only mutually
+            feasible timestamps.
             """
             for c in tcq.check_at[pos]:
                 eu, ev = self._edge_endpoints[c.earlier]
                 lu, lv = self._edge_endpoints[c.later]
                 earlier_times = self._edge_times(c.earlier, bound[eu], bound[ev])
                 later_times = self._edge_times(c.later, bound[lu], bound[lv])
-                if use_kernel:
-                    earlier_times, later_times = constraint_slices(
-                        earlier_times, later_times, c.gap, search_stats
-                    )
-                else:
-                    search_stats.timestamps_expanded += len(
-                        earlier_times
-                    ) + len(later_times)
+                earlier_times, later_times = constraint_slices(
+                    earlier_times, later_times, c.gap, search_stats
+                )
                 if not windows_compatible(earlier_times, later_times, c.gap):
                     return False
             return True
@@ -353,9 +328,9 @@ class V2VMatcher:
                 d_prec = bound[u_prec]
                 need_out, need_in = self._prec_needs[pos]
                 if need_out and need_in:
-                    # Pair probe (dict O(1) / CSR bisect) rather than a
-                    # membership test on the neighbour sequence, which
-                    # would be linear on the array-backed view.
+                    # Pair probe (CSR bisect) rather than a membership
+                    # test on the neighbour sequence, which would be
+                    # linear on the array-backed view.
                     base = [
                         x
                         for x in graph.in_neighbor_ids(d_prec)
@@ -419,8 +394,7 @@ class V2VMatcher:
     ) -> None:
         """Joint timestamp enumeration for a complete vertex embedding.
 
-        With the window kernel on, one interval-propagation pass over the
-        run endpoints (:func:`propagate_run_windows`) shrinks every run
+        One interval-propagation pass over the run endpoints (:func:`propagate_run_windows`) shrinks every run
         to its STN-feasible slice before the joint solver expands
         anything — or proves no assignment exists without expanding at
         all.
@@ -430,22 +404,16 @@ class V2VMatcher:
             self._edge_times(index, complete[u], complete[v])
             for index, (u, v) in enumerate(self._edge_endpoints)
         ]
-        options: list[Sequence[int]] | None
-        if self._dist is not None:
-            windows = propagate_run_windows(runs, self._dist)
-            if windows is None:
-                for run in runs:
-                    stats.timestamps_skipped += len(run)
-                options = None
-            else:
-                options = [
-                    windowed_times(run, window, stats)
-                    for run, window in zip(runs, windows)
-                ]
-        else:
+        options: list[Sequence[int]] | None = None
+        windows = propagate_run_windows(runs, self._dist)
+        if windows is None:
             for run in runs:
-                stats.timestamps_expanded += len(run)
-            options = runs
+                stats.timestamps_skipped += len(run)
+        else:
+            options = [
+                windowed_times(run, window, stats)
+                for run, window in zip(runs, windows)
+            ]
         join_counters = stats.filter("timestamp-join")
         join_counters.considered += 1
         any_assignment = False

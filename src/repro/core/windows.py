@@ -25,10 +25,10 @@ Three layers:
   ``SearchStats.timestamps_expanded`` and the pruned part to
   ``SearchStats.timestamps_skipped``.
 
-Every helper works on plain sorted integer sequences, so it behaves
-identically on the zero-copy memoryview runs of a compiled snapshot and
-the plain lists of the dict-backed builder graph — which is what lets the
-backend-equivalence tests pin counter-for-counter equality.
+Every matcher reads its compiled snapshot's timestamps only through
+this kernel.  The helpers work on plain sorted integer sequences — the
+snapshot's zero-copy memoryview runs and the tuples of its per-label
+index alike.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def window_slice(
     """The ``lo <= t <= hi`` slice of a sorted run (bisect, zero-copy).
 
     Slicing a memoryview run from a snapshot aliases the underlying
-    array; list/tuple runs from the dict backend copy the (short) slice.
+    array; tuple runs (the per-label index) copy the (short) slice.
     """
     if lo == -math.inf and hi == math.inf:
         return times
@@ -160,8 +160,8 @@ def windowed_times(
     The kept slice counts toward ``stats.timestamps_expanded`` (those
     timestamps *are* materialised by the caller); everything the window
     excluded counts toward ``stats.timestamps_skipped``.  With
-    ``window=NO_WINDOW`` this degrades to the old expand-everything
-    behaviour, which is exactly the kernel-off ablation path.
+    ``window=NO_WINDOW`` (a position no bound edge constrains) the whole
+    run is kept and counted as expanded.
     """
     kept = window_slice(times, window[0], window[1])
     if stats is not None:

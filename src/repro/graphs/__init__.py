@@ -29,7 +29,6 @@ from .snapshot import (
     GraphSnapshot,
     GraphView,
     SnapshotWriteBarrier,
-    StaticView,
     compile_snapshot,
     ensure_snapshot,
     snapshot_compile_count,
@@ -45,7 +44,6 @@ __all__ = [
     "GraphView",
     "LabelTable",
     "SnapshotWriteBarrier",
-    "StaticView",
     "compile_snapshot",
     "ensure_snapshot",
     "graph_statistics",

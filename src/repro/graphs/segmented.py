@@ -15,10 +15,13 @@ structural blocker the way an LSM tree does for sorted files:
   **compacted** into one snapshot, bounding the per-read fan-out — reads
   touch at most ``max_segments + 1`` sorted sources.
 
-The accessor surface is the shared :data:`~repro.graphs.GraphView`
-protocol: every per-pair read merges the (individually sorted) runs of
-each segment and the tail, so matchers and the :mod:`repro.core.windows`
-bisect kernels run on a segmented graph unchanged.  ``freeze()`` is
+Two kinds of reader use it.  The streaming engine's per-edge delta
+search reads the live graph through a small merged surface
+(``timestamps_list``, ``out_items`` / ``in_items``, ``edge_label``,
+``vertices_with_label``): each per-pair read merges the (individually
+sorted) runs of each segment and the tail.  One-shot matchers, like for
+any other :data:`~repro.graphs.GraphView`, compile it once via
+``freeze()`` and read only that snapshot.  ``freeze()`` is
 segment-aware — a fully-compacted graph with an empty tail returns its
 single segment *without recompiling* — and :attr:`fingerprint` hashes
 segment fingerprints plus the tail edge list, so service cache keys stay
@@ -41,7 +44,6 @@ from itertools import chain
 from ..errors import GraphError
 from ..obs import NULL_TRACER, TraceSink
 from .snapshot import GraphSnapshot, compile_snapshot
-from .static_graph import StaticGraph
 from .temporal_graph import TemporalEdge, TemporalGraph
 
 __all__ = ["SegmentedGraph"]
@@ -81,7 +83,6 @@ class SegmentedGraph:
         "_max_time",
         "_label_index",
         "_edges_by_time",
-        "_static",
         "_frozen",
         "_fingerprint",
         "_flush_count",
@@ -113,7 +114,6 @@ class SegmentedGraph:
         self._max_time: Timestamp | None = None
         self._label_index: dict[Hashable, tuple[int, ...]] | None = None
         self._edges_by_time: list[TemporalEdge] | None = None
-        self._static: StaticGraph | None = None
         self._frozen: GraphSnapshot | None = None
         self._fingerprint: str | None = None
         self._flush_count = 0
@@ -208,7 +208,6 @@ class SegmentedGraph:
 
     def _invalidate(self) -> None:
         self._edges_by_time = None
-        self._static = None
         self._frozen = None
         self._fingerprint = None
 
@@ -321,7 +320,7 @@ class SegmentedGraph:
         return self._fingerprint
 
     # ------------------------------------------------------------------
-    # basic accessors (GraphView surface)
+    # basic accessors
     # ------------------------------------------------------------------
     @property
     def num_vertices(self) -> int:
@@ -381,12 +380,6 @@ class SegmentedGraph:
     # ------------------------------------------------------------------
     # adjacency (merged across sources)
     # ------------------------------------------------------------------
-    def has_pair(self, u: int, v: int) -> bool:
-        """Does at least one temporal edge ``u -> v`` exist?"""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return any(source.has_pair(u, v) for source in self._sources())
-
     def timestamps_list(self, u: int, v: int) -> Sequence[Timestamp]:
         """Sorted timestamps of ``u -> v``, merged across segments + tail.
 
@@ -406,69 +399,6 @@ class SegmentedGraph:
             return runs[0]
         return list(heapq.merge(*runs))
 
-    def timestamps(self, u: int, v: int) -> tuple[Timestamp, ...]:
-        """Sorted timestamps of interactions ``u -> v`` (``T(u, v)``)."""
-        return tuple(self.timestamps_list(u, v))
-
-    def timestamps_in_window(
-        self, u: int, v: int, lo: float, hi: float
-    ) -> tuple[Timestamp, ...]:
-        """Timestamps ``t`` of ``u -> v`` edges with ``lo <= t <= hi``.
-
-        Each source answers with its own bisected slice; the slices are
-        merged, so the cost is O(log run + answer) per source.
-        """
-        self._check_vertex(u)
-        self._check_vertex(v)
-        slices = [
-            window
-            for source in self._sources()
-            if len(window := source.timestamps_in_window(u, v, lo, hi))
-        ]
-        if not slices:
-            return ()
-        if len(slices) == 1:
-            return tuple(slices[0])
-        return tuple(heapq.merge(*slices))
-
-    def timestamps_with_label(
-        self, u: int, v: int, label: Hashable
-    ) -> Sequence[Timestamp]:
-        """Timestamps of ``u -> v`` edges carrying exactly *label*."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        runs = [
-            run
-            for source in self._sources()
-            if len(run := source.timestamps_with_label(u, v, label))
-        ]
-        if not runs:
-            return _EMPTY_TIMES
-        if len(runs) == 1:
-            return runs[0]
-        return list(heapq.merge(*runs))
-
-    def timestamps_with_label_in_window(
-        self, u: int, v: int, label: Hashable, lo: float, hi: float
-    ) -> Sequence[Timestamp]:
-        """Timestamps of ``u -> v`` edges with *label* and ``lo <= t <= hi``."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        slices = [
-            window
-            for source in self._sources()
-            if len(
-                window := source.timestamps_with_label_in_window(
-                    u, v, label, lo, hi
-                )
-            )
-        ]
-        if not slices:
-            return _EMPTY_TIMES
-        if len(slices) == 1:
-            return slices[0]
-        return list(heapq.merge(*slices))
-
     def edge_label(self, u: int, v: int, t: Timestamp) -> Hashable | None:
         """Label of temporal edge ``(u, v, t)``, or None if unlabeled."""
         for source in self._sources():
@@ -476,33 +406,6 @@ class SegmentedGraph:
             if label is not None:
                 return label
         return None
-
-    @property
-    def has_edge_labels(self) -> bool:
-        """True if any temporal edge carries a label."""
-        return any(source.has_edge_labels for source in self._sources())
-
-    def out_neighbor_ids(self, u: int) -> Sequence[int]:
-        """Distinct out-neighbours of ``u``, id-sorted (merged copy)."""
-        self._check_vertex(u)
-        sources = self._sources()
-        if len(sources) == 1:
-            return sorted(sources[0].out_neighbor_ids(u))
-        merged: set[int] = set()
-        for source in sources:
-            merged.update(source.out_neighbor_ids(u))
-        return sorted(merged)
-
-    def in_neighbor_ids(self, v: int) -> Sequence[int]:
-        """Distinct in-neighbours of ``v``, id-sorted (merged copy)."""
-        self._check_vertex(v)
-        sources = self._sources()
-        if len(sources) == 1:
-            return sorted(sources[0].in_neighbor_ids(v))
-        merged: set[int] = set()
-        for source in sources:
-            merged.update(source.in_neighbor_ids(v))
-        return sorted(merged)
 
     def out_items(
         self, u: int
@@ -538,29 +441,9 @@ class SegmentedGraph:
             parts = runs[u]
             yield u, parts[0] if len(parts) == 1 else list(heapq.merge(*parts))
 
-    def out_pairs(
-        self, u: int
-    ) -> Iterator[tuple[int, tuple[Timestamp, ...]]]:
-        """Iterate ``(v, timestamps)`` over out-neighbours of ``u``."""
-        for v, times in self.out_items(u):
-            yield v, tuple(times)
-
-    def in_pairs(
-        self, v: int
-    ) -> Iterator[tuple[int, tuple[Timestamp, ...]]]:
-        """Iterate ``(u, timestamps)`` over in-neighbours of ``v``."""
-        for u, times in self.in_items(v):
-            yield u, tuple(times)
-
     def out_edges(self, u: int) -> Iterator[TemporalEdge]:
         """All temporal edges leaving ``u``, timestamps expanded."""
         for v, times in self.out_items(u):
-            for t in times:
-                yield TemporalEdge(u, v, t)
-
-    def in_edges(self, v: int) -> Iterator[TemporalEdge]:
-        """All temporal edges entering ``v``, timestamps expanded."""
-        for u, times in self.in_items(v):
             for t in times:
                 yield TemporalEdge(u, v, t)
 
@@ -583,20 +466,6 @@ class SegmentedGraph:
     # ------------------------------------------------------------------
     # derived views
     # ------------------------------------------------------------------
-    def de_temporal(self) -> StaticGraph:
-        """The static graph obtained by dropping timestamps (cached)."""
-        if self._static is None:
-            graph = StaticGraph(self._labels)
-            for u in self.vertices():
-                for v in self.out_neighbor_ids(u):
-                    graph.add_edge(u, v)
-            self._static = graph
-        return self._static
-
-    def static_view(self) -> StaticGraph:
-        """The static accessor surface for the candidate filters."""
-        return self.de_temporal()
-
     def freeze(self) -> GraphSnapshot:
         """One merged CSR snapshot of segments + tail (cached).
 

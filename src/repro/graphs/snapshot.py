@@ -17,13 +17,15 @@ compiled once into a compact CSR-style representation backed by
 * a per-label edge index, so :meth:`timestamps_with_label` is one dict
   probe instead of a linear scan over per-timestamp label lookups.
 
-Snapshots expose the same accessor API as :class:`TemporalGraph` (they
-are interchangeable behind :data:`GraphView`), so every matcher hot loop
-runs unchanged against either backend — which is exactly what lets the
-test suite pin byte-for-byte match equivalence between the two paths.
-Being flat and immutable, a snapshot pickles compactly (the arrays ship
-as machine bytes), shares safely across threads without locks, and
-carries a stable :attr:`fingerprint` for cache keys.
+A snapshot is the one read path of every matcher: ``prepare`` turns
+whatever :data:`GraphView` it was given into a snapshot (via
+:func:`ensure_snapshot`) and every hot loop, candidate filter and
+generated enumerator reads only through it.  The static surface the
+filters need (degrees, neighbour ids, label signatures) comes straight
+from the CSR planes, so no second graph is materialised.  Being flat
+and immutable, a snapshot pickles compactly (the arrays ship as machine
+bytes), shares safely across threads without locks, and carries a
+stable :attr:`fingerprint` for cache keys.
 
 Build one with :meth:`TemporalGraph.freeze` (cached per graph) or
 :func:`compile_snapshot` (always recompiles); :func:`ensure_snapshot`
@@ -50,7 +52,6 @@ __all__ = [
     "GraphSnapshot",
     "GraphView",
     "SnapshotWriteBarrier",
-    "StaticView",
     "compile_snapshot",
     "ensure_snapshot",
     "snapshot_compile_count",
@@ -534,18 +535,11 @@ class GraphSnapshot:
             self._nlc[v] = cached  # reprolint: disable=R014 -- idempotent lazy cache slot
         return cached
 
-    def static_view(self) -> "GraphSnapshot":
-        """The static (de-temporal) accessor surface — the snapshot itself.
-
-        Degrees, neighbour sets and label signatures all come straight
-        from the CSR planes, so no second graph is materialised.
-        """
-        return self
-
     def de_temporal(self) -> "StaticGraph":
         """A materialised :class:`StaticGraph` (compatibility shim).
 
-        Prefer :meth:`static_view`; this exists for callers that need a
+        The snapshot serves the static surface (degrees, neighbour ids,
+        label signatures) itself; this exists for callers that need a
         genuine :class:`StaticGraph` object.  Not cached.
         """
         from .static_graph import StaticGraph
@@ -623,14 +617,13 @@ def compile_snapshot(graph: TemporalGraph) -> GraphSnapshot:
     )
 
 
-#: Any graph backend; matcher hot loops are written against this union
-#: and behave identically on all of them (pinned by the equivalence
-#: tests): the mutable dict builder, the compiled CSR snapshot, and the
-#: appendable segmented graph used by the streaming subsystem.
+#: Any graph a caller may hand to ``find_matches`` / ``create_matcher``:
+#: the mutable dict builder, a compiled CSR snapshot, or the appendable
+#: segmented graph used by the streaming subsystem.  Matchers compile it
+#: once with :func:`ensure_snapshot` (cached by ``freeze()``) and read
+#: only the snapshot; the input-equivalence tests pin identical matches
+#: and counters across the three kinds.
 GraphView = Union[TemporalGraph, GraphSnapshot, "SegmentedGraph"]
-
-#: Either static accessor surface accepted by the candidate filters.
-StaticView = Union["StaticGraph", GraphSnapshot]
 
 
 def ensure_snapshot(graph: GraphView) -> GraphSnapshot:

@@ -57,8 +57,11 @@ class TemporalGraph:
 
     Notes
     -----
-    Timestamp lists per vertex pair are kept sorted, so window queries
-    (``timestamps_in_window``) run in ``O(log n + answer)`` via bisection.
+    Timestamp lists per vertex pair are kept sorted, so :meth:`freeze`
+    compiles them into the snapshot's sorted runs without re-sorting.
+    The one-shot matchers never read a builder directly: they compile it
+    once into a :class:`~repro.graphs.GraphSnapshot`.  The CSM baselines
+    replay their insertion stream into a growing builder instead.
     """
 
     __slots__ = (
@@ -241,39 +244,6 @@ class TemporalGraph:
             if edge_labels.get((u, v, t)) == label
         ]
 
-    def timestamps_in_window(
-        self, u: int, v: int, lo: float, hi: float
-    ) -> tuple[Timestamp, ...]:
-        """Timestamps ``t`` of ``u -> v`` edges with ``lo <= t <= hi``.
-
-        Bounds may be floats (including ``±inf``) so STN-closure windows
-        plug in directly.
-        """
-        self._check_vertex(u)
-        self._check_vertex(v)
-        times = self._out[u].get(v)
-        if not times:
-            return ()
-        left = bisect.bisect_left(times, lo)
-        right = bisect.bisect_right(times, hi)
-        return tuple(times[left:right])
-
-    def timestamps_with_label_in_window(
-        self, u: int, v: int, label: Hashable, lo: float, hi: float
-    ) -> Sequence[Timestamp]:
-        """Timestamps of ``u -> v`` edges with *label* and ``lo <= t <= hi``.
-
-        The labeled run inherits the pair run's sort order, so the window
-        is read out with two bisects — the dict-backend twin of the
-        snapshot accessor of the same name.
-        """
-        times = self.timestamps_with_label(u, v, label)
-        if not times:
-            return []
-        left = bisect.bisect_left(times, lo)
-        right = bisect.bisect_right(times, hi)
-        return times[left:right]
-
     def out_items(self, u: int) -> ItemsView[int, list[Timestamp]]:
         """Iterate ``(v, sorted timestamps)`` over out-neighbours of ``u``.
 
@@ -367,15 +337,6 @@ class TemporalGraph:
                     graph.add_edge(u, v)
             self._de_temporal = graph
         return self._de_temporal
-
-    def static_view(self) -> StaticGraph:
-        """The static accessor surface for the candidate filters.
-
-        On a mutable graph this is the cached :meth:`de_temporal` graph;
-        :class:`GraphSnapshot` serves the same surface directly from its
-        CSR planes.
-        """
-        return self.de_temporal()
 
     def freeze(self) -> "GraphSnapshot":
         """Compile this graph into an immutable CSR :class:`GraphSnapshot`.

@@ -1,12 +1,14 @@
-"""Snapshot-vs-dict backend equivalence, pinned per algorithm.
+"""Input equivalence: every graph kind gives the same answer, per algorithm.
 
-Every matcher's hot loop is written against the :data:`GraphView` union;
-``compile_graph=False`` runs the *identical* code against the mutable
-dict-backed builder instead of the compiled CSR snapshot.  Full
-enumeration is deterministic, so the two paths must agree byte for byte:
-same match multiset, same order, and the same per-filter
-:class:`SearchStats` counters — any divergence means an accessor lies on
-one backend.
+Matchers accept any :data:`~repro.graphs.GraphView` — the dict-backed
+:class:`TemporalGraph` builder, an appendable :class:`SegmentedGraph`, or
+a compiled :class:`GraphSnapshot` — and compile it once into a snapshot
+they read exclusively.  Full enumeration is deterministic, so the three
+input kinds must agree byte for byte: same match multiset, same order,
+and the same per-filter :class:`SearchStats` counters.  The segmented
+input holds two compiled segments plus a non-empty tail, so its
+``freeze()`` really merges sources rather than passing one segment
+through.
 """
 
 import pytest
@@ -15,12 +17,14 @@ from repro.core import MatchOptions, find_matches
 from repro.datasets import random_instance
 from repro.graphs import (
     QueryBuilder,
+    SegmentedGraph,
     TemporalConstraints,
+    TemporalGraph,
     TemporalGraphBuilder,
 )
 
 #: The paper's three TCSM algorithms, the RI static baseline, one CSM
-#: stream baseline, and the oracle — the spread required by the issue.
+#: stream baseline, and the oracle.
 ALGORITHMS = (
     "tcsm-v2v",
     "tcsm-e2e",
@@ -31,22 +35,60 @@ ALGORITHMS = (
 )
 
 
-def _run_both(algorithm, query, constraints, graph):
-    compiled = find_matches(query, constraints, graph, algorithm=algorithm)
-    plain = find_matches(
-        query, constraints, graph, algorithm=algorithm, compile_graph=False
+def segmented_copy(graph):
+    """*graph*'s edges as two compiled segments plus a one-edge tail.
+
+    The first half seeds the graph as a compiled segment, the next run
+    of edges exactly fills the flush threshold (the second segment), and
+    the last edge stays in the mutable tail.
+    """
+    edges = graph.edges_by_time()
+    half = len(edges) // 2
+    seeded, flushed, tail = edges[:half], edges[half:-1], edges[-1:]
+    first = TemporalGraph(graph.labels)
+    for u, v, t in seeded:
+        first.add_edge(u, v, t, label=graph.edge_label(u, v, t))
+    seg = SegmentedGraph.from_snapshot(
+        first.freeze(), merge_threshold=len(flushed)
     )
-    return compiled, plain
+    for u, v, t in flushed + tail:
+        seg.append(u, v, t, label=graph.edge_label(u, v, t))
+    assert seg.num_segments == 2 and seg.tail_edges == 1, seg.describe()
+    return seg
+
+
+def _inputs(graph):
+    return {
+        "temporal": graph,
+        "segmented": segmented_copy(graph),
+        "snapshot": graph.freeze(),
+    }
+
+
+def _run_all(algorithm, query, constraints, graph, options=None):
+    return {
+        kind: find_matches(
+            query, constraints, view, algorithm=algorithm, options=options
+        )
+        for kind, view in _inputs(graph).items()
+    }
+
+
+def _assert_identical(results):
+    reference = results["temporal"]
+    for kind, result in results.items():
+        assert result.matches == reference.matches, kind  # same order too
+        assert result.stats == reference.stats, kind  # every counter
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_backends_agree_on_random_instances(algorithm, seed):
     query, constraints, graph = random_instance(seed=seed)
-    compiled, plain = _run_both(algorithm, query, constraints, graph)
-    assert compiled.matches == plain.matches  # same multiset, same order
-    assert compiled.stats == plain.stats  # every counter, every filter
-    assert compiled.stats.matches == len(compiled.matches)
+    results = _run_all(algorithm, query, constraints, graph)
+    _assert_identical(results)
+    reference = results["temporal"]
+    assert reference.stats.matches == len(reference.matches)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -69,30 +111,19 @@ def test_backends_agree_with_edge_labels(algorithm):
     gb.edge("x", "z", 6)  # unlabeled data edge
     graph, _ = gb.build()
 
-    compiled, plain = _run_both("tcsm-eve", query, constraints, graph)
-    assert compiled.matches == plain.matches
-    assert compiled.stats == plain.stats
-    assert len(compiled.matches) >= 1  # the planted wire→cash chain
+    results = _run_all(algorithm, query, constraints, graph)
+    _assert_identical(results)
+    assert len(results["temporal"].matches) >= 1  # the planted wire→cash chain
 
 
 @pytest.mark.parametrize("algorithm", ("tcsm-eve", "ri-ds"))
 def test_backends_agree_under_match_limit(algorithm):
     query, constraints, graph = random_instance(seed=3)
-    compiled = find_matches(
-        query, constraints, graph, algorithm=algorithm,
-        options=MatchOptions(limit=2),
-    )
-    plain = find_matches(
-        query,
-        constraints,
-        graph,
-        algorithm=algorithm,
-        options=MatchOptions(limit=2),
-        compile_graph=False,
+    results = _run_all(
+        algorithm, query, constraints, graph, MatchOptions(limit=2)
     )
     # Deterministic order means truncation cuts at the same prefix.
-    assert compiled.matches == plain.matches
-    assert compiled.stats == plain.stats
+    _assert_identical(results)
 
 
 def test_precompiled_snapshot_input_matches_builder_input():

@@ -68,40 +68,36 @@ class TestAccessorEquivalence:
                 assert list(snap.timestamps_list(u, v)) == list(
                     graph.timestamps_list(u, v)
                 )
-                assert snap.timestamps_in_window(
-                    u, v, 3, 7
-                ) == graph.timestamps_in_window(u, v, 3, 7)
+                assert snap.timestamps_in_window(u, v, 3, 7) == tuple(
+                    t for t in graph.timestamps(u, v) if 3 <= t <= 7
+                )
                 for lab in ("wire", "cash", "missing"):
+                    labeled = graph.timestamps_with_label(u, v, lab)
                     assert tuple(
                         snap.timestamps_with_label(u, v, lab)
-                    ) == tuple(graph.timestamps_with_label(u, v, lab))
+                    ) == tuple(labeled)
                     for lo, hi in ((2, 5), (4.5, 9.5), (float("-inf"), 4)):
                         assert tuple(
                             snap.timestamps_with_label_in_window(
                                 u, v, lab, lo, hi
                             )
-                        ) == tuple(
-                            graph.timestamps_with_label_in_window(
-                                u, v, lab, lo, hi
-                            )
-                        )
+                        ) == tuple(t for t in labeled if lo <= t <= hi)
 
-    def test_in_window_accessors_bisect_correctly(self, graph, snap):
+    def test_in_window_accessors_bisect_correctly(self, snap):
         # Pair (0, 1) has times (3, 5, 9) with labels cash/wire/None.
-        for view in (graph, snap):
-            assert tuple(view.timestamps_in_window(0, 1, 2.5, 5.5)) == (3, 5)
-            assert tuple(
-                view.timestamps_with_label_in_window(0, 1, "wire", 0, 100)
-            ) == (5,)
-            assert tuple(
-                view.timestamps_with_label_in_window(0, 1, "wire", 6, 100)
-            ) == ()
-            assert tuple(
-                view.timestamps_with_label_in_window(0, 1, "missing", 0, 100)
-            ) == ()
-            assert tuple(
-                view.timestamps_with_label_in_window(2, 2, "wire", 0, 100)
-            ) == ()
+        assert tuple(snap.timestamps_in_window(0, 1, 2.5, 5.5)) == (3, 5)
+        assert tuple(
+            snap.timestamps_with_label_in_window(0, 1, "wire", 0, 100)
+        ) == (5,)
+        assert tuple(
+            snap.timestamps_with_label_in_window(0, 1, "wire", 6, 100)
+        ) == ()
+        assert tuple(
+            snap.timestamps_with_label_in_window(0, 1, "missing", 0, 100)
+        ) == ()
+        assert tuple(
+            snap.timestamps_with_label_in_window(2, 2, "wire", 0, 100)
+        ) == ()
 
     def test_edge_labels(self, graph, snap):
         for edge in graph.edges():
@@ -150,9 +146,6 @@ class TestAccessorEquivalence:
             assert snap.neighbor_label_counts(v) == (
                 static.neighbor_label_counts(v)
             )
-
-    def test_static_view_is_self(self, snap):
-        assert snap.static_view() is snap
 
     def test_de_temporal_shim_materialises_static_graph(self, graph, snap):
         shim = snap.de_temporal()

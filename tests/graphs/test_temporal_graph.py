@@ -60,13 +60,15 @@ class TestTimestamps:
         assert small.has_pair(0, 1)
         assert not small.has_pair(1, 0)
 
+    # Window reads are served by the compiled snapshot of the builder.
     def test_window_query(self, small):
-        assert small.timestamps_in_window(0, 1, 2, 5) == (2, 5)
-        assert small.timestamps_in_window(0, 1, 3, 4) == ()
-        assert small.timestamps_in_window(0, 1, 0, 100) == (2, 5, 9)
+        snap = small.freeze()
+        assert snap.timestamps_in_window(0, 1, 2, 5) == (2, 5)
+        assert snap.timestamps_in_window(0, 1, 3, 4) == ()
+        assert snap.timestamps_in_window(0, 1, 0, 100) == (2, 5, 9)
 
     def test_window_query_missing_pair(self, small):
-        assert small.timestamps_in_window(2, 0, 0, 10) == ()
+        assert small.freeze().timestamps_in_window(2, 0, 0, 10) == ()
 
 
 class TestIteration:

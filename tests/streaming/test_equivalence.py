@@ -67,15 +67,6 @@ def test_shuffled_stream_equals_one_shot(algorithm, seed):
             query, constraints, graph, algorithm=algorithm
         )
         assert Counter(one_shot.matches) == streamed
-        # And through the uncompiled accessors of the same backend.
-        plain = find_matches(
-            query,
-            constraints,
-            graph,
-            algorithm=algorithm,
-            compile_graph=False,
-        )
-        assert Counter(plain.matches) == streamed
 
 
 def test_emission_multiset_independent_of_arrival_order():

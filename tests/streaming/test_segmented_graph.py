@@ -1,11 +1,11 @@
 """SegmentedGraph: accessor equivalence with the dict builder, pinned.
 
 The segmented graph must be indistinguishable from a ``TemporalGraph``
-holding the same edges through every :data:`GraphView` accessor —
-that's what lets the matchers and the window kernels run on it
-unchanged.  The fixtures force several flushes and at least one
-compaction so the merged-run code paths (not just the tail) are what's
-being compared.
+holding the same edges through every accessor it keeps — the merged
+surface the streaming engine's delta search reads, plus ``freeze()``,
+through which the one-shot matchers read it.  The fixtures force several
+flushes and at least one compaction so the merged-run code paths (not
+just the tail) are what's being compared.
 """
 
 import random
@@ -62,14 +62,8 @@ def test_accessors_match_dict_builder(seed):
         )
     for u in ref.vertices():
         # Neighbor iteration order is backend-specific (insertion order
-        # on the dict builder, sorted ids on segments) and no matcher
-        # depends on it; the *sets* and per-pair runs must agree.
-        assert sorted(seg.out_neighbor_ids(u)) == sorted(
-            ref.out_neighbor_ids(u)
-        )
-        assert sorted(seg.in_neighbor_ids(u)) == sorted(
-            ref.in_neighbor_ids(u)
-        )
+        # on the dict builder, sorted ids on segments) and the delta
+        # search does not depend on it; the per-pair runs must agree.
         assert {
             x: list(times) for x, times in seg.out_items(u)
         } == {x: list(times) for x, times in ref.out_items(u)}
@@ -77,16 +71,13 @@ def test_accessors_match_dict_builder(seed):
             x: list(times) for x, times in seg.in_items(u)
         } == {x: list(times) for x, times in ref.in_items(u)}
         for v in ref.out_neighbor_ids(u):
-            assert seg.has_pair(u, v)
             # memoryview on the single-segment fast path, list elsewhere
             # — same shape freedom GraphSnapshot has.
             assert list(seg.timestamps_list(u, v)) == list(
                 ref.timestamps_list(u, v)
             )
-            lo, hi = ref.timestamps_list(u, v)[0], ref.max_time
-            assert list(seg.timestamps_in_window(u, v, lo, hi)) == list(
-                ref.timestamps_in_window(u, v, lo, hi)
-            )
+            for t in ref.timestamps_list(u, v):
+                assert seg.edge_label(u, v, t) == ref.edge_label(u, v, t)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -165,12 +156,8 @@ def test_matchers_run_unchanged_on_segmented(algorithm):
     for u, v, t in graph.edges_by_time():
         seg.append(u, v, t)
     want = find_matches(query, constraints, graph, algorithm=algorithm)
-    # Compiled path (through ensure_snapshot) and the direct segmented
-    # path must both agree with the dict-builder run.
-    compiled = find_matches(query, constraints, seg, algorithm=algorithm)
-    direct = find_matches(
-        query, constraints, seg, algorithm=algorithm, compile_graph=False
-    )
-    assert compiled.matches == want.matches
-    assert direct.matches == want.matches
-    assert direct.stats == want.stats
+    # The segmented input compiles through ensure_snapshot and must agree
+    # with the dict-builder run match for match, counter for counter.
+    got = find_matches(query, constraints, seg, algorithm=algorithm)
+    assert got.matches == want.matches
+    assert got.stats == want.stats

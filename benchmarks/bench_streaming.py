@@ -18,14 +18,20 @@ Two claims back the streaming subsystem, both measured here:
   measured advantage is a conservative floor.
 
 Runs standalone (``python benchmarks/bench_streaming.py``, exits
-non-zero on regression, writes ``BENCH_streaming.json`` for the CI
-perf-trajectory artifact) and under pytest.
+non-zero on regression and writes the report, with its environment and
+workload, to ``--out``; the default is the committed
+``BENCH_streaming.json`` record) and under pytest.  ``snapshot_compile_count``
+counts flush compiles and segment merges alike, so the compile bar
+covers compaction too.
 """
 
+import argparse
 import json
 import random
 import time
 from pathlib import Path
+
+from bench_service import _environment
 
 from repro.datasets import random_instance
 from repro.graphs import SegmentedGraph, TemporalGraph, compile_snapshot
@@ -53,6 +59,10 @@ INSTANCE = dict(
 #: Edges per ingest request (the CLI's ``repro ingest --batch`` shape).
 BATCH = 64
 
+#: Segmented-graph shape: flush every 256 edges, compact past 8 segments.
+MERGE_THRESHOLD = 256
+MAX_SEGMENTS = 8
+
 #: Stream prefix replayed through the recompile-per-edge baseline.
 BASELINE_EDGES = 400
 
@@ -77,13 +87,32 @@ def _stream(seed: int) -> tuple[list[tuple[int, int, int]], TemporalGraph]:
     return stream, source
 
 
+def workload(seed: int = SEED) -> dict[str, object]:
+    """What :func:`measure` runs, for the report's ``workload`` block."""
+    return {
+        "instance": "random_instance",
+        "seed": seed,
+        **INSTANCE,
+        "shuffled": True,
+        "subscriptions": N_SUBSCRIPTIONS,
+        "batch": BATCH,
+        "merge_threshold": MERGE_THRESHOLD,
+        "max_segments": MAX_SEGMENTS,
+        "baseline_edges": BASELINE_EDGES,
+    }
+
+
 def measure(seed: int = SEED) -> dict[str, float]:
     """All benchmark measurements as a flat report dict."""
     stream, source = _stream(seed)
 
     # -- sustained ingest with standing subscriptions -------------------
     engine = StreamingEngine(
-        SegmentedGraph(source.labels, merge_threshold=256, max_segments=8)
+        SegmentedGraph(
+            source.labels,
+            merge_threshold=MERGE_THRESHOLD,
+            max_segments=MAX_SEGMENTS,
+        )
     )
     for i in range(N_SUBSCRIPTIONS):
         # Distinct patterns over the shared label alphabet.
@@ -101,7 +130,9 @@ def measure(seed: int = SEED) -> dict[str, float]:
 
     # -- amortised append: segmented vs recompile-per-edge --------------
     segmented = SegmentedGraph(
-        source.labels, merge_threshold=256, max_segments=8
+        source.labels,
+        merge_threshold=MERGE_THRESHOLD,
+        max_segments=MAX_SEGMENTS,
     )
     compile_floor = snapshot_compile_count()
     started = time.perf_counter()
@@ -168,7 +199,13 @@ def test_streaming_throughput_and_amortised_appends() -> None:
     assert check(report) == [], check(report)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--out", type=Path, default=OUT_PATH,
+        help=f"where to write the report (default: {OUT_PATH})",
+    )
+    args = parser.parse_args(argv)
     report = measure()
     print(f"edges streamed:     {report['edges']:.0f}")
     print(f"subscriptions:      {report['subscriptions']:.0f}")
@@ -189,8 +226,13 @@ def main() -> int:
     failures = check(report)
     for failure in failures:
         print(f"REGRESSION: {failure}")
-    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUT_PATH}")
+    record = {
+        "environment": _environment(),
+        "workload": workload(),
+        **report,
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {args.out}")
     return 1 if failures else 0
 
 

@@ -7,13 +7,17 @@ CSR recompile per arriving edge.  A :class:`SegmentedGraph` removes that
 structural blocker the way an LSM tree does for sorted files:
 
 * appends land in a small **mutable tail** (a plain dict-backed
-  :class:`TemporalGraph`) — O(log run) per edge, no compilation;
+  :class:`TemporalGraph`) — no compilation.  The duplicate check costs
+  one probe per segment: a bisect into the segment's neighbour array,
+  and a timestamp bisect only when the pair exists and ``t`` lies in
+  the segment's time range;
 * when the tail crosses ``merge_threshold`` temporal edges it is
   **flushed**: compiled once into an immutable CSR segment and appended
   to the segment list (the flush cost is amortised over the threshold);
 * when the segment count crosses ``max_segments`` the segments are
-  **compacted** into one snapshot, bounding the per-read fan-out — reads
-  touch at most ``max_segments + 1`` sorted sources.
+  **compacted** into one snapshot by merging their sorted CSR planes
+  directly (no builder round trip), bounding the per-read fan-out —
+  reads touch at most ``max_segments + 1`` sorted sources.
 
 Two kinds of reader use it.  The streaming engine's per-edge delta
 search reads the live graph through a small merged surface
@@ -23,7 +27,8 @@ sorted) runs of each segment and the tail.  One-shot matchers, like for
 any other :data:`~repro.graphs.GraphView`, compile it once via
 ``freeze()`` and read only that snapshot.  ``freeze()`` is
 segment-aware — a fully-compacted graph with an empty tail returns its
-single segment *without recompiling* — and :attr:`fingerprint` hashes
+single segment *without recompiling*; otherwise it merges the segments
+and the compiled tail like a compaction — and :attr:`fingerprint` hashes
 segment fingerprints plus the tail edge list, so service cache keys stay
 stable without forcing a compile.
 
@@ -43,7 +48,12 @@ from itertools import chain
 
 from ..errors import GraphError
 from ..obs import NULL_TRACER, TraceSink
-from .snapshot import GraphSnapshot, compile_snapshot
+from .snapshot import (
+    _EDGE,
+    GraphSnapshot,
+    _merge_snapshots,
+    compile_snapshot,
+)
 from .temporal_graph import TemporalEdge, TemporalGraph
 
 __all__ = ["SegmentedGraph"]
@@ -158,31 +168,37 @@ class SegmentedGraph:
 
         Duplicate ``(u, v, t)`` triples — including ones already frozen
         into a segment — are ignored (``False``), matching
-        :meth:`TemporalGraph.add_edge` semantics.  The tail flushes into
-        a compiled segment when it crosses ``merge_threshold``, and the
-        segment list compacts when it crosses ``max_segments``; both are
-        O(segment payload), amortised over the threshold.
+        :meth:`TemporalGraph.add_edge` semantics.  ``u`` and ``v`` are
+        checked once; after that each segment costs one unchecked probe
+        that answers both "is the edge there" and "is the pair there".
+        The tail flushes into a compiled segment when it crosses
+        ``merge_threshold``, and the segment list compacts when it
+        crosses ``max_segments``; both are O(segment payload), amortised
+        over the threshold.
         """
-        self._check_vertex(u)
-        self._check_vertex(v)
+        n = len(self._labels)
+        if not (0 <= u < n and 0 <= v < n):
+            self._check_vertex(u)
+            self._check_vertex(v)
         if u == v:
             raise GraphError(f"self loop ({u}, {u}, {t}) not allowed")
+        pair_known = False
         for segment in self._segments:
-            run = segment.timestamps_in_window(u, v, t, t)
-            if run:
-                if (
-                    label is not None
-                    and segment.edge_label(u, v, t) != label
-                ):
+            found = segment._probe(u, v, t)
+            if found == _EDGE:
+                present = segment.edge_label(u, v, t)
+                if label is not None and present != label:
                     raise GraphError(
                         f"edge ({u}, {v}, {t}) already present with label "
-                        f"{segment.edge_label(u, v, t)!r}, not {label!r}"
+                        f"{present!r}, not {label!r}"
                     )
                 return False
-        pair_known = self._tail.has_pair(u, v) or any(
-            segment.has_pair(u, v) for segment in self._segments
-        )
-        if not self._tail.add_edge(u, v, t, label=label):
+            if found:
+                pair_known = True
+        tail = self._tail
+        if not pair_known:
+            pair_known = v in tail._out[u]
+        if not tail._insert(u, v, t, label):
             return False
         if not pair_known:
             self._num_static_edges += 1
@@ -191,7 +207,7 @@ class SegmentedGraph:
         if self._max_time is None or t > self._max_time:
             self._max_time = t
         self._invalidate()
-        if self._tail.num_temporal_edges >= self._merge_threshold:
+        if tail.num_temporal_edges >= self._merge_threshold:
             self._flush_tail()
         return True
 
@@ -225,22 +241,17 @@ class SegmentedGraph:
     def _compact(self) -> None:
         """Merge every segment into one snapshot (full compaction).
 
-        Rebuilds a builder graph from the segments and compiles it once;
-        with ``max_segments`` K and flush threshold T this runs every K
-        flushes, so the amortised cost per appended edge stays
-        O(|graph| / (K * T)) — bounded, and tiny next to the
-        full-recompile-per-edge path this structure replaces.
+        Merges the segments' sorted CSR planes vertex by vertex (see
+        :func:`~repro.graphs.snapshot._merge_snapshots`) — no builder
+        graph, no per-edge re-insert.  With ``max_segments`` K and flush
+        threshold T this runs every K flushes, so the amortised cost per
+        appended edge stays O(|graph| / (K * T)) — bounded, and tiny
+        next to the full-recompile-per-edge path this structure replaces.
         """
         with self.tracer.span(
             "segment-compact", segments=len(self._segments)
         ):
-            merged = TemporalGraph(self._labels)
-            for segment in self._segments:
-                for u, v, t in segment.edges():
-                    merged.add_edge(
-                        u, v, t, label=segment.edge_label(u, v, t)
-                    )
-            self._segments = [compile_snapshot(merged)]
+            self._segments = [_merge_snapshots(self._segments)]
             self._compaction_count += 1
 
     # ------------------------------------------------------------------
@@ -473,18 +484,17 @@ class SegmentedGraph:
         an empty tail returns that segment directly — no recompilation,
         which is what keeps ``ensure_snapshot`` cheap on a stream that
         just compacted or was seeded from a registered snapshot.
+        Otherwise the tail is compiled and merged with the segments the
+        way :meth:`_compact` merges them; the segment list itself is
+        left as it is.
         """
         if self._frozen is None:
-            if len(self._segments) == 1 and not self._tail.num_temporal_edges:
-                self._frozen = self._segments[0]
-            else:
-                merged = TemporalGraph(self._labels)
-                for source in self._sources():
-                    for u, v, t in source.edges():
-                        merged.add_edge(
-                            u, v, t, label=source.edge_label(u, v, t)
-                        )
-                self._frozen = compile_snapshot(merged)
+            sources = list(self._segments)
+            if self._tail.num_temporal_edges or not sources:
+                sources.append(compile_snapshot(self._tail))
+            self._frozen = (
+                sources[0] if len(sources) == 1 else _merge_snapshots(sources)
+            )
         return self._frozen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

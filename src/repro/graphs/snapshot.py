@@ -62,13 +62,23 @@ Timestamp = int
 
 _EMPTY_TIMES: Sequence[int] = memoryview(array("q"))
 
-#: Process-wide count of CSR compilations (the service's compile-once
+#: Process-wide count of CSR builds (the service's compile-once
 #: guarantee is asserted against this probe in the test suite).
 _COMPILE_COUNT = 0
 
+#: Outcomes of :meth:`GraphSnapshot._probe`.
+_NO_PAIR = 0
+_PAIR = 1
+_EDGE = 2
+
 
 def snapshot_compile_count() -> int:
-    """Number of :func:`compile_snapshot` calls in this process."""
+    """Number of CSR builds in this process.
+
+    Counts :func:`compile_snapshot` calls and the segment merges of a
+    :class:`~repro.graphs.SegmentedGraph` (compaction and ``freeze()``),
+    each of which assembles one new snapshot.
+    """
     return _COMPILE_COUNT
 
 
@@ -332,6 +342,25 @@ class GraphSnapshot:
             return k
         return -1
 
+    def _probe(self, u: int, v: int, t: Timestamp) -> int:
+        """Unchecked membership probe of ``(u, v, t)``.
+
+        Returns ``_NO_PAIR``, ``_PAIR`` (the pair exists but not at *t*)
+        or ``_EDGE``.  One bisect into ``u``'s neighbour run, and a
+        timestamp bisect only when the pair exists and *t* lies within
+        ``[min_time, max_time]``.  Callers check ``u`` and ``v`` first.
+        """
+        k = self._out_slot(u, v)
+        if k < 0:
+            return _NO_PAIR
+        if t < self._min_time or t > self._max_time:  # type: ignore[operator]
+            return _PAIR
+        toff = self._out_ts_offsets
+        times = self._out_times
+        stop = toff[k + 1]
+        j = bisect.bisect_left(times, t, toff[k], stop)
+        return _EDGE if j < stop and times[j] == t else _PAIR
+
     def has_pair(self, u: int, v: int) -> bool:
         """Does at least one temporal edge ``u -> v`` exist?"""
         self._check_vertex(u)
@@ -572,6 +601,8 @@ def compile_snapshot(graph: TemporalGraph) -> GraphSnapshot:
     global _COMPILE_COUNT
     _COMPILE_COUNT += 1
     n = graph.num_vertices
+    out_adj = graph._out
+    in_adj = graph._in
     out_offsets = array("q", [0])
     out_nbrs = array("q")
     out_ts_offsets = array("q", [0])
@@ -581,13 +612,13 @@ def compile_snapshot(graph: TemporalGraph) -> GraphSnapshot:
     in_ts_offsets = array("q", [0])
     in_times = array("q")
     for u in range(n):
-        for v, times in sorted(graph.out_items(u)):
+        for v, times in sorted(out_adj[u].items()):
             out_nbrs.append(v)
             out_times.extend(times)
             out_ts_offsets.append(len(out_times))
         out_offsets.append(len(out_nbrs))
     for v in range(n):
-        for u, times in sorted(graph.in_items(v)):
+        for u, times in sorted(in_adj[v].items()):
             in_nbrs.append(u)
             in_times.extend(times)
             in_ts_offsets.append(len(in_times))
@@ -595,11 +626,6 @@ def compile_snapshot(graph: TemporalGraph) -> GraphSnapshot:
     label_index: dict[Hashable, list[int]] = {}
     for v, lab in enumerate(graph.labels):
         label_index.setdefault(lab, []).append(v)
-    edge_labels = {
-        (u, v, t): graph.edge_label(u, v, t)
-        for u, v, t in graph.edges()
-        if graph.edge_label(u, v, t) is not None
-    }
     return GraphSnapshot(
         labels=graph.labels,
         out_offsets=out_offsets,
@@ -611,10 +637,110 @@ def compile_snapshot(graph: TemporalGraph) -> GraphSnapshot:
         in_ts_offsets=in_ts_offsets,
         in_times=in_times,
         label_index={k: tuple(vs) for k, vs in label_index.items()},
-        edge_labels=edge_labels,
+        # The builder holds only labeled edges; the snapshot copies it.
+        edge_labels=graph._edge_labels,
         min_time=graph.min_time,
         max_time=graph.max_time,
     )
+
+
+def _merge_snapshots(sources: Sequence[GraphSnapshot]) -> GraphSnapshot:
+    """One snapshot holding the union of *sources*' edges (no builder).
+
+    The sources share one vertex universe and labels.  Per vertex, the
+    sorted neighbour runs of both CSR planes are merged; a pair present
+    in several sources gets its timestamp runs merged and deduplicated,
+    and the edge-label dicts are merged.  The result is array-for-array
+    what :func:`compile_snapshot` builds from the same edge set (equal
+    :attr:`~GraphSnapshot.fingerprint`) and counts as one build in
+    :func:`snapshot_compile_count`.  This is how a
+    :class:`~repro.graphs.SegmentedGraph` compacts its segments.
+    """
+    global _COMPILE_COUNT
+    _COMPILE_COUNT += 1
+    first = sources[0]
+    n = len(first._labels)
+    out_plane = _merge_plane(
+        n,
+        [
+            (s._out_offsets, s._out_nbrs, s._out_ts_offsets, s._out_times)
+            for s in sources
+        ],
+    )
+    in_plane = _merge_plane(
+        n,
+        [
+            (s._in_offsets, s._in_nbrs, s._in_ts_offsets, s._in_times)
+            for s in sources
+        ],
+    )
+    edge_labels: dict[tuple[int, int, Timestamp], Hashable] = {}
+    for source in sources:
+        edge_labels.update(source._edge_labels)
+    min_times = [s._min_time for s in sources if s._min_time is not None]
+    max_times = [s._max_time for s in sources if s._max_time is not None]
+    return GraphSnapshot(
+        labels=first._labels,
+        out_offsets=out_plane[0],
+        out_nbrs=out_plane[1],
+        out_ts_offsets=out_plane[2],
+        out_times=out_plane[3],
+        in_offsets=in_plane[0],
+        in_nbrs=in_plane[1],
+        in_ts_offsets=in_plane[2],
+        in_times=in_plane[3],
+        label_index=first._label_index,
+        edge_labels=edge_labels,
+        min_time=min(min_times) if min_times else None,
+        max_time=max(max_times) if max_times else None,
+    )
+
+
+_Plane = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
+
+
+def _merge_plane(
+    n: int, planes: list[_Plane]
+) -> tuple[array[int], array[int], array[int], array[int]]:
+    """Merge one CSR direction (offsets, neighbours, run offsets, times)."""
+    offsets_out = array("q", [0])
+    nbrs_out = array("q")
+    toff_out = array("q", [0])
+    times_out = array("q")
+    for x in range(n):
+        live = [plane for plane in planes if plane[0][x] != plane[0][x + 1]]
+        if len(live) == 1:
+            # Copy the vertex's runs whole, shifting their offsets.
+            offsets, nbrs, toff, times = live[0]
+            lo, hi = offsets[x], offsets[x + 1]
+            start = toff[lo]
+            shift = len(times_out) - start
+            nbrs_out.extend(nbrs[lo:hi])
+            times_out.extend(times[start : toff[hi]])
+            toff_out.extend([k + shift for k in toff[lo + 1 : hi + 1]])
+        elif live:
+            runs: dict[int, Sequence[int]] = {}
+            for offsets, nbrs, toff, times in live:
+                for k in range(offsets[x], offsets[x + 1]):
+                    y = nbrs[k]
+                    run = times[toff[k] : toff[k + 1]]
+                    prior = runs.get(y)
+                    runs[y] = run if prior is None else _merge_runs(prior, run)
+            for y in sorted(runs):
+                nbrs_out.append(y)
+                times_out.extend(runs[y])
+                toff_out.append(len(times_out))
+        offsets_out.append(len(nbrs_out))
+    return offsets_out, nbrs_out, toff_out, times_out
+
+
+def _merge_runs(first: Sequence[int], second: Sequence[int]) -> list[int]:
+    """Sorted union of two sorted, non-empty timestamp runs."""
+    if first[-1] < second[0]:
+        return [*first, *second]
+    if second[-1] < first[0]:
+        return [*second, *first]
+    return sorted({*first, *second})
 
 
 #: Any graph a caller may hand to ``find_matches`` / ``create_matcher``:

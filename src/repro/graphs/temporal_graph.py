@@ -119,6 +119,12 @@ class TemporalGraph:
         self._check_vertex(v)
         if u == v:
             raise GraphError(f"self loop ({u}, {u}, {t}) not allowed")
+        return self._insert(u, v, t, label)
+
+    def _insert(
+        self, u: int, v: int, t: Timestamp, label: Hashable | None
+    ) -> bool:
+        """:meth:`add_edge` past its checks (``u``, ``v`` valid, ``u != v``)."""
         times = self._out[u].get(v)
         exists = False
         if times is None:

@@ -35,7 +35,16 @@ mechanism: every label-compatible ingested edge opens a candidacy window
 closure distance) during which future arrivals could still extend it
 into a match; once the watermark passes ``t + span + lateness`` the
 partial is provably dead and is expired from the ledger, feeding the
-``partials_live`` / ``partials_expired`` metrics.
+``partials_live`` / ``partials_expired`` metrics.  Expiry runs once per
+``ingest`` call, after its last edge (also when the call fails
+partway): the watermark never decreases and the lock is held for the
+whole call, so the ledger any caller can observe between calls is the
+one a per-edge sweep would have left.
+
+Per edge, ``ingest`` does only per-edge work: one append (one probe per
+graph segment) and, per subscription, one dict lookup of the edge's
+``(source label, target label)`` in the subscription's pin index —
+searching only when some query position accepts those labels.
 
 The engine is thread-safe behind one lock: ``ingest`` is strictly
 sequential (single-writer, matching the segmented graph's contract), and
@@ -56,7 +65,7 @@ from typing import Any, cast
 from ..core.match import Match
 from ..core.stats import SearchStats
 from ..core.windows import feasible_window, windowed_times
-from ..errors import StreamingError, UnknownSubscriptionError
+from ..errors import GraphError, StreamingError, UnknownSubscriptionError
 from ..graphs import (
     QueryGraph,
     SegmentedGraph,
@@ -191,10 +200,17 @@ class StreamingEngine:
         """Append *edges* and deliver the matches each one completes.
 
         Each element is ``(u, v, t)`` or ``(u, v, t, label)``.  Edges are
-        processed strictly in the given order; duplicates (already in the
-        graph) are counted but trigger no searches.  Passing *tracer*
-        routes this call's delta-search and segment-merge spans to it
-        (the engine's own tracer is restored afterwards).
+        processed strictly in the given order, each visible to the
+        searches of the ones after it and not before; duplicates
+        (already in the graph) are counted but trigger no searches.
+        Passing *tracer* routes this call's delta-search and
+        segment-merge spans to it (the engine's own tracer is restored
+        afterwards).
+
+        A batch is not atomic: when an edge fails (out-of-range vertex,
+        self loop, label conflict) the edges before it stay applied and
+        counted, and the raised :class:`~repro.errors.GraphError` says
+        how many of them there were.
         """
         with self._lock:
             previous = self.tracer
@@ -211,36 +227,45 @@ class StreamingEngine:
     def _ingest_locked(self, edges: Iterable[EdgeInput]) -> IngestReport:
         assert_lock_held(self._lock, "StreamingEngine._lock")
         start = time.perf_counter()
-        flushes_before = self._graph.flush_count
-        compactions_before = self._graph.compaction_count
+        graph = self._graph
+        flushes_before = graph.flush_count
+        compactions_before = graph.compaction_count
         total = 0
         new_edges = 0
         duplicates = 0
         emitted = 0
-        for item in edges:
-            total += 1
-            u, v, t = int(item[0]), int(item[1]), int(item[2])
-            label = item[3] if len(item) > 3 else None
-            edge_start = time.perf_counter()
-            if not self._graph.append(u, v, t, label=label):
-                duplicates += 1
-                continue
-            new_edges += 1
-            if self._watermark is None or t > self._watermark:
-                self._watermark = t
-            edge = TemporalEdge(u, v, t)
-            emitted += self._deliver_locked(edge, edge_start)
-            self._expire_partials_locked()
-        self._edges_ingested += new_edges
-        self._duplicates += duplicates
+        try:
+            for item in edges:
+                total += 1
+                u, v, t = int(item[0]), int(item[1]), int(item[2])
+                label = item[3] if len(item) > 3 else None
+                edge_start = time.perf_counter()
+                if not graph.append(u, v, t, label=label):
+                    duplicates += 1
+                    continue
+                new_edges += 1
+                if self._watermark is None or t > self._watermark:
+                    self._watermark = t
+                edge = TemporalEdge(u, v, t)
+                emitted += self._deliver_locked(edge, edge_start)
+        except GraphError as exc:
+            raise GraphError(
+                f"{exc} (edge {total} of the batch; the {new_edges} new "
+                "edges before it were applied)"
+            ) from exc
+        finally:
+            self._edges_ingested += new_edges
+            self._duplicates += duplicates
+            if new_edges:
+                self._expire_partials_locked()
         return IngestReport(
             edges=total,
             new_edges=new_edges,
             duplicates=duplicates,
             emitted=emitted,
             seconds=time.perf_counter() - start,
-            flushes=self._graph.flush_count - flushes_before,
-            compactions=self._graph.compaction_count - compactions_before,
+            flushes=graph.flush_count - flushes_before,
+            compactions=graph.compaction_count - compactions_before,
             watermark=self._watermark,
         )
 
@@ -253,17 +278,13 @@ class StreamingEngine:
         """
         assert_lock_held(self._lock, "StreamingEngine._lock")
         graph = self._graph  # reprolint: guarded-by(_lock)
-        src_label = graph.labels[edge.u]
-        dst_label = graph.labels[edge.v]
+        labels = graph.labels
+        key = (labels[edge.u], labels[edge.v])
         emitted = 0
         for sub in self._subs.values():  # reprolint: guarded-by(_lock)
             sub.edges_seen += 1
-            pins = [
-                pin
-                for pin, labels in enumerate(sub.pin_labels)
-                if labels == (src_label, dst_label)
-            ]
-            if not pins:
+            pins = sub.pin_index.get(key)
+            if pins is None:
                 sub.searches_skipped += 1
                 continue
             sub.searches += 1
@@ -333,8 +354,11 @@ class StreamingEngine:
     def _expire_partials_locked(self) -> None:
         """Drop partials whose feasible window the watermark has passed.
 
-        Like :meth:`_deliver_locked`, runs two call levels below the
-        ``with self._lock:`` in ``ingest`` — hence the pragmas.
+        Called once per ``ingest`` call, after its last new edge: the
+        horizon only grows, so one sweep at the end pops exactly what a
+        sweep after every edge would have.  Like :meth:`_deliver_locked`,
+        runs two call levels below the ``with self._lock:`` in
+        ``ingest`` — hence the pragmas.
         """
         assert_lock_held(self._lock, "StreamingEngine._lock")
         watermark = self._watermark  # reprolint: guarded-by(_lock)

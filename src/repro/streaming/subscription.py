@@ -136,6 +136,12 @@ class Subscription:
     #: Per pin position: the (source label, target label) the data edge
     #: must carry for the pin to be worth searching.
     pin_labels: tuple[tuple[Hashable, Hashable], ...]
+    #: Pin positions per (source label, target label), ascending; built
+    #: from ``pin_labels`` once, so a new edge finds its pins in one
+    #: lookup.  Label pairs no position accepts are absent.
+    pin_index: dict[tuple[Hashable, Hashable], tuple[int, ...]] = field(
+        init=False
+    )
     #: Per pin position: the STN-closure window plan for its pin order.
     window_plans: tuple[tuple[WindowBounds, ...], ...]
     #: Largest finite closure distance between any two query edges
@@ -162,6 +168,10 @@ class Subscription:
 
     def __post_init__(self) -> None:
         self.queue = BoundedQueueSink(self.options.queue_capacity)
+        index: dict[tuple[Hashable, Hashable], list[int]] = {}
+        for pin, labels in enumerate(self.pin_labels):
+            index.setdefault(labels, []).append(pin)
+        self.pin_index = {key: tuple(pins) for key, pins in index.items()}
 
     @property
     def emissions_dropped(self) -> int:

@@ -263,6 +263,64 @@ class TestFingerprint:
         assert a.freeze().fingerprint != b.freeze().fingerprint
 
 
+class TestLabeledCompile:
+    def test_edge_labels_index_and_fingerprint(self):
+        graph = TemporalGraph(["A", "B", "C"])
+        graph.add_edge(0, 1, 5, label="wire")
+        graph.add_edge(0, 1, 7)
+        graph.add_edge(0, 1, 9, label="wire")
+        graph.add_edge(1, 2, 6, label="cash")
+        snap = compile_snapshot(graph)
+        assert snap.edge_label(0, 1, 5) == "wire"
+        assert snap.edge_label(0, 1, 7) is None
+        assert snap.edge_label(1, 2, 6) == "cash"
+        assert list(snap.timestamps_with_label(0, 1, "wire")) == [5, 9]
+        assert list(snap.timestamps_with_label(1, 2, "cash")) == [6]
+        assert list(snap.timestamps_with_label(0, 1, "cash")) == []
+        # Label insertion order does not reach the digest ...
+        reordered = TemporalGraph(["A", "B", "C"])
+        for u, v, t in sorted(graph.edges(), key=lambda e: -e.t):
+            reordered.add_edge(u, v, t, label=graph.edge_label(u, v, t))
+        assert compile_snapshot(reordered).fingerprint == snap.fingerprint
+        # ... but the labels do.
+        unlabeled = TemporalGraph(["A", "B", "C"], graph.edges())
+        assert compile_snapshot(unlabeled).fingerprint != snap.fingerprint
+
+    def test_merge_equals_compile_of_union(self):
+        from repro.graphs.snapshot import _merge_snapshots
+
+        a = TemporalGraph(["A", "B", "C"])
+        b = TemporalGraph(["A", "B", "C"])
+        union = TemporalGraph(["A", "B", "C"])
+        for graph, edges in (
+            (a, [(0, 1, 5, "wire"), (0, 1, 9, None), (1, 2, 4, None)]),
+            (b, [(0, 1, 5, "wire"), (0, 1, 7, None), (2, 0, 3, "cash")]),
+        ):
+            for u, v, t, label in edges:
+                graph.add_edge(u, v, t, label=label)
+                union.add_edge(u, v, t, label=label)
+        before = snapshot_compile_count()
+        merged = _merge_snapshots([compile_snapshot(a), compile_snapshot(b)])
+        assert snapshot_compile_count() == before + 3  # a merge is a build
+        # (0, 1, 5) is in both sources: merged once, label kept.
+        assert list(merged.timestamps_list(0, 1)) == [5, 7, 9]
+        assert merged.edge_label(0, 1, 5) == "wire"
+        assert merged.num_temporal_edges == union.num_temporal_edges
+        assert (merged.min_time, merged.max_time) == (3, 9)
+        assert merged.fingerprint == compile_snapshot(union).fingerprint
+
+    def test_snapshot_owns_its_label_map(self):
+        graph = TemporalGraph(["A", "B", "C"])
+        graph.add_edge(0, 1, 5, label="wire")
+        snap = compile_snapshot(graph)
+        digest = snap.fingerprint
+        graph.add_edge(1, 2, 6, label="cash")  # builder keeps growing
+        assert snap.edge_label(1, 2, 6) is None
+        assert snap.has_edge_labels
+        assert compile_snapshot(graph).fingerprint != digest
+        assert snap.fingerprint == digest
+
+
 class TestPickling:
     def test_roundtrip_preserves_surface(self, graph, snap):
         clone = pickle.loads(pickle.dumps(snap))

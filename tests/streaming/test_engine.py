@@ -6,9 +6,12 @@ engine behaviour — exactly-once delivery, duplicate handling, queue
 backpressure, partial expiry, no-replay — checkable by eye.
 """
 
+import random
+
 import pytest
 
-from repro.errors import StreamingError, UnknownSubscriptionError
+from repro.datasets import random_temporal_graph
+from repro.errors import GraphError, StreamingError, UnknownSubscriptionError
 from repro.graphs import QueryGraph, SegmentedGraph, TemporalConstraints
 from repro.obs import Tracer
 from repro.streaming import StreamingEngine, SubscriptionOptions
@@ -228,3 +231,105 @@ class TestLedgerAndMetrics:
         engine.ingest([(0, 1, 1), (0, 1, 2), (0, 1, 3), (0, 1, 4)],
                       tracer=tracer)
         assert any(s.name == "segment-flush" for s in tracer.spans())
+
+
+class TestFailedBatch:
+    def test_applied_edges_stay_counted(self):
+        engine = StreamingEngine(SegmentedGraph(DATA_LABELS[:5]))
+        engine.subscribe(QUERY, CONSTRAINTS, sub_id="s")
+        applied = "edge 3 of the batch; the 2 new edges before it"
+        with pytest.raises(GraphError, match=applied):
+            # (0, 1, 5) is already present unlabeled: a label conflict.
+            engine.ingest([(0, 1, 5), (1, 2, 6), (0, 1, 5, "x"), (0, 2, 7)])
+        with pytest.raises(GraphError, match="out of range"):
+            engine.ingest([(0, 1, 8), (0, 5, 9)])
+        snap = engine.metrics_snapshot()
+        assert snap["edges_ingested"] == 3
+        assert snap["duplicates"] == 0
+        assert snap["watermark"] == 8
+        assert engine.graph.num_temporal_edges == 3
+        (row,) = snap["subscriptions"]
+        assert row["edges_seen"] == 3
+        assert row["matches_emitted"] == 1
+        assert len(engine.poll("s")) == 1
+
+    def test_expiry_runs_when_a_batch_fails(self):
+        engine = make_engine()
+        engine.subscribe(QUERY, CONSTRAINTS, sub_id="s")
+        engine.ingest([(0, 1, 5)])
+        with pytest.raises(GraphError, match="self loop"):
+            engine.ingest([(3, 4, 100), (2, 2, 101)])
+        sub = engine.subscription("s")
+        assert sub.partials_expired == 1  # the watermark passed 5 + 10
+        assert len(sub.partials) == 1
+
+
+def _stream_with_noise(seed):
+    """A time-ordered stream with late and duplicate edges mixed in."""
+    graph = random_temporal_graph(12, 700, ["A", "B", "C"], max_time=300,
+                                  seed=seed)
+    rng = random.Random(seed)
+    keyed = []
+    for position, edge in enumerate(graph.edges_by_time()):
+        delay = rng.randint(1, 40) if rng.random() < 0.1 else 0
+        keyed.append((position + delay, tuple(edge)))
+        if rng.random() < 0.05:
+            keyed.append((position + rng.randint(1, 40) + 0.5, tuple(edge)))
+    keyed.sort(key=lambda item: item[0])
+    return graph.labels, [edge for _, edge in keyed]
+
+
+def _observe(labels, stream, batch, checkpoints):
+    """Ingest *stream* in *batch*-edge calls; snapshot the observable
+    state after each call that ends at one of *checkpoints*."""
+    engine = StreamingEngine(
+        SegmentedGraph(labels, merge_threshold=16, max_segments=2)
+    )
+    patterns = [
+        (QUERY, CONSTRAINTS, SubscriptionOptions()),
+        (QUERY, TemporalConstraints([(0, 1, 3)], num_edges=2),
+         SubscriptionOptions(lateness=20)),
+        (QueryGraph(["B", "A", "C"], [(0, 1), (1, 2), (0, 2)]),
+         TemporalConstraints([(0, 1, 15), (1, 2, 15)], num_edges=3),
+         SubscriptionOptions()),
+    ]
+    for i, (query, constraints, options) in enumerate(patterns):
+        engine.subscribe(query, constraints, options, sub_id=f"s{i}")
+    seen = {}
+    for lo in range(0, len(stream), batch):
+        engine.ingest(stream[lo : lo + batch])
+        hi = min(lo + batch, len(stream))
+        if hi in checkpoints:
+            state = []
+            for sub_id in engine.subscriptions():
+                sub = engine.subscription(sub_id)
+                row = sub.describe()
+                state.append((
+                    [(e.seq, e.match, e.edge) for e in engine.poll(sub_id)],
+                    sub.stats,
+                    {key: row[key] for key in (
+                        "searches", "searches_skipped", "partials_live",
+                        "partials_expired", "edges_seen", "matches_emitted",
+                    )},
+                ))
+            seen[hi] = (state, engine.metrics_snapshot()["watermark"])
+    return seen, engine
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_batch_size_does_not_change_observable_state(seed):
+    labels, stream = _stream_with_noise(seed)
+    checkpoints = {*range(448, len(stream), 448), len(stream)}
+    (ones, one_engine), (sevens, _), (wide, wide_engine) = (
+        _observe(labels, stream, batch, checkpoints) for batch in (1, 7, 64)
+    )
+    assert ones == sevens == wide
+    assert set(ones) == checkpoints
+    emitted = sum(len(emissions) for state, _ in ones.values()
+                  for emissions, _, _ in state)
+    assert emitted > 0
+    assert any(row["partials_expired"] for state, _ in ones.values()
+               for _, _, row in state)
+    assert one_engine.graph.freeze().fingerprint == (
+        wide_engine.graph.freeze().fingerprint
+    )

@@ -161,3 +161,69 @@ def test_matchers_run_unchanged_on_segmented(algorithm):
     got = find_matches(query, constraints, seg, algorithm=algorithm)
     assert got.matches == want.matches
     assert got.stats == want.stats
+
+
+def _messy_ops(seed, *, n=12, count=600):
+    """Append calls with duplicates, late edges, labels and conflicts.
+
+    Time mostly advances, but about one edge in eight lands well behind
+    the front; some edges repeat an earlier triple (same label, no label
+    or a conflicting label), and a few name an out-of-range vertex or a
+    self loop.
+    """
+    rng = random.Random(seed)
+    ops = []
+    seen = []
+    front = 0
+    for _ in range(count):
+        roll = rng.random()
+        if seen and roll < 0.15:
+            u, v, t, label = rng.choice(seen)
+            label = rng.choice([label, None, "conflict"])
+        elif roll < 0.18:
+            u = rng.randrange(n)
+            v = rng.choice([u, n, -1])
+            t, label = front, None
+        else:
+            front += rng.randint(0, 3)
+            u, v = rng.sample(range(n), 2)
+            t = front - rng.randint(20, 80) if rng.random() < 0.12 else front
+            label = rng.choice([None, None, "wire", "cash"])
+            seen.append((u, v, t, label))
+        ops.append((u, v, t, label))
+    return ops
+
+
+def _outcome(call):
+    try:
+        return call()
+    except GraphError as exc:
+        return ("GraphError", str(exc))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_append_differential_against_builder(seed):
+    labels = [LABELS[i % 3] for i in range(12)]
+    reference = TemporalGraph(labels)
+    seg = SegmentedGraph(labels, merge_threshold=4, max_segments=2)
+    errors = 0
+    for step, (u, v, t, label) in enumerate(_messy_ops(seed)):
+        want = _outcome(lambda: reference.add_edge(u, v, t, label=label))
+        got = _outcome(lambda: seg.append(u, v, t, label=label))
+        assert got == want, (step, (u, v, t, label))
+        errors += isinstance(want, tuple)
+        assert seg.num_static_edges == reference.num_static_edges
+        assert seg.num_temporal_edges == reference.num_temporal_edges
+        assert seg.min_time == reference.min_time
+        assert seg.max_time == reference.max_time
+        if step % 50 == 0:
+            # freeze() merges segments plus the compiled tail.
+            assert seg.freeze().fingerprint == (
+                compile_snapshot(reference).fingerprint
+            )
+    assert errors > 10  # conflicts, self loops and range errors all ran
+    assert seg.compaction_count >= 20
+    assert seg.freeze().fingerprint == compile_snapshot(reference).fingerprint
+    for a, b, t in reference.edges():
+        assert seg.edge_label(a, b, t) == reference.edge_label(a, b, t)
+

@@ -9,7 +9,7 @@
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 from repro.datasets import load_dataset, paper_constraints, paper_query
 
 
@@ -29,8 +29,7 @@ def test_closure(benchmark, cm_graph, workload, algorithm, tighten):
         constraints,
         cm_graph,
         algorithm=algorithm,
-        tighten=tighten,
-        time_budget=20.0,
+        options=MatchOptions(tighten=tighten, time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count
 
@@ -48,6 +47,6 @@ def test_v2v_timestamp_solver(benchmark, dense_graph, use_windows):
         dense_graph,
         algorithm="tcsm-v2v",
         use_windows=use_windows,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count

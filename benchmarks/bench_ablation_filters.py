@@ -7,7 +7,7 @@
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 
 
 @pytest.mark.parametrize(
@@ -22,7 +22,7 @@ def test_nlf_mode(benchmark, cm_graph, workload, count_based):
         cm_graph,
         algorithm="tcsm-v2v",
         count_based_nlf=count_based,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count
 
@@ -42,6 +42,6 @@ def test_candidate_intersection(
         cm_graph,
         algorithm=algorithm,
         intersect_candidates=intersect,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count

@@ -1,14 +1,14 @@
 """Extension bench: continuous TCSM vs post-filtering CSM.
 
 Quantifies the value of temporal-constraint pruning *inside* the
-incremental delta search (tcsm-stream) against the adapted baselines'
-leaf post-filtering (graphflow), and the cost of disabling the STN window
-pruning.  Same stream, same matches.
+incremental delta search (tcsm-stream, the streaming engine's kernel
+replayed over the graph's edges in time order) against the adapted
+baselines' leaf post-filtering (graphflow).  Same stream, same matches.
 """
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 from repro.datasets import paper_constraints, paper_query
 
 TIGHT_GAP = 3_600  # one hour: tight constraints, maximal pruning leverage
@@ -32,23 +32,6 @@ def test_continuous_vs_postfilter(benchmark, cm_graph, tight_workload, algorithm
         constraints,
         cm_graph,
         algorithm=algorithm,
-        time_budget=20.0,
-    )
-    benchmark.extra_info["matches"] = count
-
-
-@pytest.mark.parametrize(
-    "use_windows", (True, False), ids=("stn-windows", "checks-only")
-)
-def test_window_pruning(benchmark, cm_graph, tight_workload, use_windows):
-    query, constraints = tight_workload
-    count = benchmark(
-        count_matches,
-        query,
-        constraints,
-        cm_graph,
-        algorithm="tcsm-stream",
-        use_windows=use_windows,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count

@@ -6,7 +6,7 @@ runtime follows the match count.
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 from repro.datasets import paper_constraints, paper_query
 
 DAY = 86_400
@@ -23,7 +23,7 @@ def test_timegap(benchmark, cm_graph, gap):
         constraints,
         cm_graph,
         algorithm="tcsm-eve",
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count
     benchmark.extra_info["gap_days"] = gap / DAY

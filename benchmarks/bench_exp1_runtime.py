@@ -46,7 +46,7 @@ def test_runtime_cm(benchmark, cm_graph, workload, algorithm):
         constraints,
         cm_graph,
         algorithm=algorithm,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count
 
@@ -60,7 +60,7 @@ def test_runtime_ub(benchmark, ub_graph, workload, algorithm):
         constraints,
         ub_graph,
         algorithm=algorithm,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count
 
@@ -119,7 +119,9 @@ def test_runtime_sjtree(benchmark, ub_graph, workload):
     benchmark.pedantic(
         count_matches,
         args=(query, constraints, ub_graph),
-        kwargs=dict(algorithm="sj-tree", time_budget=5.0),
+        kwargs=dict(
+            algorithm="sj-tree", options=MatchOptions(time_budget=5.0)
+        ),
         rounds=1,
         iterations=1,
     )

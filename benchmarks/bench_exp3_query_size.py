@@ -7,7 +7,7 @@ family, more constraints do not hurt (E2E/EVE trend flat-to-down).
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 from repro.datasets import extract_instance
 
 ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
@@ -25,7 +25,7 @@ def test_query_size(benchmark, cm_graph, algorithm, size):
         constraints,
         cm_graph,
         algorithm=algorithm,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count
 
@@ -42,6 +42,6 @@ def test_constraint_count(benchmark, cm_graph, algorithm, num_constraints):
         constraints,
         cm_graph,
         algorithm=algorithm,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count

@@ -6,7 +6,7 @@ richer structure (FV pruning) and dislikes density near 1.
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 from repro.datasets import random_constraints, random_query
 
 ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
@@ -26,6 +26,6 @@ def test_density(benchmark, cm_graph, algorithm, density):
         constraints,
         cm_graph,
         algorithm=algorithm,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count

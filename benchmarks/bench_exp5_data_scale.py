@@ -6,7 +6,7 @@ Expected shape: runtime grows smoothly with |ℰ| for all TCSM algorithms.
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 
 ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
 
@@ -31,7 +31,7 @@ def test_data_scale(benchmark, prefixes, workload, algorithm, fraction):
         constraints,
         graph,
         algorithm=algorithm,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count
     benchmark.extra_info["temporal_edges"] = graph.num_temporal_edges

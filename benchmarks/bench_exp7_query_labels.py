@@ -6,7 +6,7 @@ runtimes fall as |L_q| rises, most steeply for v2v.
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 from repro.datasets import paper_constraints, paper_query
 from repro.experiments.exp_labels import relabel_query
 
@@ -24,6 +24,6 @@ def test_query_labels(benchmark, cm_graph, algorithm, num_labels):
         constraints,
         cm_graph,
         algorithm=algorithm,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count

@@ -6,7 +6,7 @@ get faster as |L| grows.
 
 import pytest
 
-from repro.core import count_matches
+from repro.core import MatchOptions, count_matches
 from repro.datasets import load_dataset
 
 ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
@@ -30,6 +30,6 @@ def test_data_labels(benchmark, graphs_by_labels, workload, algorithm, num_label
         constraints,
         graphs_by_labels[num_labels],
         algorithm=algorithm,
-        time_budget=20.0,
+        options=MatchOptions(time_budget=20.0),
     )
     benchmark.extra_info["matches"] = count

@@ -12,7 +12,7 @@ from .iedyn import IEDynMatcher
 from .newsp import NewSPMatcher
 from .rapidflow import RapidFlowMatcher
 from .sjtree import SJTreeMatcher
-from .stream import CSMMatcherBase, connected_edge_order
+from .stream import CSMMatcherBase
 from .symbi import SymBiMatcher
 from .turboflux import TurboFluxMatcher
 
@@ -26,5 +26,4 @@ __all__ = [
     "SJTreeMatcher",
     "SymBiMatcher",
     "TurboFluxMatcher",
-    "connected_edge_order",
 ]

@@ -15,8 +15,9 @@ queries is out of scope; DESIGN.md records the simplification.)
 
 from __future__ import annotations
 
+from ...core.windows import connected_edge_order
 from ...graphs import QueryGraph
-from .stream import CSMMatcherBase, connected_edge_order
+from .stream import CSMMatcherBase
 
 __all__ = ["RapidFlowMatcher", "core_first_edge_order"]
 

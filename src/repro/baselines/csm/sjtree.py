@@ -18,8 +18,9 @@ from typing import cast
 from ...core.match import Match
 from ...core.options import RunContext
 from ...core.stats import SearchStats
+from ...core.windows import connected_edge_order
 from ...graphs import TemporalEdge
-from .stream import CSMMatcherBase, connected_edge_order
+from .stream import CSMMatcherBase
 
 __all__ = ["SJTreeMatcher"]
 

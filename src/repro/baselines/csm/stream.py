@@ -16,7 +16,8 @@ temporal-constraints").  This module provides that shared machinery:
   parameterised by a per-baseline candidate test (``vertex_allowed``);
 * the **temporal post-filter**: constraints are checked only on complete
   matches, never used for pruning — precisely the handicap the paper's
-  TCSM algorithms remove.
+  TCSM algorithms remove.  The constraint-pruned delta search over the
+  same stream is ``tcsm-stream`` in :mod:`repro.streaming`.
 
 Every concrete baseline subclasses :class:`CSMMatcherBase` and supplies
 its candidate index through the ``_on_prepare`` / ``_on_insert`` /
@@ -32,6 +33,7 @@ from typing import cast
 from ...core.match import Match
 from ...core.options import RunContext
 from ...core.stats import SearchStats
+from ...core.windows import connected_edge_order
 from ...errors import AlgorithmError
 from ...obs import TraceSink
 from ...graphs import (
@@ -44,35 +46,7 @@ from ...graphs import (
     ensure_snapshot,
 )
 
-__all__ = ["CSMMatcherBase", "connected_edge_order"]
-
-
-def connected_edge_order(query: QueryGraph, start_edge: int) -> list[int]:
-    """A query-edge order starting at *start_edge*, connected prefix first.
-
-    BFS over edge adjacency (shared query vertex); edges in components not
-    reachable from the start edge are appended in index order (their
-    searches fall back to label scans).
-    """
-    m = query.num_edges
-    order = [start_edge]
-    seen = {start_edge}
-    frontier = [start_edge]
-    while frontier:
-        nxt: list[int] = []
-        for e in frontier:
-            for other in range(m):
-                if other in seen:
-                    continue
-                if query.edges_share_vertex(e, other):
-                    seen.add(other)
-                    order.append(other)
-                    nxt.append(other)
-        frontier = nxt
-    for other in range(m):
-        if other not in seen:
-            order.append(other)
-    return order
+__all__ = ["CSMMatcherBase"]
 
 
 class CSMMatcherBase:
@@ -90,6 +64,9 @@ class CSMMatcherBase:
         Necessary-condition candidate test consulted during search.
     ``_begin_insertion_searches()``
         Called once per insertion, before the pin loop (cache resets).
+
+    No hook prunes with the temporal constraints: the baselines apply
+    them only in the leaf post-filter, exactly as the paper adapted them.
     """
 
     name = "csm-base"
@@ -134,24 +111,6 @@ class CSMMatcherBase:
     def vertex_allowed(self, qv: int, dv: int) -> bool:
         """Candidate test; the default accepts everything label-compatible
         (labels are already enforced by candidate generation)."""
-        return True
-
-    def edge_assignment_allowed(
-        self,
-        pin: int,
-        pos: int,
-        edge_index: int,
-        cand: TemporalEdge,
-        edge_map: list[TemporalEdge | None],
-    ) -> bool:
-        """Per-assignment test before recursing (default: accept).
-
-        The CSM baselines deliberately leave this open — their
-        temporal-constraint handling is the leaf post-filter, exactly as
-        the paper adapted them.  The continuous TCSM extension
-        (:mod:`repro.core.continuous`) overrides it to prune with the
-        constraints *during* the delta search.
-        """
         return True
 
     def _expand_out(
@@ -354,11 +313,6 @@ class CSMMatcherBase:
                 if required is not None and snapshot.edge_label(
                     cand.u, cand.v, cand.t
                 ) != required:
-                    stats.record_fail(pos + 1)
-                    continue
-                if not self.edge_assignment_allowed(
-                    pin, pos, edge_index, cand, edge_map
-                ):
                     stats.record_fail(pos + 1)
                     continue
                 new_a = vertex_map[a] is None

@@ -129,12 +129,12 @@ def register_algorithm(
 def _ensure_baselines_loaded() -> None:
     """Import deferred modules so their algorithms self-register.
 
-    Covers the baselines package and the continuous-TCSM extension, both
+    Covers the baselines package and :mod:`repro.streaming` (whose
+    ``tcsm-stream`` replays a graph through the streaming kernel), both
     of which register at import time; deferring keeps ``import repro``
-    cheap and breaks the engine <-> baselines import cycle.
+    cheap and breaks the engine <-> baselines/streaming import cycles.
     """
-    from .. import baselines  # noqa: F401  (import has side effects)
-    from . import continuous  # noqa: F401
+    from .. import baselines, streaming  # noqa: F401  (import has side effects)
 
 
 def available_algorithms(include_baselines: bool = True) -> tuple[str, ...]:

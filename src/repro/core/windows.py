@@ -12,8 +12,10 @@ the HT estimator) funnels through it.
 
 Three layers:
 
-* **plans** — :func:`build_edge_window_plan` precomputes, per matching
-  position, which already-bound query edges bound the current edge's
+* **plans** — :func:`connected_edge_order` gives the pinned searches
+  (the streaming kernel and the CSM baselines) a connected query-edge
+  order per start edge; :func:`build_edge_window_plan` precomputes, per
+  matching position, which already-bound query edges bound the current edge's
   timestamp and by how much (either the raw constraints or their STN
   closure via :meth:`TemporalConstraints.distance_matrix`);
 * **windows** — :func:`feasible_window` intersects those bounds against
@@ -37,7 +39,7 @@ import bisect
 import math
 from collections.abc import Sequence
 
-from ..graphs import TemporalConstraints
+from ..graphs import QueryGraph, TemporalConstraints
 
 from .stats import SearchStats
 
@@ -45,6 +47,7 @@ __all__ = [
     "NO_WINDOW",
     "WindowBounds",
     "build_edge_window_plan",
+    "connected_edge_order",
     "constraint_slices",
     "feasible_window",
     "propagate_run_windows",
@@ -60,6 +63,34 @@ NO_WINDOW: tuple[float, float] = (-math.inf, math.inf)
 #: ``t_other - lo_sub <= t <= t_other + hi_add`` once ``other_edge`` is
 #: bound.  Only triples with at least one finite side are stored.
 WindowBounds = tuple[tuple[int, float, float], ...]
+
+
+def connected_edge_order(query: QueryGraph, start_edge: int) -> list[int]:
+    """A query-edge order starting at *start_edge*, connected prefix first.
+
+    BFS over edge adjacency (shared query vertex); edges in components not
+    reachable from the start edge are appended in index order (their
+    searches fall back to label scans).
+    """
+    m = query.num_edges
+    order = [start_edge]
+    seen = {start_edge}
+    frontier = [start_edge]
+    while frontier:
+        nxt: list[int] = []
+        for e in frontier:
+            for other in range(m):
+                if other in seen:
+                    continue
+                if query.edges_share_vertex(e, other):
+                    seen.add(other)
+                    order.append(other)
+                    nxt.append(other)
+        frontier = nxt
+    for other in range(m):
+        if other not in seen:
+            order.append(other)
+    return order
 
 
 def build_edge_window_plan(

@@ -50,6 +50,11 @@ The engine is thread-safe behind one lock: ``ingest`` is strictly
 sequential (single-writer, matching the segmented graph's contract), and
 ``subscribe`` / ``poll`` / ``metrics_snapshot`` interleave safely with
 it.
+
+The one-shot matcher ``tcsm-stream`` (:class:`StreamReplayMatcher`)
+runs the same per-edge delta search over a whole graph: it replays the
+graph's edges in time order into a growing
+:class:`~repro.graphs.TemporalGraph`.
 """
 
 from __future__ import annotations
@@ -62,15 +67,26 @@ from dataclasses import dataclass
 from threading import Lock
 from typing import Any, cast
 
+from ..core.engine import register_algorithm
 from ..core.match import Match
+from ..core.options import RunContext
 from ..core.stats import SearchStats
 from ..core.windows import feasible_window, windowed_times
-from ..errors import GraphError, StreamingError, UnknownSubscriptionError
+from ..errors import (
+    AlgorithmError,
+    GraphError,
+    StreamingError,
+    UnknownSubscriptionError,
+)
 from ..graphs import (
+    GraphSnapshot,
+    GraphView,
     QueryGraph,
     SegmentedGraph,
     TemporalConstraints,
     TemporalEdge,
+    TemporalGraph,
+    ensure_snapshot,
 )
 from ..obs import NULL_TRACER, TraceSink, assert_lock_held
 from .subscription import (
@@ -80,7 +96,7 @@ from .subscription import (
     build_subscription,
 )
 
-__all__ = ["IngestReport", "StreamingEngine"]
+__all__ = ["IngestReport", "StreamReplayMatcher", "StreamingEngine"]
 
 #: An edge to ingest: ``(u, v, t)`` or ``(u, v, t, label)``.
 EdgeInput = Sequence[Any]
@@ -412,7 +428,7 @@ class StreamingEngine:
 
 
 def _pinned_delta_search(
-    graph: SegmentedGraph,
+    graph: TemporalGraph | SegmentedGraph,
     sub: Subscription,
     pin: int,
     pinned_edge: TemporalEdge,
@@ -421,15 +437,22 @@ def _pinned_delta_search(
 ) -> Iterator[Match]:
     """All matches containing *pinned_edge* at query position *pin*.
 
-    The window-pruned twin of the CSM baselines' pinned backtracking
-    search (:mod:`repro.baselines.csm.stream`): same connected edge
-    order and injective vertex binding, but every position first
-    intersects the STN-closure bounds into a feasible ``[lo, hi]``
-    interval and bisects candidate timestamp runs down to it, crediting
-    ``timestamps_expanded`` / ``timestamps_skipped`` exactly like the
-    one-shot matchers.  Checking the closure bounds pairwise at bind
-    time implies every raw constraint, so complete embeddings are
-    emitted without a leaf post-filter.
+    The one constraint-pruned pinned search: :class:`StreamingEngine`
+    runs it per ingested edge and ``tcsm-stream``
+    (:class:`StreamReplayMatcher`) per replayed edge.  It binds query
+    edges in the subscription's connected pin order with an injective
+    vertex map; every position first intersects the STN-closure bounds
+    into a feasible ``[lo, hi]`` interval and bisects candidate
+    timestamp runs down to it, crediting ``timestamps_expanded`` /
+    ``timestamps_skipped`` exactly like the one-shot matchers.  Checking
+    the closure bounds pairwise at bind time implies every raw
+    constraint, so complete embeddings are emitted without a leaf
+    post-filter.
+
+    *graph* is read through six members only — ``labels``,
+    ``timestamps_list``, ``out_items``, ``in_items``,
+    ``vertices_with_label`` and ``edge_label`` — which the builder, the
+    segmented graph and the compiled snapshot all serve.
     """
     query = sub.query
     order = sub.pin_orders[pin]
@@ -553,3 +576,83 @@ def _pinned_delta_search(
             stats.record_fail(pos + 1)
 
     yield from dfs(0)
+
+
+class StreamReplayMatcher:
+    """``tcsm-stream``: the graph's edges replayed through the delta search.
+
+    ``prepare`` compiles the pattern's subscription plans once (pin
+    orders, window plans, pin index).  ``run`` adds the edges of
+    ``edges_by_time()`` one by one to an initially empty
+    :class:`~repro.graphs.TemporalGraph` and, per edge, runs
+    :func:`_pinned_delta_search` at every pin its labels fit — the
+    search :class:`StreamingEngine` runs per ingested edge, so each
+    match is reported once, when its latest edge arrives.  The replay
+    skips the engine itself: its bounded queue drops emissions, its
+    budget is per search rather than per run, and its segmented graph
+    costs more than a one-pass append.
+    """
+
+    name = "tcsm-stream"
+    #: One time-ordered replay has no seed positions to partition.
+    supports_partition = False
+
+    def __init__(
+        self,
+        query: QueryGraph,
+        constraints: TemporalConstraints,
+        graph: GraphView,
+    ) -> None:
+        self.query = query
+        self.constraints = constraints
+        self.graph = graph
+        self._sub: Subscription | None = None
+        self._view: GraphSnapshot
+        self._stream: list[TemporalEdge]
+
+    def prepare(self, tracer: TraceSink | None = None) -> None:
+        """Compile the subscription plans and the time-ordered stream."""
+        if self._sub is not None:
+            return
+        try:
+            sub = build_subscription(self.name, self.query, self.constraints)
+        except StreamingError as exc:
+            raise AlgorithmError(str(exc)) from exc
+        self._view = ensure_snapshot(self.graph)
+        self._stream = self._view.edges_by_time()
+        self._sub = sub
+
+    def run(self, ctx: RunContext) -> Iterator[Match]:
+        """Replay the stream, yielding each match as it completes."""
+        self.prepare()
+        return self._run(cast(Subscription, self._sub), ctx)
+
+    def _run(self, sub: Subscription, ctx: RunContext) -> Iterator[Match]:
+        view = self._view
+        labels = view.labels
+        graph = TemporalGraph(labels)
+        pin_index = sub.pin_index
+        limit = ctx.limit
+        deadline = ctx.deadline
+        stats = ctx.stats
+        emitted = 0
+        for edge in self._stream:
+            if deadline is not None and time.monotonic() > deadline:
+                stats.budget_exhausted = True
+                stats.deadline_hit = True
+                return
+            u, v, t = edge
+            graph.add_edge(u, v, t, label=view.edge_label(u, v, t))
+            for pin in pin_index.get((labels[u], labels[v]), ()):
+                for match in _pinned_delta_search(
+                    graph, sub, pin, edge, stats, deadline
+                ):
+                    emitted += 1
+                    stats.matches += 1
+                    yield match
+                    if limit is not None and emitted >= limit:
+                        stats.budget_exhausted = True
+                        return
+
+
+register_algorithm("tcsm-stream", StreamReplayMatcher)

@@ -35,7 +35,11 @@ from typing import Any
 from ..core.match import Match
 from ..core.sinks import BoundedQueueSink
 from ..core.stats import SearchStats
-from ..core.windows import WindowBounds, build_edge_window_plan
+from ..core.windows import (
+    WindowBounds,
+    build_edge_window_plan,
+    connected_edge_order,
+)
 from ..errors import StreamingError
 from ..graphs import QueryGraph, TemporalConstraints, TemporalEdge
 
@@ -133,15 +137,10 @@ class Subscription:
     options: SubscriptionOptions
     #: Per pin position: a connected query-edge order starting there.
     pin_orders: tuple[tuple[int, ...], ...]
-    #: Per pin position: the (source label, target label) the data edge
-    #: must carry for the pin to be worth searching.
-    pin_labels: tuple[tuple[Hashable, Hashable], ...]
-    #: Pin positions per (source label, target label), ascending; built
-    #: from ``pin_labels`` once, so a new edge finds its pins in one
-    #: lookup.  Label pairs no position accepts are absent.
-    pin_index: dict[tuple[Hashable, Hashable], tuple[int, ...]] = field(
-        init=False
-    )
+    #: Pin positions per (source label, target label) of the data edge,
+    #: ascending, so a new edge finds its pins in one lookup.  Label
+    #: pairs no position accepts are absent.
+    pin_index: dict[tuple[Hashable, Hashable], tuple[int, ...]]
     #: Per pin position: the STN-closure window plan for its pin order.
     window_plans: tuple[tuple[WindowBounds, ...], ...]
     #: Largest finite closure distance between any two query edges
@@ -168,10 +167,6 @@ class Subscription:
 
     def __post_init__(self) -> None:
         self.queue = BoundedQueueSink(self.options.queue_capacity)
-        index: dict[tuple[Hashable, Hashable], list[int]] = {}
-        for pin, labels in enumerate(self.pin_labels):
-            index.setdefault(labels, []).append(pin)
-        self.pin_index = {key: tuple(pins) for key, pins in index.items()}
 
     @property
     def emissions_dropped(self) -> int:
@@ -216,17 +211,12 @@ def build_subscription(
             "constraint set is infeasible: no timestamp assignment can "
             "satisfy it, so the subscription would never emit"
         )
-    # Imported lazily: the CSM baselines package is only needed once a
-    # subscription is actually built, keeping `import repro.streaming`
-    # light for service startup.
-    from ..baselines.csm.stream import connected_edge_order
-
     pin_orders = tuple(
         tuple(connected_edge_order(query, e)) for e in range(query.num_edges)
     )
-    pin_labels = tuple(
-        (query.label(u), query.label(v)) for (u, v) in query.edges
-    )
+    index: dict[tuple[Hashable, Hashable], list[int]] = {}
+    for pin, (u, v) in enumerate(query.edges):
+        index.setdefault((query.label(u), query.label(v)), []).append(pin)
     window_plans = tuple(
         build_edge_window_plan(order, constraints, closure=True)
         for order in pin_orders
@@ -249,7 +239,7 @@ def build_subscription(
         constraints=constraints,
         options=options or SubscriptionOptions(),
         pin_orders=pin_orders,
-        pin_labels=pin_labels,
+        pin_index={key: tuple(pins) for key, pins in index.items()},
         window_plans=window_plans,
         max_span=max_span,
     )

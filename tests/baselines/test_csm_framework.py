@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.baselines.csm import CSMMatcherBase, connected_edge_order
+from repro.baselines.csm import CSMMatcherBase
+from repro.core.windows import connected_edge_order
 from repro.core import MatchOptions, find_matches
 from repro.datasets import TOY_EXPECTED_MATCH_COUNT, toy_instance, toy_query
 from repro.errors import AlgorithmError

@@ -20,7 +20,9 @@ from repro.graphs import (
     TemporalGraphBuilder,
 )
 
-ALL_ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve") + BASELINE_NAMES
+ALL_ALGORITHMS = (
+    "tcsm-v2v", "tcsm-e2e", "tcsm-eve", "tcsm-stream"
+) + BASELINE_NAMES
 
 
 @pytest.fixture
@@ -160,8 +162,8 @@ class TestDifferentialWithEdgeLabels:
         ]
         labeled_query = QueryGraph(query.labels, query.edges, edge_labels)
         oracle = set(brute_force_matches(labeled_query, tc, relabeled))
-        for algo in ("tcsm-v2v", "tcsm-e2e", "tcsm-eve", "ri-ds",
-                     "graphflow", "sj-tree", "symbi"):
+        for algo in ("tcsm-v2v", "tcsm-e2e", "tcsm-eve", "tcsm-stream",
+                     "ri-ds", "graphflow", "sj-tree", "symbi"):
             got = set(
                 find_matches(
                     labeled_query, tc, relabeled, algorithm=algo

@@ -18,7 +18,7 @@ from repro.datasets import random_instance
 from repro.graphs import SegmentedGraph, TemporalGraph
 from repro.streaming import StreamingEngine
 
-TCSM_ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
+TCSM_ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve", "tcsm-stream")
 
 #: Denser than the library defaults (which yield zero-match instances):
 #: a 3-edge query over 150 edges on 8 vertices gives tens-to-hundreds of

@@ -22,6 +22,7 @@ import time
 from collections.abc import Iterator, Sequence
 from typing import cast
 
+from ..core.filters import degree_candidates
 from ..core.match import Match
 from ..core.options import RunContext
 from ..core.stats import SearchStats
@@ -140,16 +141,17 @@ class RIMatcher:
         ) as sp:
             domains: list[frozenset[int]] = []
             for u in query.vertices():
-                passing: set[int] = set()
-                for v in data.vertices_with_label(query.label(u)):
-                    domain_counters.considered += 1
-                    if self.use_domains and (
-                        data.in_degree(v) < query.in_degree(u)
-                        or data.out_degree(v) < query.out_degree(u)
-                    ):
-                        domain_counters.pruned += 1
-                        continue
-                    passing.add(v)
+                label = query.label(u)
+                passing = set(
+                    degree_candidates(
+                        data, label, query.in_degree(u), query.out_degree(u)
+                    )
+                    if self.use_domains
+                    else data.vertices_with_label(label)
+                )
+                scanned = len(data.vertices_with_label(label))
+                domain_counters.considered += scanned
+                domain_counters.pruned += scanned - len(passing)
                 domains.append(frozenset(passing))
             self._domains = domains
             sp.annotate(**domain_counters.as_dict())

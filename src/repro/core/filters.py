@@ -14,11 +14,14 @@ variant ablated in ``benchmarks/bench_ablation_filters.py``.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
+
 from ..graphs import GraphSnapshot, QueryGraph
 
 from .stats import SearchStats
 
 __all__ = [
+    "degree_candidates",
     "nlf",
     "ldf",
     "initial_vertex_candidates",
@@ -94,17 +97,34 @@ def initial_vertex_candidates(
     query label are examined, via the snapshot's label index.  When
     *stats* is given, the ``"nlf"`` filter bucket records how many
     label-compatible vertices were considered and how many NLF pruned.
+
+    The result equals :func:`nlf` applied to every scanned vertex.
+    Degrees come from the snapshot's CSR offset planes (via
+    :func:`degree_candidates`); only a vertex passing them has its label
+    signature read.
     """
     counters = (stats or SearchStats()).filter("nlf")
     candidates: list[frozenset[int]] = []
     for u in query.vertices():
+        label = query.label(u)
+        needed = tuple(query.neighbor_label_counts(u).items())
+        needed_labels = frozenset(needed_label for needed_label, _ in needed)
         passing: set[int] = set()
-        for v in data.vertices_with_label(query.label(u)):
-            counters.considered += 1
-            if nlf(query, data, u, v, count_based=count_based):
+        for v in degree_candidates(
+            data, label, query.in_degree(u), query.out_degree(u)
+        ):
+            have = data.neighbor_label_counts(v)
+            if count_based:
+                for needed_label, count in needed:
+                    if have.get(needed_label, 0) < count:
+                        break
+                else:
+                    passing.add(v)
+            elif have.keys() >= needed_labels:
                 passing.add(v)
-            else:
-                counters.pruned += 1
+        scanned = len(data.vertices_with_label(label))
+        counters.considered += scanned
+        counters.pruned += scanned - len(passing)
         candidates.append(frozenset(passing))
     return candidates
 
@@ -121,19 +141,60 @@ def initial_edge_candidate_pairs(
     edges, because every timestamp of a passing pair passes too (LDF looks
     only at labels and degrees).  Matchers expand timestamps on demand.
     When *stats* is given, the ``"ldf"`` bucket records scanned vs pruned
-    pairs.
+    pairs: every out-neighbour pair of every source carrying the query
+    edge's source label.
+
+    The result equals :func:`ldf` applied to every scanned pair.  The
+    loop reads the CSR planes directly: a source failing its own degree
+    bounds is rejected with its whole out-run, and a target is a set
+    probe into the degree-passing vertices of the target label.
     """
     counters = (stats or SearchStats()).filter("ldf")
+    out_offsets = data.out_offsets
+    out_nbrs = data.out_nbrs
+    # Per query vertex, the data vertices passing its label and degree
+    # bounds, in label-index order (shared by every incident query edge).
+    admissible = [
+        degree_candidates(
+            data, query.label(u), query.in_degree(u), query.out_degree(u)
+        )
+        for u in query.vertices()
+    ]
     candidates: list[frozenset[tuple[int, int]]] = []
-    for edge_index, (qu, _) in enumerate(query.edges):
-        passing: set[tuple[int, int]] = set()
-        # Scan only pairs whose source carries the right label.
-        for data_u in data.vertices_with_label(query.label(qu)):
-            for data_v in data.out_neighbors(data_u):
-                counters.considered += 1
-                if ldf(query, data, edge_index, data_u, data_v):
-                    passing.add((data_u, data_v))
-                else:
-                    counters.pruned += 1
+    for qu, qv in query.edges:
+        # Every out-pair of every source with the right label is scanned;
+        # a source failing its own degree bounds is rejected whole.
+        considered = sum(
+            out_offsets[du + 1] - out_offsets[du]
+            for du in data.vertices_with_label(query.label(qu))
+        )
+        targets = set(admissible[qv])
+        passing = {
+            (du, dv)
+            for du in admissible[qu]
+            for dv in out_nbrs[out_offsets[du] : out_offsets[du + 1]]
+            if dv in targets
+        }
+        counters.considered += considered
+        counters.pruned += considered - len(passing)
         candidates.append(frozenset(passing))
     return candidates
+
+
+def degree_candidates(
+    data: GraphSnapshot, label: Hashable, min_in: int, min_out: int
+) -> list[int]:
+    """Data vertices with *label* and static degrees of at least the bounds.
+
+    The label and degree-dominance part of NLF and LDF, and the whole of
+    RI-DS's domain filter.  In label-index order; degrees are
+    differences of the snapshot's CSR offsets.
+    """
+    out_offsets = data.out_offsets
+    in_offsets = data.in_offsets
+    return [
+        v
+        for v in data.vertices_with_label(label)
+        if out_offsets[v + 1] - out_offsets[v] >= min_out
+        and in_offsets[v + 1] - in_offsets[v] >= min_in
+    ]

@@ -33,7 +33,6 @@ match multiset.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass, field
 
@@ -80,8 +79,8 @@ class PlanCosts:
     """Snapshot statistics the cost model scores orders against.
 
     One instance summarises a data graph: collected once per prepared
-    matcher by :func:`plan_costs` (O(|V|) for the label histogram; the
-    remaining fields are O(1) accessors on either backend).
+    matcher by :func:`plan_costs` from O(1) accessors and the label
+    index (one entry per distinct label, no scan over the vertices).
     """
 
     num_vertices: int
@@ -128,7 +127,10 @@ def plan_costs(view: GraphView) -> PlanCosts:
         num_static_edges=view.num_static_edges,
         num_temporal_edges=view.num_temporal_edges,
         time_span=view.time_span,
-        label_sizes=dict(Counter(view.labels)),
+        label_sizes={
+            label: len(view.vertices_with_label(label))
+            for label in view.distinct_labels()
+        },
     )
 
 

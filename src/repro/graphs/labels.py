@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 
-__all__ = ["LabelTable", "label_histogram"]
+__all__ = ["LabelTable", "index_labels", "label_histogram"]
 
 
 class LabelTable:
@@ -71,3 +71,15 @@ def label_histogram(labels: Sequence[Hashable]) -> Counter[Hashable]:
     compare neighbourhood label multisets.
     """
     return Counter(labels)
+
+
+def index_labels(labels: Sequence[Hashable]) -> dict[Hashable, tuple[int, ...]]:
+    """The label index: each label to its vertices, id-sorted.
+
+    Labels appear in order of first appearance.  Every graph backend
+    builds its ``vertices_with_label`` index with this.
+    """
+    index: dict[Hashable, list[int]] = {}
+    for v, label in enumerate(labels):
+        index.setdefault(label, []).append(v)
+    return {label: tuple(vs) for label, vs in index.items()}

@@ -48,6 +48,7 @@ from itertools import chain
 
 from ..errors import GraphError
 from ..obs import NULL_TRACER, TraceSink
+from .labels import index_labels
 from .snapshot import (
     _EDGE,
     GraphSnapshot,
@@ -381,12 +382,16 @@ class SegmentedGraph:
         return self._labels
 
     def vertices_with_label(self, label: Hashable) -> tuple[int, ...]:
+        return self._index().get(label, ())
+
+    def distinct_labels(self) -> tuple[Hashable, ...]:
+        """Labels carried by at least one vertex (first-appearance order)."""
+        return tuple(self._index())
+
+    def _index(self) -> dict[Hashable, tuple[int, ...]]:
         if self._label_index is None:
-            index: dict[Hashable, list[int]] = {}
-            for v, lab in enumerate(self._labels):
-                index.setdefault(lab, []).append(v)
-            self._label_index = {k: tuple(vs) for k, vs in index.items()}
-        return self._label_index.get(label, ())
+            self._label_index = index_labels(self._labels)
+        return self._label_index
 
     # ------------------------------------------------------------------
     # adjacency (merged across sources)

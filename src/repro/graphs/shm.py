@@ -142,8 +142,10 @@ class SharedGraphSnapshot(GraphSnapshot):
         best-effort.
         """
         for name in (
+            "_out_offsets_mv",
             "_out_nbrs_mv",
             "_out_times_mv",
+            "_in_offsets_mv",
             "_in_nbrs_mv",
             "_in_times_mv",
             "_out_offsets",

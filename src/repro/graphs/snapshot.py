@@ -42,6 +42,7 @@ from collections.abc import Hashable, Iterator, Sequence
 from typing import TYPE_CHECKING, Union
 
 from ..errors import GraphError
+from .labels import index_labels
 from .temporal_graph import TemporalEdge, TemporalGraph
 
 if TYPE_CHECKING:
@@ -106,8 +107,10 @@ class GraphSnapshot:
         "_in_nbrs",
         "_in_ts_offsets",
         "_in_times",
+        "_out_offsets_mv",
         "_out_nbrs_mv",
         "_out_times_mv",
+        "_in_offsets_mv",
         "_in_nbrs_mv",
         "_in_times_mv",
         "_label_index",
@@ -167,11 +170,13 @@ class GraphSnapshot:
         self._barrier: GraphSnapshot | None = None
 
     def _init_views(self) -> None:
-        """(Re)build the zero-copy memoryviews over the flat arrays."""
-        self._out_nbrs_mv = memoryview(self._out_nbrs)
-        self._out_times_mv = memoryview(self._out_times)
-        self._in_nbrs_mv = memoryview(self._in_nbrs)
-        self._in_times_mv = memoryview(self._in_times)
+        """(Re)build the zero-copy, read-only memoryviews over the arrays."""
+        self._out_offsets_mv = memoryview(self._out_offsets).toreadonly()
+        self._out_nbrs_mv = memoryview(self._out_nbrs).toreadonly()
+        self._out_times_mv = memoryview(self._out_times).toreadonly()
+        self._in_offsets_mv = memoryview(self._in_offsets).toreadonly()
+        self._in_nbrs_mv = memoryview(self._in_nbrs).toreadonly()
+        self._in_times_mv = memoryview(self._in_times).toreadonly()
 
     # ------------------------------------------------------------------
     # pickling (ship arrays as machine bytes; drop lazy caches)
@@ -320,6 +325,10 @@ class GraphSnapshot:
 
     def vertices_with_label(self, label: Hashable) -> tuple[int, ...]:
         return self._label_index.get(label, ())
+
+    def distinct_labels(self) -> tuple[Hashable, ...]:
+        """Labels carried by at least one vertex (first-appearance order)."""
+        return tuple(self._label_index)
 
     # ------------------------------------------------------------------
     # adjacency
@@ -526,8 +535,29 @@ class GraphSnapshot:
         return self._edges_by_time
 
     # ------------------------------------------------------------------
-    # static (de-temporal) view: degrees and label signatures
+    # static (de-temporal) view: CSR planes, degrees and label signatures
     # ------------------------------------------------------------------
+    @property
+    def out_offsets(self) -> memoryview:
+        """Read-only out-plane offsets (``num_vertices + 1`` entries).
+
+        ``out_offsets[v + 1] - out_offsets[v]`` is ``out_degree(v)`` and
+        ``out_nbrs[out_offsets[v] : out_offsets[v + 1]]`` is ``v``'s
+        id-sorted out-neighbour run.  For hot loops that index arrays
+        directly: no bounds checks, unlike the accessors.
+        """
+        return self._out_offsets_mv
+
+    @property
+    def in_offsets(self) -> memoryview:
+        """Read-only in-plane offsets; ``in_degree(v)`` is one difference."""
+        return self._in_offsets_mv
+
+    @property
+    def out_nbrs(self) -> memoryview:
+        """Read-only flat out-neighbour plane, indexed by :attr:`out_offsets`."""
+        return self._out_nbrs_mv
+
     def out_degree(self, v: int) -> int:
         """Distinct out-neighbours of ``v`` (static out-degree)."""
         self._check_vertex(v)
@@ -623,9 +653,6 @@ def compile_snapshot(graph: TemporalGraph) -> GraphSnapshot:
             in_times.extend(times)
             in_ts_offsets.append(len(in_times))
         in_offsets.append(len(in_nbrs))
-    label_index: dict[Hashable, list[int]] = {}
-    for v, lab in enumerate(graph.labels):
-        label_index.setdefault(lab, []).append(v)
     return GraphSnapshot(
         labels=graph.labels,
         out_offsets=out_offsets,
@@ -636,7 +663,7 @@ def compile_snapshot(graph: TemporalGraph) -> GraphSnapshot:
         in_nbrs=in_nbrs,
         in_ts_offsets=in_ts_offsets,
         in_times=in_times,
-        label_index={k: tuple(vs) for k, vs in label_index.items()},
+        label_index=index_labels(graph.labels),
         # The builder holds only labeled edges; the snapshot copies it.
         edge_labels=graph._edge_labels,
         min_time=graph.min_time,

@@ -13,6 +13,7 @@ from collections import Counter
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 
 from ..errors import GraphError
+from .labels import index_labels
 
 __all__ = ["StaticGraph"]
 
@@ -145,10 +146,7 @@ class StaticGraph:
     def vertices_with_label(self, label: Hashable) -> tuple[int, ...]:
         """All vertices carrying *label* (possibly empty)."""
         if self._label_index is None:
-            index: dict[Hashable, list[int]] = {}
-            for v, lab in enumerate(self._labels):
-                index.setdefault(lab, []).append(v)
-            self._label_index = {k: tuple(vs) for k, vs in index.items()}
+            self._label_index = index_labels(self._labels)
         return self._label_index.get(label, ())
 
     def neighbor_label_counts(self, v: int) -> Counter[Hashable]:

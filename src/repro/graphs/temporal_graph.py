@@ -21,6 +21,7 @@ from collections.abc import (
 from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import GraphError
+from .labels import index_labels
 from .static_graph import StaticGraph
 
 if TYPE_CHECKING:
@@ -206,12 +207,16 @@ class TemporalGraph:
         return self._labels
 
     def vertices_with_label(self, label: Hashable) -> tuple[int, ...]:
+        return self._index().get(label, ())
+
+    def distinct_labels(self) -> tuple[Hashable, ...]:
+        """Labels carried by at least one vertex (first-appearance order)."""
+        return tuple(self._index())
+
+    def _index(self) -> dict[Hashable, tuple[int, ...]]:
         if self._label_index is None:
-            index: dict[Hashable, list[int]] = {}
-            for v, lab in enumerate(self._labels):
-                index.setdefault(lab, []).append(v)
-            self._label_index = {k: tuple(vs) for k, vs in index.items()}
-        return self._label_index.get(label, ())
+            self._label_index = index_labels(self._labels)
+        return self._label_index
 
     # ------------------------------------------------------------------
     # adjacency

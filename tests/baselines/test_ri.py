@@ -81,6 +81,37 @@ class TestRIDS:
         assert result.num_matches == 1
         assert result.stats.budget_exhausted
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_domains_equal_label_and_degree_reference(self, seed):
+        # -DS domains: label-pool vertices whose checked degrees dominate
+        # the query vertex's; plain RI keeps the whole label pool.
+        query, tc, graph = random_instance(
+            seed=seed, data_vertices=40, data_edges=160, num_labels=3
+        )
+        data = graph.freeze()
+        for use_domains in (True, False):
+            matcher = RIMatcher(query, tc, data, use_domains=use_domains)
+            matcher.prepare()
+            scanned = pruned = 0
+            for u in query.vertices():
+                pool = data.vertices_with_label(query.label(u))
+                expected = {
+                    v
+                    for v in pool
+                    if not use_domains
+                    or (
+                        data.in_degree(v) >= query.in_degree(u)
+                        and data.out_degree(v) >= query.out_degree(u)
+                    )
+                }
+                assert matcher._domains[u] == expected
+                scanned += len(pool)
+                pruned += len(pool) - len(expected)
+            counters = matcher.prepare_stats.filter("domains")
+            assert (counters.considered, counters.pruned) == (scanned, pruned)
+            if not use_domains:
+                assert pruned == 0
+
     def test_domains_prune_but_preserve(self):
         # RI-DS and RI agree; RI-DS should consider no more candidates.
         query, tc, graph = random_instance(seed=77)

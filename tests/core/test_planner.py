@@ -9,6 +9,8 @@ candidate generators, the order→tables reconstruction against the
 paper's own walks, and end-to-end result equality across plans.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -31,7 +33,7 @@ from repro.core import (
 from repro.core.planner import PlanCosts
 from repro.datasets import random_instance, toy_instance
 from repro.errors import AlgorithmError, QueryError
-from repro.graphs import ensure_snapshot
+from repro.graphs import SegmentedGraph, ensure_snapshot
 
 ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
 
@@ -80,6 +82,19 @@ class TestPlanCosts:
     def test_backends_collect_identical_costs(self):
         _, _, graph, _, _ = toy_instance()
         assert plan_costs(graph) == plan_costs(ensure_snapshot(graph))
+
+    def test_label_sizes_equal_a_full_label_count(self):
+        # plan_costs reads label_sizes off the label index; the result
+        # must equal a count over every vertex label, on every backend.
+        _, _, graph = random_instance(
+            seed=3, data_vertices=60, data_edges=400, num_labels=5
+        )
+        segmented = SegmentedGraph(graph.labels, merge_threshold=50)
+        for edge in graph.edges_by_time():
+            segmented.append(edge.u, edge.v, edge.t)
+        expected = dict(Counter(graph.labels))
+        for view in (graph, ensure_snapshot(graph), segmented):
+            assert plan_costs(view).label_sizes == expected
 
     def test_derived_fractions(self):
         costs = PlanCosts(

@@ -3,7 +3,8 @@
 Random TCSM instances are generated structurally (not from the seeded
 helpers, so hypothesis can shrink) and the key library invariants are
 checked: matcher/oracle agreement, match validity, order-construction
-invariants, and STN-closure neutrality.
+invariants, STN-closure neutrality, and the array-level NLF/LDF filters
+agreeing with their per-pair reference predicates.
 """
 
 import hypothesis.strategies as st
@@ -11,11 +12,16 @@ from hypothesis import given, settings
 
 from repro.core import (
     MatchOptions,
+    SearchStats,
     brute_force_matches,
     build_tcq,
     build_tcq_plus,
     find_matches,
+    initial_edge_candidate_pairs,
+    initial_vertex_candidates,
     is_valid_match,
+    ldf,
+    nlf,
 )
 from repro.graphs import QueryGraph, TemporalConstraints, TemporalGraph
 
@@ -156,3 +162,40 @@ def test_limit_is_prefix_of_full_run(instance, limit):
         options=MatchOptions(limit=limit),
     ).matches
     assert limited == full[: min(limit, len(full))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_array_filters_equal_per_pair_predicates(instance):
+    query, _, graph = instance
+    data = graph.freeze()
+    for count_based in (True, False):
+        stats = SearchStats()
+        got = initial_vertex_candidates(
+            query, data, count_based=count_based, stats=stats
+        )
+        scanned = 0
+        for u in query.vertices():
+            pool = data.vertices_with_label(query.label(u))
+            scanned += len(pool)
+            assert got[u] == {
+                v for v in pool if nlf(query, data, u, v, count_based=count_based)
+            }
+        counters = stats.filter("nlf")
+        assert counters.considered == scanned
+        assert counters.pruned == counters.considered - sum(map(len, got))
+
+    stats = SearchStats()
+    got_pairs = initial_edge_candidate_pairs(query, data, stats=stats)
+    scanned = 0
+    for e, (qu, _) in enumerate(query.edges):
+        pairs = [
+            (du, dv)
+            for du in data.vertices_with_label(query.label(qu))
+            for dv in data.out_neighbor_ids(du)
+        ]
+        scanned += len(pairs)
+        assert got_pairs[e] == {pair for pair in pairs if ldf(query, data, e, *pair)}
+    counters = stats.filter("ldf")
+    assert counters.considered == scanned
+    assert counters.pruned == counters.considered - sum(map(len, got_pairs))

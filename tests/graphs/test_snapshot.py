@@ -13,6 +13,7 @@ from repro.datasets import random_temporal_graph
 from repro.errors import GraphError
 from repro.graphs import (
     GraphSnapshot,
+    SharedSnapshot,
     TemporalGraph,
     compile_snapshot,
     ensure_snapshot,
@@ -350,3 +351,43 @@ class TestPickling:
         # Lazy caches (edge stream, fingerprint, label signatures) are
         # rebuilt on load, never shipped.
         assert warmed == bare
+
+
+@pytest.fixture(params=["compiled", "shared"])
+def planed(request):
+    """A compiled snapshot, or the same graph attached from shared memory."""
+    graph = random_temporal_graph(40, 300, ["A", "B", "C"], seed=11)
+    snapshot = compile_snapshot(graph)
+    if request.param == "compiled":
+        yield snapshot
+        return
+    owner = SharedSnapshot.export(snapshot)
+    attached = SharedSnapshot.attach(owner.name)
+    try:
+        yield attached.snapshot()
+    finally:
+        attached.close()
+        owner.close()
+
+
+class TestCsrPlanes:
+    """The public read-only planes the candidate filters index directly."""
+
+    def test_planes_agree_with_accessors(self, planed):
+        out_offsets = planed.out_offsets
+        in_offsets = planed.in_offsets
+        out_nbrs = planed.out_nbrs
+        n = planed.num_vertices
+        assert len(out_offsets) == len(in_offsets) == n + 1
+        assert len(out_nbrs) == planed.num_static_edges
+        for v in planed.vertices():
+            lo, hi = out_offsets[v], out_offsets[v + 1]
+            assert hi - lo == planed.out_degree(v)
+            assert in_offsets[v + 1] - in_offsets[v] == planed.in_degree(v)
+            assert list(out_nbrs[lo:hi]) == list(planed.out_neighbor_ids(v))
+
+    def test_planes_are_read_only(self, planed):
+        for plane in (planed.out_offsets, planed.in_offsets, planed.out_nbrs):
+            assert plane.readonly
+            with pytest.raises(TypeError):
+                plane[0] = 1

@@ -19,8 +19,12 @@ matcher, one specialized Python enumeration function in which:
 * STN-closure window bounds are inlined as constants and the feasible
   ``[lo, hi]`` slice of each sorted timestamp run is taken by direct
   bisection on the snapshot's memoryview runs;
-* graph accessors, candidate sets and label constants are closed over
-  as entry-function locals, so the hot loop never touches a dict;
+* E2E/EVE positions iterate the candidate-space slot index
+  (:mod:`repro.core.candidate_space`): a slot id reads the neighbour and
+  its timestamp run straight off the snapshot's flat CSR planes, with no
+  non-candidate neighbour scanned and no checked accessor called;
+* planes, slot indexes and label constants are closed over as
+  entry-function locals, so the hot loop never touches a module dict;
 * all ``SearchStats`` counters accumulate in local integers flushed in a
   ``finally`` block — bit-identical totals to the interpreted path, even
   when a satisfied sink raises :class:`StopEnumeration` mid-search.
@@ -30,9 +34,9 @@ limit / top-k / count modes work unchanged, and every counter the
 interpreted matchers maintain is preserved exactly (the equivalence grid
 in ``tests/core/test_codegen_equivalence.py`` pins match multisets *and*
 pruning totals).  Shapes the generator does not support (currently:
-edge-based matching of self-loop query edges, or edgeless queries) fall
-back to the interpreted path silently — ``compile_enumerator`` returns
-``None`` and the matcher keeps its generic loop.
+edgeless V2V queries) fall back to the interpreted path silently —
+``compile_enumerator`` returns ``None`` and the matcher keeps its
+generic loop.
 
 ``compile``/``exec`` of generated source is confined to this module by
 reprolint rule R020.  To inspect what was generated, register a debug
@@ -59,6 +63,7 @@ from typing import TYPE_CHECKING, Any, cast
 
 from ..graphs import TemporalEdge
 
+from .candidate_space import CLOSE, IN, OUT, SEED
 from .match import Match
 from .options import RunContext
 from .partition import partition_slice
@@ -214,61 +219,49 @@ def _vmatch_label_consts(
     return plan
 
 
-def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
+def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
     query = matcher.query
     tcq = matcher.tcq_plus
-    pair_candidates = matcher.pair_candidates
-    assert tcq is not None and pair_candidates is not None
+    space = matcher.candidate_space
+    assert tcq is not None and space is not None
     m = query.num_edges
     n = query.num_vertices
-    if any(qa == qb for qa, qb in query.edges):
-        return None  # self-loop query edges keep the interpreted path
     graph = matcher._view
     window_plan = matcher._window_plan
     edge_labels = query.edge_labels
-    intersect = matcher.intersect_candidates
+    kinds = space.kinds
 
     ns: dict[str, Any] = {
-        "_PART_SLICE": partition_slice,
-        "_LAB": graph.label,
-        "_OUT": graph.out_neighbor_ids,
-        "_IN": graph.in_neighbor_ids,
-        "_TS": graph.timestamps_list,
-        "_TSL": graph.timestamps_with_label,
-        "_NLC": graph.neighbor_label_counts,
+        "_SEEDS": space.seeds,
+        "_ONB": graph.out_nbrs,
+        "_OTOFF": graph.out_ts_offsets,
+        "_OTM": graph.out_times,
+        "_INB": graph.in_nbrs,
+        "_ITOFF": graph.in_ts_offsets,
+        "_ITM": graph.in_times,
+        "_OOFF": graph.out_offsets,
+        "_LTG": graph.label_runs.get,
+        "_SIG": graph.label_signature,
         "_BL": bisect.bisect_left,
         "_BR": bisect.bisect_right,
         "_MONO": time.monotonic,
         "_STOP": StopEnumeration,
         "_MATCH": Match,
         "_TE": TemporalEdge,
+        "_TNEW": tuple.__new__,
         "_NINF": -math.inf,
         "_PINF": math.inf,
         "_FLUSH_FAILS": _flush_fails,
     }
+    for pos, kind in enumerate(kinds):
+        if kind != SEED:
+            ns[f"_SLOTS_{pos}"] = space.slots[pos]
+        elif pos:
+            ns[f"_PAIRS_{pos}"] = space.seeds(pos)
     for e in range(m):
-        ns[f"_PAIRS_{e}"] = pair_candidates[e]
         if edge_labels[e] is not None:
             ns[f"_EL_{e}"] = edge_labels[e]
     vmatch_consts = _vmatch_label_consts(matcher, ns)
-
-    # Static per-position facts: which endpoints the earlier positions
-    # already bound (stack discipline makes this invariant at runtime).
-    bound: set[int] = set()
-    infos: list[tuple[int, int, int, bool, bool]] = []
-    for e in tcq.order:
-        qa, qb = query.edge(e)
-        infos.append((e, qa, qb, qa in bound, qb in bound))
-        bound.add(qa)
-        bound.add(qb)
-
-    # Intersect-off target labels per position (extend branches only).
-    for pos, (e, qa, qb, a_bound, b_bound) in enumerate(infos):
-        if not intersect:
-            if a_bound and not b_bound:
-                ns[f"_QL_{pos}"] = query.label(qb)
-            elif b_bound and not a_bound:
-                ns[f"_QL_{pos}"] = query.label(qa)
 
     w = _Writer()
     w.open("def _enumerate(ctx, sink):")
@@ -285,26 +278,35 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
     w.line("Stop = _STOP")
     w.line("Mk = _MATCH")
     w.line("TE = _TE")
+    # Matches and their edges are named tuples built through
+    # tuple.__new__ directly, skipping their Python-level __new__.
+    w.line("tnew = _TNEW")
     w.line("NINF = _NINF")
     w.line("PINF = _PINF")
     w.line("bl = _BL")
     w.line("br = _BR")
-    w.line("tsl = _TS")
-    w.line("tsw = _TSL")
-    w.line("outn = _OUT")
-    w.line("inn = _IN")
-    if not intersect:
-        w.line("labf = _LAB")
+    # The snapshot's flat planes: slot k names a neighbour (o/inb[k]) and
+    # the run o/itm[o/itoff[k] : o/itoff[k + 1]].
+    w.line("onb = _ONB")
+    w.line("otoff = _OTOFF")
+    w.line("otm = _OTM")
+    if IN in kinds:
+        w.line("inb = _INB")
+        w.line("itoff = _ITOFF")
+        w.line("itm = _ITM")
+    w.line("ooff = _OOFF")
+    if query.has_edge_labels:
+        w.line("ltg = _LTG")
     if matcher.vertex_prematching:
-        w.line("nlc = _NLC")
+        w.line("sig = _SIG")
+    for pos, kind in enumerate(kinds):
+        if kind != SEED:
+            w.line(f"slots{pos} = _SLOTS_{pos}")
+        elif pos:
+            w.line(f"pairs{pos} = _PAIRS_{pos}")
     for e in range(m):
-        w.line(f"pairs{e} = _PAIRS_{e}")
         if edge_labels[e] is not None:
             w.line(f"el{e} = _EL_{e}")
-    if not intersect:
-        for pos in range(m):
-            if f"_QL_{pos}" in ns:
-                w.line(f"ql{pos} = _QL_{pos}")
     for (pos, _), entries in vmatch_consts.items():
         for i, (_, names) in enumerate(entries):
             for k, name in enumerate(names):
@@ -331,17 +333,7 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
     for name in counters:
         w.line(f"{name} = 0")
     w.line(f"fails = [0] * {m + 2}")
-    root_edge = tcq.order[0]
-    w.open("if ctx.partition is not None:")
-    w.line(
-        f"root_seed = _PART_SLICE(pairs{root_edge}, ctx.partition, "
-        "strategy=ctx.partition_strategy, "
-        "label_of=lambda pair: _LAB(pair[0]))"
-    )
-    w.close()
-    w.open("else:")
-    w.line(f"root_seed = pairs{root_edge}")
-    w.close()
+    w.line("root_seed = _SEEDS(0, ctx.partition, ctx.partition_strategy)")
 
     nonlocal_decl = "nonlocal " + ", ".join(counters)
 
@@ -381,16 +373,8 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
             w.close()
         if matcher.vertex_prematching:
             w.line("vm_c += 1")
-            entries = vmatch_consts.get((pos, 0), ())
-            for i, (u, names) in enumerate(entries):
-                if not names:
-                    continue
-                arg = u_expr if u == qa else v_expr
-                w.line(f"nc = nlc({arg})")
-                cond = " or ".join(
-                    f"wl{pos}_{i}_{k} not in nc" for k in range(len(names))
-                )
-                w.open(f"if {cond}:")
+            if vmatch_checked(pos):
+                w.open("if vfail:")
                 w.line("vm_p += 1")
                 w.line(fail)
                 w.line("continue")
@@ -406,13 +390,15 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
             _deadline_check(w)
             w.line("match_n += 1")
             edges = ", ".join(
-                f"TE(vm[{ea}], vm[{eb}], et[{idx}])"
+                f"tnew(TE, (vm[{ea}], vm[{eb}], et[{idx}]))"
                 for idx, (ea, eb) in enumerate(query.edges)
             )
             verts = ", ".join(f"vm[{u}]" for u in range(n))
             trailing = "," if m == 1 else ""
             vtrailing = "," if n == 1 else ""
-            w.line(f"accept(Mk(({edges}{trailing}), ({verts}{vtrailing})))")
+            w.line(
+                f"accept(tnew(Mk, (({edges}{trailing}), ({verts}{vtrailing}))))"
+            )
         else:
             w.line(f"d{pos + 1}()")
         if new_a:
@@ -420,33 +406,78 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
         if new_b:
             w.line(f"used_discard({v_expr})")
 
+    def vmatch_checked(pos: int) -> bool:
+        """Does Vmatch at *pos* test any label?"""
+        return any(names for _, names in vmatch_consts.get((pos, 0), ()))
+
+    def emit_vmatch(pos: int, qa: int, u_expr: str, v_expr: str) -> None:
+        """Vmatch for one candidate pair, hoisted out of its timestamp loop.
+
+        The look-ahead depends on the pair's data vertices only, so it
+        is evaluated once per pair into ``vfail``; every timestamp that
+        reaches it still counts once, so the counters do not change.
+        """
+        first = True
+        for i, (u, names) in enumerate(vmatch_consts.get((pos, 0), ())):
+            if not names:
+                continue
+            if not first:
+                w.open("if not vfail:")
+            arg = u_expr if u == qa else v_expr
+            w.line(f"nc = sig({arg})")
+            cond = " or ".join(
+                f"wl{pos}_{i}_{k} not in nc" for k in range(len(names))
+            )
+            w.line(f"vfail = {cond}")
+            if not first:
+                w.close()
+            first = False
+
     def emit_time_loop(
         pos: int,
         e: int,
+        u: str,
+        v: str,
+        plane: str,
         windowed: bool,
-        src_expr: str,
-        body: Callable[[], None],
+        new_a: bool,
+        new_b: bool,
     ) -> None:
-        """Fetch one pair's run, slice it to the window, loop timestamps."""
-        w.line(f"ts = {src_expr}")
-        if windowed:
-            w.line("i0 = bl(ts, lo)")
-            w.line("i1 = br(ts, hi)")
-            w.line("exp_n += i1 - i0")
-            w.line("skp_n += len(ts) - (i1 - i0)")
-            w.open("for t in ts[i0:i1]:")
+        """Slice slot k's run (or the pair's labeled run) to the window.
+
+        *plane* is ``"o"`` or ``"i"``: which CSR plane slot ``k`` indexes.
+        Labeled query edges take their run from the per-label index.
+        *new_a* / *new_b* say which endpoints this position binds.
+        """
+        if edge_labels[e] is None:
+            times = f"{plane}tm"
+            w.line(f"s0 = {plane}toff[k]")
+            w.line(f"s1 = {plane}toff[k + 1]")
+            start, stop = "s0", "s1"
+            stop_arg = ", s1"
         else:
-            w.line("exp_n += len(ts)")
-            w.open("for t in ts:")
-        body()
+            times = "ts"
+            w.line(f"ts = ltg(({u}, {v}, el{e}), ())")
+            start, stop = "0", "len(ts)"
+            stop_arg = ""
+        qa, qb = query.edge(e)
+        if matcher.vertex_prematching:
+            emit_vmatch(pos, qa, u, v)
+        if windowed:
+            w.line(f"i0 = bl({times}, lo, {start}{stop_arg})")
+            w.line(f"i1 = br({times}, hi, i0{stop_arg})")
+            w.line("exp_n += i1 - i0")
+            w.line(f"skp_n += {stop} - {start} - (i1 - i0)")
+            w.open(f"for t in {times}[i0:i1]:")
+        else:
+            w.line(f"exp_n += {stop} - {start}")
+            w.open(f"for t in {times}[{start}:{stop}]:")
+        emit_candidate_body(pos, e, u, v, new_a and new_b, new_a, new_b, qa, qb)
         w.close()
 
-    def run_expr(e: int, u: str, v: str) -> str:
-        if edge_labels[e] is None:
-            return f"tsl({u}, {v})"
-        return f"tsw({u}, {v}, el{e})"
-
-    for pos, (e, qa, qb, a_bound, b_bound) in enumerate(infos):
+    for pos, e in enumerate(tcq.order):
+        qa, qb = query.edge(e)
+        kind = kinds[pos]
         w.open(f"def d{pos}():")
         w.line(nonlocal_decl)
         _deadline_check(w)
@@ -457,76 +488,35 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
         if windowed:
             _emit_window(w, entries)
             w.open("if lo <= hi:")
-        if a_bound and b_bound:
-            # Closing edge: both endpoints pinned.
+        if kind == OUT:
             w.line(f"da = vm[{qa}]")
-            w.line(f"db = vm[{qb}]")
-            guard = f"if (da, db) in pairs{e}:" if intersect else None
-            if guard is not None:
-                w.open(guard)
-            emit_time_loop(
-                pos,
-                e,
-                windowed,
-                run_expr(e, "da", "db"),
-                lambda pos=pos, e=e, qa=qa, qb=qb: emit_candidate_body(
-                    pos, e, "da", "db", False, False, False, qa, qb
-                ),
-            )
-            if guard is not None:
-                w.close()
-        elif a_bound:
-            w.line(f"da = vm[{qa}]")
-            w.open("for x in outn(da):")
-            if intersect:
-                w.open(f"if (da, x) not in pairs{e}:")
-                w.line("continue")
-                w.close()
-            else:
-                w.open(f"if labf(x) != ql{pos}:")
-                w.line("continue")
-                w.close()
+            w.open(f"for k in slots{pos}[da]:")
+            w.line("x = onb[k]")
             w.open("if x in used:")
             w.line("continue")
             w.close()
-            emit_time_loop(
-                pos,
-                e,
-                windowed,
-                run_expr(e, "da", "x"),
-                lambda pos=pos, e=e, qa=qa, qb=qb: emit_candidate_body(
-                    pos, e, "da", "x", False, False, True, qa, qb
-                ),
-            )
+            emit_time_loop(pos, e, "da", "x", "o", windowed, False, True)
             w.close()
-        elif b_bound:
+        elif kind == IN:
             w.line(f"db = vm[{qb}]")
-            w.open("for x in inn(db):")
-            if intersect:
-                w.open(f"if (x, db) not in pairs{e}:")
-                w.line("continue")
-                w.close()
-            else:
-                w.open(f"if labf(x) != ql{pos}:")
-                w.line("continue")
-                w.close()
+            w.open(f"for k in slots{pos}[db]:")
+            w.line("x = inb[k]")
             w.open("if x in used:")
             w.line("continue")
             w.close()
-            emit_time_loop(
-                pos,
-                e,
-                windowed,
-                run_expr(e, "x", "db"),
-                lambda pos=pos, e=e, qa=qa, qb=qb: emit_candidate_body(
-                    pos, e, "x", "db", False, True, False, qa, qb
-                ),
-            )
+            emit_time_loop(pos, e, "x", "db", "i", windowed, True, False)
+            w.close()
+        elif kind == CLOSE:
+            w.line(f"da = vm[{qa}]")
+            w.line(f"db = vm[{qb}]")
+            w.line(f"k = slots{pos}[da].get(db, -1)")
+            w.open("if k >= 0:")
+            emit_time_loop(pos, e, "da", "db", "o", windowed, False, False)
             w.close()
         else:
             # Seed edge of a (possibly disconnected) component; only the
             # root position honours the partition slice.
-            seed_iter = "root_seed" if pos == 0 else f"pairs{e}"
+            seed_iter = "root_seed" if pos == 0 else f"pairs{pos}"
             w.open(f"for du, dv in {seed_iter}:")
             if pos != 0:
                 # At the root nothing is bound yet: the used-check is a
@@ -534,15 +524,10 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan | None:
                 w.open("if du in used or dv in used:")
                 w.line("continue")
                 w.close()
-            emit_time_loop(
-                pos,
-                e,
-                windowed,
-                run_expr(e, "du", "dv"),
-                lambda pos=pos, e=e, qa=qa, qb=qb: emit_candidate_body(
-                    pos, e, "du", "dv", True, True, True, qa, qb
-                ),
-            )
+            if edge_labels[e] is None:
+                # The seed's out-slot: one bisect of its source's run.
+                w.line("k = bl(onb, dv, ooff[du], ooff[du + 1])")
+            emit_time_loop(pos, e, "du", "dv", "o", windowed, True, True)
             w.close()
         if windowed:
             w.close()

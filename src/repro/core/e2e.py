@@ -8,10 +8,17 @@ the prec's match (Algorithm 4 line 14); endpoint consistency with the
 partial vertex map subsumes the forward-edge (FE) intersection check and
 additionally enforces vertex injectivity, which Definition 4's isomorphism
 semantics require.
+
+Both enumerators (this interpreted DFS and the generated one in
+:mod:`repro.core.codegen`) read the adjacency through one index: LDF's
+candidate pairs as CSR slot ids per matching position
+(:mod:`repro.core.candidate_space`), so a slot names a candidate
+neighbour and its timestamp run on the snapshot's flat planes.
 """
 
 from __future__ import annotations
 
+import bisect
 import time
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from typing import cast
@@ -27,21 +34,16 @@ from ..graphs import (
 )
 from ..obs import NULL_TRACER, TraceSink
 
+from .candidate_space import CLOSE, IN, OUT, CandidateSpace
 from .codegen import CompiledPlan, compile_enumerator
 from .filters import initial_edge_candidate_pairs
 from .match import Match
 from .options import RunContext
-from .partition import partition_slice
 from .planner import plan_costs, validate_plan
 from .sinks import CollectSink, ResultSink, StopEnumeration
 from .stats import SearchStats
 from .tcq_plus import TCQPlus, build_tcq_plus
-from .windows import (
-    WindowBounds,
-    build_edge_window_plan,
-    feasible_window,
-    windowed_times,
-)
+from .windows import WindowBounds, build_edge_window_plan, feasible_window
 
 __all__ = ["E2EMatcher"]
 
@@ -70,8 +72,7 @@ class E2EMatcher:
         function for the concrete (query shape, matching order, window
         plan) via :mod:`repro.core.codegen` and ``run_sink`` dispatches
         to it; match multisets and every ``SearchStats`` counter are
-        pinned bit-identical to the interpreted loop.  Shapes the
-        generator bails on fall back to the interpreted path silently.
+        pinned bit-identical to the interpreted loop.
     """
 
     name = "tcsm-e2e"
@@ -118,6 +119,9 @@ class E2EMatcher:
         #: Per-position window bounds for the kernel (set by ``prepare``).
         self._window_plan: tuple[WindowBounds, ...] = ()
         self.pair_candidates: list[frozenset[tuple[int, int]]] | None = None
+        #: The LDF pairs as CSR slot ids per matching position, the one
+        #: index both enumerators read (set by ``prepare``).
+        self.candidate_space: CandidateSpace | None = None
         self.tcq_plus: TCQPlus | None = None
         #: Filter counters accumulated during ``prepare`` (the engine
         #: merges them into the run stats exactly once per query).
@@ -128,7 +132,7 @@ class E2EMatcher:
     # preparation (Algorithm 4 lines 1-4)
     # ------------------------------------------------------------------
     def prepare(self, tracer: TraceSink | None = None) -> None:
-        """Compute LDF candidates and build the TCQ+ (idempotent)."""
+        """Compute LDF candidates, the TCQ+ and the slot index (idempotent)."""
         if self._prepared:
             return
         tr = tracer if tracer is not None else NULL_TRACER
@@ -150,6 +154,13 @@ class E2EMatcher:
         )
         self._window_plan = build_edge_window_plan(
             self.tcq_plus.order, self.constraints
+        )
+        self.candidate_space = CandidateSpace(
+            self.query,
+            self._view,
+            self.tcq_plus.order,
+            self.pair_candidates,
+            self.intersect_candidates,
         )
         self._vmatch_plan = self._build_vmatch_plan()
         if self.codegen:
@@ -245,33 +256,22 @@ class E2EMatcher:
 
     def _run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
         deadline = ctx.deadline
-        partition = ctx.partition
         search_stats = ctx.stats
         # prepare() populated these; the casts rebind them non-Optional
         # because narrowing does not propagate into the closures below.
         tcq = cast(TCQPlus, self.tcq_plus)
-        pair_candidates = cast(
-            "list[frozenset[tuple[int, int]]]", self.pair_candidates
-        )
+        space = cast(CandidateSpace, self.candidate_space)
         query = self.query
         graph = self._view
         m = query.num_edges
         n = query.num_vertices
-        edge_map: list[TemporalEdge | None] = [None] * m
         vertex_map: list[int | None] = [None] * n
         used: set[int] = set()
         edge_times: list[int | None] = [None] * m
         # Read-only view of edge_times: a constraint is checked only at the
         # position where its later edge binds, so both reads are bound.
         bound_times = cast("list[int]", edge_times)
-        root_pairs: list[tuple[int, int]] | None = None
-        if partition is not None:
-            root_pairs = partition_slice(
-                pair_candidates[tcq.order[0]],
-                partition,
-                strategy=ctx.partition_strategy,
-                label_of=lambda pair: graph.label(pair[0]),
-            )
+        root_seeds = space.seeds(0, ctx.partition, ctx.partition_strategy)
         # Per-filter pruning counters, fetched once so the hot loop only
         # touches ints.  Chained on the same candidate stream, so each
         # filter's ``considered`` equals the previous one's ``survivors``.
@@ -280,11 +280,21 @@ class E2EMatcher:
         vmatch_counters = (
             search_stats.filter("vmatch") if self.vertex_prematching else None
         )
+        signature = graph.label_signature
+        vmatch_plan = self._vmatch_plan
 
-        def vmatch(u: int, v: int, required_labels: frozenset[Hashable]) -> bool:
-            """Vmatch (Algorithm 5 lines 24-28): label look-ahead on BN."""
-            counts = graph.neighbor_label_counts(v)
-            return all(label in counts for label in required_labels)
+        def vmatch(pos: int, qa: int, u: int, v: int) -> bool:
+            """Vmatch (Algorithm 5 lines 24-28): label look-ahead on BN.
+
+            Every query vertex the position binds (``qa`` -> ``u`` or the
+            target -> ``v``) needs a data neighbour for each BN label.
+            """
+            for w, required_labels in vmatch_plan[pos]:
+                counts = signature(u if w == qa else v)
+                for label in required_labels:
+                    if label not in counts:
+                        return False
+            return True
 
         def temporal_ok(pos: int) -> bool:
             for c in tcq.check_at[pos]:
@@ -293,77 +303,82 @@ class E2EMatcher:
                     return False
             return True
 
-        required_labels = query.edge_labels
+        edge_labels = query.edge_labels
+        query_edges = query.edges
+        # Per position: (query edge, its source, its target).
+        steps = [(e, *query_edges[e]) for e in tcq.order]
         window_plan = self._window_plan
+        kinds = space.kinds
+        index = space.slots
+        # The snapshot's flat planes: a slot k names a neighbour and the
+        # run times[toff[k] : toff[k + 1]] (see repro.core.candidate_space).
+        out_offsets = graph.out_offsets
+        out_nbrs = graph.out_nbrs
+        out_plane = (graph.out_ts_offsets, graph.out_times)
+        in_nbrs = graph.in_nbrs
+        in_plane = (graph.in_ts_offsets, graph.in_times)
+        label_run = graph.label_runs.get
+        bl = bisect.bisect_left
+        br = bisect.bisect_right
 
-        def admissible_times(
-            edge_index: int, du: int, dv: int, window: tuple[float, float]
-        ) -> Sequence[int]:
-            required = required_labels[edge_index]
-            if required is None:
-                times = graph.timestamps_list(du, dv)
-            else:
-                times = graph.timestamps_with_label(du, dv, required)
-            return windowed_times(times, window, search_stats)
-
-        def candidate_edges(pos: int) -> Iterator[TemporalEdge]:
-            """Candidates per Algorithm 4 line 14, driven by the vertex map.
+        def candidate_edges(pos: int) -> Iterator[tuple[int, int, int]]:
+            """Candidates per Algorithm 4 line 14, read from the slot index.
 
             The feasible ``[lo, hi]`` interval for this layer's timestamp
             is computed once from the bound edge times (it does not
-            depend on the candidate pair), every run probe is bisected
-            down to it, and a collapsed window short-circuits the layer
-            with zero expansions.
+            depend on the candidate pair), every run is bisected down to
+            it on the flat plane, and a collapsed window short-circuits
+            the layer with zero expansions.
             """
-            edge_index = tcq.order[pos]
             window = feasible_window(window_plan[pos], bound_times)
             if window is None:
                 return
-            qa, qb = query.edge(edge_index)
+            lo, hi = window
+            edge_index, qa, qb = steps[pos]
             da, db = vertex_map[qa], vertex_map[qb]
-            allowed = pair_candidates[edge_index]
-            if da is not None and db is not None:
-                # Closing edge: both endpoints pinned (prec + FE combined).
-                if self.intersect_candidates and (da, db) not in allowed:
-                    return
-                for t in admissible_times(edge_index, da, db, window):
-                    yield TemporalEdge(da, db, t)
-            elif da is not None:
-                target_label = query.label(qb)
-                for x in graph.out_neighbor_ids(da):
-                    if self.intersect_candidates:
-                        if (da, x) not in allowed:
-                            continue
-                    elif graph.label(x) != target_label:
-                        continue
-                    if x in used:
-                        continue
-                    for t in admissible_times(edge_index, da, x, window):
-                        yield TemporalEdge(da, x, t)
-            elif db is not None:
-                source_label = query.label(qa)
-                for x in graph.in_neighbor_ids(db):
-                    if self.intersect_candidates:
-                        if (x, db) not in allowed:
-                            continue
-                    elif graph.label(x) != source_label:
-                        continue
-                    if x in used:
-                        continue
-                    for t in admissible_times(edge_index, x, db, window):
-                        yield TemporalEdge(x, db, t)
+            kind = kinds[pos]
+            # (u, v, slot) triples; the slot indexes ``plane``.
+            slots: Iterable[tuple[int, int, int]]
+            plane = out_plane
+            if kind == OUT:
+                assert da is not None
+                slots = [(da, out_nbrs[k], k) for k in index[pos][da]]
+            elif kind == IN:
+                assert db is not None
+                plane = in_plane
+                slots = [(in_nbrs[k], db, k) for k in index[pos][db]]
+            elif kind == CLOSE:
+                assert da is not None and db is not None
+                k = index[pos][da].get(db, -1)
+                slots = [(da, db, k)] if k >= 0 else []
             else:
                 # Seed edge of a (possibly disconnected) component.  Only
                 # the root (pos 0) may be partitioned; later component
                 # seeds must stay exhaustive or matches would be lost.
-                seed_pairs: Iterable[tuple[int, int]] = allowed
-                if pos == 0 and root_pairs is not None:
-                    seed_pairs = root_pairs
-                for du, dv in seed_pairs:
-                    if du in used or dv in used:
-                        continue
-                    for t in admissible_times(edge_index, du, dv, window):
-                        yield TemporalEdge(du, dv, t)
+                seeds = root_seeds if pos == 0 else space.seeds(pos)
+                slots = (
+                    (du, dv, bl(out_nbrs, dv, out_offsets[du], out_offsets[du + 1]))
+                    for du, dv in seeds
+                )
+            new_a = da is None
+            new_b = db is None
+            toff, times = plane
+            label = edge_labels[edge_index]
+            run: Sequence[int] = times
+            for u, v, k in slots:
+                if (new_a and u in used) or (new_b and v in used):
+                    continue
+                if label is None:
+                    start, stop = toff[k], toff[k + 1]
+                else:
+                    run = label_run((u, v, label), ())
+                    start, stop = 0, len(run)
+                i0 = bl(run, lo, start, stop)
+                i1 = br(run, hi, i0, stop)
+                search_stats.timestamps_expanded += i1 - i0
+                search_stats.timestamps_skipped += stop - start - (i1 - i0)
+                for t in run[i0:i1]:
+                    yield u, v, t
 
         def dfs(pos: int) -> None:
             if deadline is not None and time.monotonic() > deadline:
@@ -372,18 +387,25 @@ class E2EMatcher:
                 raise StopEnumeration
             if pos == m:
                 search_stats.matches += 1
+                bound = cast("list[int]", vertex_map)
                 sink.accept(
                     Match(
-                        cast("tuple[TemporalEdge, ...]", tuple(edge_map)),
-                        cast("tuple[int, ...]", tuple(vertex_map)),
+                        tuple(
+                            [
+                                TemporalEdge(bound[a], bound[b], bound_times[e])
+                                for e, (a, b) in enumerate(query_edges)
+                            ]
+                        ),
+                        tuple(bound),
                     )
                 )
                 return
             search_stats.nodes_expanded += 1
-            edge_index = tcq.order[pos]
-            qa, qb = query.edge(edge_index)
+            edge_index, qa, qb = steps[pos]
+            new_a = vertex_map[qa] is None
+            new_b = vertex_map[qb] is None
             produced = False
-            for cand in candidate_edges(pos):
+            for u, v, t in candidate_edges(pos):
                 if deadline is not None and time.monotonic() > deadline:
                     search_stats.budget_exhausted = True
                     search_stats.deadline_hit = True
@@ -393,47 +415,38 @@ class E2EMatcher:
                 # Injectivity: a newly bound data vertex must be fresh and
                 # the two endpoints of a seed edge must differ.
                 inj_counters.considered += 1
-                new_a = vertex_map[qa] is None
-                new_b = vertex_map[qb] is None
-                if new_a and new_b and cand.u == cand.v:
+                if new_a and new_b and u == v:
                     inj_counters.pruned += 1
                     search_stats.record_fail(pos + 1)
                     continue
-                edge_map[edge_index] = cand
-                edge_times[edge_index] = cand.t
+                edge_times[edge_index] = t
                 temporal_counters.considered += 1
                 if not temporal_ok(pos):
                     temporal_counters.pruned += 1
-                    edge_map[edge_index] = None
                     edge_times[edge_index] = None
                     search_stats.record_fail(pos + 1)
                     continue
                 if vmatch_counters is not None:
                     vmatch_counters.considered += 1
-                    if not all(
-                        vmatch(u, cand.u if u == qa else cand.v, labels)
-                        for u, labels in self._vmatch_plan[pos]
-                    ):
+                    if not vmatch(pos, qa, u, v):
                         vmatch_counters.pruned += 1
-                        edge_map[edge_index] = None
                         edge_times[edge_index] = None
                         search_stats.record_fail(pos + 1)
                         continue
                 if new_a:
-                    vertex_map[qa] = cand.u
-                    used.add(cand.u)
+                    vertex_map[qa] = u
+                    used.add(u)
                 if new_b:
-                    vertex_map[qb] = cand.v
-                    used.add(cand.v)
+                    vertex_map[qb] = v
+                    used.add(v)
                 produced = True
                 dfs(pos + 1)
                 if new_a:
-                    used.discard(cand.u)
+                    used.discard(u)
                     vertex_map[qa] = None
                 if new_b:
-                    used.discard(cand.v)
+                    used.discard(v)
                     vertex_map[qb] = None
-                edge_map[edge_index] = None
                 edge_times[edge_index] = None
             if not produced:
                 search_stats.record_fail(pos + 1)

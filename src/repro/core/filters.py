@@ -101,7 +101,7 @@ def initial_vertex_candidates(
     The result equals :func:`nlf` applied to every scanned vertex.
     Degrees come from the snapshot's CSR offset planes (via
     :func:`degree_candidates`); only a vertex passing them has its label
-    signature read.
+    signature read, unchecked (the vertex came from the label index).
     """
     counters = (stats or SearchStats()).filter("nlf")
     candidates: list[frozenset[int]] = []
@@ -113,7 +113,7 @@ def initial_vertex_candidates(
         for v in degree_candidates(
             data, label, query.in_degree(u), query.out_degree(u)
         ):
-            have = data.neighbor_label_counts(v)
+            have = data.label_signature(v)
             if count_based:
                 for needed_label, count in needed:
                     if have.get(needed_label, 0) < count:

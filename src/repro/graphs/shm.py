@@ -144,9 +144,11 @@ class SharedGraphSnapshot(GraphSnapshot):
         for name in (
             "_out_offsets_mv",
             "_out_nbrs_mv",
+            "_out_ts_offsets_mv",
             "_out_times_mv",
             "_in_offsets_mv",
             "_in_nbrs_mv",
+            "_in_ts_offsets_mv",
             "_in_times_mv",
             "_out_offsets",
             "_out_nbrs",

@@ -38,7 +38,8 @@ import bisect
 import hashlib
 from array import array
 from collections import Counter
-from collections.abc import Hashable, Iterator, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Union
 
 from ..errors import GraphError
@@ -109,9 +110,11 @@ class GraphSnapshot:
         "_in_times",
         "_out_offsets_mv",
         "_out_nbrs_mv",
+        "_out_ts_offsets_mv",
         "_out_times_mv",
         "_in_offsets_mv",
         "_in_nbrs_mv",
+        "_in_ts_offsets_mv",
         "_in_times_mv",
         "_label_index",
         "_edge_labels",
@@ -173,9 +176,11 @@ class GraphSnapshot:
         """(Re)build the zero-copy, read-only memoryviews over the arrays."""
         self._out_offsets_mv = memoryview(self._out_offsets).toreadonly()
         self._out_nbrs_mv = memoryview(self._out_nbrs).toreadonly()
+        self._out_ts_offsets_mv = memoryview(self._out_ts_offsets).toreadonly()
         self._out_times_mv = memoryview(self._out_times).toreadonly()
         self._in_offsets_mv = memoryview(self._in_offsets).toreadonly()
         self._in_nbrs_mv = memoryview(self._in_nbrs).toreadonly()
+        self._in_ts_offsets_mv = memoryview(self._in_ts_offsets).toreadonly()
         self._in_times_mv = memoryview(self._in_times).toreadonly()
 
     # ------------------------------------------------------------------
@@ -558,6 +563,48 @@ class GraphSnapshot:
         """Read-only flat out-neighbour plane, indexed by :attr:`out_offsets`."""
         return self._out_nbrs_mv
 
+    @property
+    def out_ts_offsets(self) -> memoryview:
+        """Read-only run offsets of the out-plane, one per slot plus one.
+
+        Out-slot ``k`` (pair ``(u, out_nbrs[k])``) owns the sorted run
+        ``out_times[out_ts_offsets[k] : out_ts_offsets[k + 1]]``.
+        """
+        return self._out_ts_offsets_mv
+
+    @property
+    def out_times(self) -> memoryview:
+        """Read-only flat timestamp plane of the out-direction."""
+        return self._out_times_mv
+
+    @property
+    def in_nbrs(self) -> memoryview:
+        """Read-only flat in-neighbour plane, indexed by :attr:`in_offsets`."""
+        return self._in_nbrs_mv
+
+    @property
+    def in_ts_offsets(self) -> memoryview:
+        """Read-only run offsets of the in-plane (see :attr:`out_ts_offsets`).
+
+        In-slot ``k`` of vertex ``v`` is pair ``(in_nbrs[k], v)``; its run
+        holds the same timestamps as that pair's out-slot run.
+        """
+        return self._in_ts_offsets_mv
+
+    @property
+    def in_times(self) -> memoryview:
+        """Read-only flat timestamp plane of the in-direction."""
+        return self._in_times_mv
+
+    @property
+    def label_runs(self) -> Mapping[tuple[int, int, Hashable], tuple[Timestamp, ...]]:
+        """Read-only per-label edge index: ``(u, v, label)`` -> sorted run.
+
+        The unchecked twin of :meth:`timestamps_with_label` for hot loops;
+        an absent key means no ``u -> v`` edge carries that label.
+        """
+        return MappingProxyType(self._label_times)
+
     def out_degree(self, v: int) -> int:
         """Distinct out-neighbours of ``v`` (static out-degree)."""
         self._check_vertex(v)
@@ -585,6 +632,15 @@ class GraphSnapshot:
         in :meth:`StaticGraph.neighbor_label_counts`.
         """
         self._check_vertex(v)
+        return self.label_signature(v)
+
+    def label_signature(self, v: int) -> Counter[Hashable]:
+        """:meth:`neighbor_label_counts` without the bounds check.
+
+        For hot loops whose ``v`` is already a vertex id (read from the
+        label index or a CSR plane): the candidate filters and EVE's
+        ``Vmatch``.  Same cached signature object.
+        """
         cached = self._nlc[v]
         if cached is None:
             labels = self._labels

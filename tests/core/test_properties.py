@@ -3,9 +3,13 @@
 Random TCSM instances are generated structurally (not from the seeded
 helpers, so hypothesis can shrink) and the key library invariants are
 checked: matcher/oracle agreement, match validity, order-construction
-invariants, STN-closure neutrality, and the array-level NLF/LDF filters
-agreeing with their per-pair reference predicates.
+invariants, STN-closure neutrality, the array-level NLF/LDF filters
+agreeing with their per-pair reference predicates, and the E2E/EVE
+enumerators over the candidate-space slot index agreeing with the oracle
+and with each other across the configuration matrix.
 """
+
+from collections import Counter
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
@@ -23,7 +27,13 @@ from repro.core import (
     ldf,
     nlf,
 )
-from repro.graphs import QueryGraph, TemporalConstraints, TemporalGraph
+from repro.core.engine import create_matcher
+from repro.graphs import (
+    QueryGraph,
+    SharedSnapshot,
+    TemporalConstraints,
+    TemporalGraph,
+)
 
 LABELS = ("A", "B")
 
@@ -199,3 +209,74 @@ def test_array_filters_equal_per_pair_predicates(instance):
     counters = stats.filter("ldf")
     assert counters.considered == scanned
     assert counters.pruned == counters.considered - sum(map(len, got_pairs))
+
+
+EDGE_LABELS = (None, "x")
+#: Mostly wildcards, so labeled instances still have matches to check.
+QUERY_EDGE_LABELS = (None, None, "x")
+
+
+@st.composite
+def labeled_instances(draw):
+    """An instance whose query and data edges may carry edge labels."""
+    query, constraints, graph = draw(instances())
+    query = QueryGraph(
+        query.labels,
+        query.edges,
+        [draw(st.sampled_from(QUERY_EDGE_LABELS)) for _ in query.edges],
+    )
+    labeled = TemporalGraph(graph.labels)
+    for edge in graph.edges():
+        label = draw(st.sampled_from(EDGE_LABELS))
+        labeled.add_edge(edge.u, edge.v, edge.t, label=label)
+    return query, constraints, labeled
+
+
+@settings(max_examples=100, deadline=None)
+@given(labeled_instances(), st.booleans(), st.integers(1, 3), st.booleans())
+def test_slot_index_enumerators_agree(instance, intersect, parts, shared):
+    """Interpreted and generated E2E/EVE over the slot index.
+
+    Per partition ``(i, parts)`` the two enumerators return the same
+    matches and identical ``SearchStats``/``FilterStats``; the union over
+    the partitions is the brute-force oracle's multiset.  Edge labels,
+    the ``intersect_candidates=False`` ablation and a shared-memory
+    snapshot are drawn too.
+    """
+    query, tc, graph = instance
+    oracle = Counter(brute_force_matches(query, tc, graph))
+    snapshot = graph.freeze()
+    owner = attached = None
+    if shared:
+        owner = SharedSnapshot.export(snapshot)
+        attached = SharedSnapshot.attach(owner.name)
+        snapshot = attached.snapshot()
+    try:
+        for algorithm in ("tcsm-e2e", "tcsm-eve"):
+            union: Counter = Counter()
+            for index in range(parts):
+                interp, compiled = (
+                    find_matches(
+                        query,
+                        tc,
+                        snapshot,
+                        options=MatchOptions(partition=(index, parts)),
+                        matcher=create_matcher(
+                            algorithm,
+                            query,
+                            tc,
+                            snapshot,
+                            intersect_candidates=intersect,
+                            codegen=codegen,
+                        ),
+                    )
+                    for codegen in (False, True)
+                )
+                assert compiled.matches == interp.matches
+                assert compiled.stats == interp.stats
+                union.update(interp.matches)
+            assert union == oracle
+    finally:
+        if attached is not None:
+            attached.close()
+            owner.close()

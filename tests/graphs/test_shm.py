@@ -116,6 +116,24 @@ class TestRefcountedUnlink:
         with pytest.raises(ValueError):
             list(view.out_neighbors(0))
 
+    def test_close_releases_every_plane(self, snapshot):
+        handle = SharedSnapshot.export(snapshot)
+        view = handle.snapshot()
+        planes = [
+            view.out_offsets,
+            view.out_nbrs,
+            view.out_ts_offsets,
+            view.out_times,
+            view.in_offsets,
+            view.in_nbrs,
+            view.in_ts_offsets,
+            view.in_times,
+        ]
+        handle.close()
+        for plane in planes:
+            with pytest.raises(ValueError):
+                plane[0]
+
 
 class TestPickleShipsNames:
     """What crosses the process boundary is a segment *name*, not CSR."""

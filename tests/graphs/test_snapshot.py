@@ -386,8 +386,53 @@ class TestCsrPlanes:
             assert in_offsets[v + 1] - in_offsets[v] == planed.in_degree(v)
             assert list(out_nbrs[lo:hi]) == list(planed.out_neighbor_ids(v))
 
+    def test_timestamp_planes_agree_with_accessors(self, planed):
+        out_offsets = planed.out_offsets
+        in_offsets = planed.in_offsets
+        out_toff = planed.out_ts_offsets
+        in_toff = planed.in_ts_offsets
+        in_nbrs = planed.in_nbrs
+        assert len(out_toff) == len(in_toff) == planed.num_static_edges + 1
+        assert len(planed.out_times) == len(planed.in_times)
+        assert len(planed.out_times) == planed.num_temporal_edges
+        for v in planed.vertices():
+            lo, hi = in_offsets[v], in_offsets[v + 1]
+            assert list(in_nbrs[lo:hi]) == list(planed.in_neighbor_ids(v))
+            for k in range(lo, hi):
+                run = planed.in_times[in_toff[k] : in_toff[k + 1]]
+                assert list(run) == list(planed.timestamps_list(in_nbrs[k], v))
+            for k in range(out_offsets[v], out_offsets[v + 1]):
+                run = planed.out_times[out_toff[k] : out_toff[k + 1]]
+                x = planed.out_nbrs[k]
+                assert list(run) == list(planed.timestamps_list(v, x))
+
     def test_planes_are_read_only(self, planed):
-        for plane in (planed.out_offsets, planed.in_offsets, planed.out_nbrs):
+        for plane in (
+            planed.out_offsets,
+            planed.in_offsets,
+            planed.out_nbrs,
+            planed.out_ts_offsets,
+            planed.out_times,
+            planed.in_nbrs,
+            planed.in_ts_offsets,
+            planed.in_times,
+        ):
             assert plane.readonly
             with pytest.raises(TypeError):
                 plane[0] = 1
+
+    def test_unchecked_reads_agree_with_checked(self, planed):
+        for v in planed.vertices():
+            assert planed.label_signature(v) is planed.neighbor_label_counts(v)
+        runs = planed.label_runs
+        with pytest.raises(TypeError):
+            runs[(0, 1, "x")] = (1,)  # type: ignore[index]
+
+    def test_label_runs_agree_with_accessor(self, snap):
+        runs = snap.label_runs
+        for u in snap.vertices():
+            for v in snap.vertices():
+                for lab in ("wire", "cash", "missing"):
+                    assert tuple(runs.get((u, v, lab), ())) == tuple(
+                        snap.timestamps_with_label(u, v, lab)
+                    )

@@ -23,10 +23,22 @@ Two loops, two numbers:
   ``{"status": "rejected", "shed": true}``) is the overload behaviour,
   and every non-shed request must still complete cleanly.
 
-Runs standalone (``python benchmarks/bench_load.py [--smoke]``, exits
-non-zero on regression, writes ``BENCH_load.json`` for the CI
-perf-trajectory artifact; scale with ``--queries``, up to the million-
-query soak) and under pytest (smoke shape).
+A third number isolates the front door itself: the **door round trip**
+of one request through an :class:`~repro.service.AsyncFrontDoor` over a
+no-op stub service (loop -> service thread -> loop), p50/p95 over
+``DOOR_REQUESTS`` sequential requests.
+
+Runs standalone and under pytest (smoke shape)::
+
+    PYTHONPATH=src python benchmarks/bench_load.py --smoke --out /tmp/load.json
+    PYTHONPATH=src python benchmarks/bench_load.py
+
+It exits non-zero on regression; scale with ``--queries``, up to the
+million-query soak.  The report carries ``environment`` and
+``workload`` blocks and goes to ``--out``; without it, the script
+overwrites the committed ``BENCH_load.json`` record, keeping its
+``parent`` block (the same script's measurement of the commit before
+the front door owned its service threads).
 """
 
 import argparse
@@ -35,6 +47,9 @@ import json
 import random
 import time
 from pathlib import Path
+from typing import Any
+
+from bench_service import _environment
 
 from repro.datasets import random_instance
 from repro.graphs import pattern_to_dict
@@ -83,7 +98,10 @@ OPEN_QUEUE_DEPTH = 4
 #: outruns service capacity rather than fitting into the queues.
 OPEN_QUERIES = 200
 
-OUT_PATH = Path("BENCH_load.json")
+#: Sequential requests timed for the door round trip.
+DOOR_REQUESTS = 5000
+
+RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_load.json"
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -271,6 +289,55 @@ def measure(n_queries: int = N_QUERIES, seed: int = SEED) -> dict[str, float]:
     return asyncio.run(_measure_async(n_queries, seed))
 
 
+class _NoOpService:
+    """The cheapest possible service: the door's own cost is all there is."""
+
+    def submit(self, request: dict[str, Any]) -> dict[str, Any]:
+        return {"op": "ping", "status": "ok"}
+
+
+async def _door_async(requests: int) -> list[float]:
+    latencies: list[float] = []
+    async with AsyncFrontDoor(_NoOpService()) as front:
+        for _ in range(100):  # warm the loop and the service threads
+            await front.submit({"op": "ping"})
+        for _ in range(requests):
+            started = time.perf_counter()
+            await front.submit({"op": "ping"})
+            latencies.append(time.perf_counter() - started)
+    return latencies
+
+
+def measure_door(requests: int = DOOR_REQUESTS) -> dict[str, float]:
+    """Door round trip over a no-op service: one request at a time."""
+    latencies = asyncio.run(_door_async(requests))
+    return {
+        "requests": float(requests),
+        "p50_us": _percentile(latencies, 0.50) * 1e6,
+        "p95_us": _percentile(latencies, 0.95) * 1e6,
+    }
+
+
+def workload(n_queries: int) -> dict[str, Any]:
+    """What the report measured, for the record."""
+    return {
+        "instance": {"seed": SEED, **INSTANCE},
+        "closed_loop": {
+            "queries": n_queries,
+            "clients": CLIENTS,
+            "mix": dict(MIX),
+            "service": {"pool": "thread", "max_workers": 2},
+        },
+        "open_loop": {
+            "overload_factor": OVERLOAD_FACTOR,
+            "calibration_queries": CALIBRATION_QUERIES,
+            "queue_depth": OPEN_QUEUE_DEPTH,
+            "queries": max(OPEN_QUERIES, n_queries // 4),
+        },
+        "door": {"requests": DOOR_REQUESTS, "service": "no-op stub"},
+    }
+
+
 def check(report: dict[str, float]) -> list[str]:
     """Regression messages (empty when the report meets the bars)."""
     failures: list[str] = []
@@ -309,6 +376,11 @@ def test_load_baseline_smoke() -> None:
     assert check(report) == [], check(report)
 
 
+def test_door_round_trip_smoke() -> None:
+    door = measure_door(requests=200)
+    assert 0.0 < door["p50_us"] <= door["p95_us"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -322,6 +394,12 @@ def main() -> int:
         default=None,
         help="closed-loop request count (overrides --smoke; try 1000000 "
         "for the full soak)",
+    )
+    parser.add_argument(
+        "--out",
+        type=Path,
+        default=None,
+        help=f"write the report here (default: overwrite {RECORD_PATH.name})",
     )
     args = parser.parse_args()
     n_queries = args.queries or (N_QUERIES // 10 if args.smoke else N_QUERIES)
@@ -338,11 +416,25 @@ def main() -> int:
     print(f"open loop:       {report['open_issued']:.0f} queries at "
           f"{report['open_offered_qps']:.0f} req/s offered")
     print(f"shed rate:       {report['open_shed_rate']:.1%}")
+    door = measure_door()
+    print(f"door round trip: p50 {door['p50_us']:.1f} us, "
+          f"p95 {door['p95_us']:.1f} us ({door['requests']:.0f} requests)")
     failures = check(report)
     for failure in failures:
         print(f"REGRESSION: {failure}")
-    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUT_PATH}")
+    out = args.out or RECORD_PATH
+    record: dict[str, Any] = {
+        "environment": _environment(),
+        "workload": workload(n_queries),
+        **report,
+        "door": door,
+    }
+    if out.exists():
+        parent = json.loads(out.read_text()).get("parent")
+        if parent is not None:
+            record["parent"] = parent
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {out}")
     return 1 if failures else 0
 
 

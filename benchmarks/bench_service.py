@@ -6,10 +6,11 @@ Measures the two claims the serving subsystem makes (docs/SERVICE.md):
   warm per-query latency must fall below half the cold latency for the
   default algorithm; a result-cache hit skips the search too and must be
   faster still.
-* **Fan-out does not change answers.**  Partitioned execution (thread or
-  process pool) returns exactly the single-worker match multiset; on
-  hosts with >= 2 cores the process pool must also deliver > 1.5x
-  throughput on a search-bound workload.  The speedup assertion is
+* **Fan-out does not change answers.**  Partitioned execution over the
+  process pool returns exactly the single-worker match multiset (a
+  thread-pool query always runs as one partition); on hosts with >= 2
+  cores the process pool must also deliver > 1.5x throughput on a
+  search-bound workload.  The speedup assertion is
   skipped on single-core hosts (the fan-out still runs, the hardware
   just cannot exhibit parallelism).
 * **Process fan-out overhead is small.**  The persistent process pool
@@ -127,9 +128,9 @@ def test_warm_query_throughput(benchmark, cm_graph, workload):
 def test_partitioned_counts_match_single_worker(
     cm_graph, workload, algorithm
 ):
-    """Thread fan-out returns the exact single-worker match multiset."""
+    """Process fan-out returns the exact single-worker match multiset."""
     query, constraints = workload
-    with TCSMService(ServiceConfig(max_workers=4)) as service:
+    with TCSMService(ServiceConfig(max_workers=4, pool="process")) as service:
         service.load_graph("cm", cm_graph)
         solo = service.query(
             "cm", query, constraints, algorithm=algorithm,
@@ -343,34 +344,33 @@ def main() -> int:  # pragma: no cover - manual reporting entry
           f"plan-hit={warm * 1e3:.2f}ms ({warm / cold:.2f}x cold) "
           f"result-hit={hit * 1e3:.2f}ms")
 
-    for pool in ("thread", "process"):
-        workers = min(4, max(2, cores))
-        with TCSMService(
-            ServiceConfig(max_workers=workers, pool=pool)
-        ) as service:
-            service.load_graph("cm", graph)
-            for warm in (1, workers):  # warm the plan; time the search
-                service.query(
-                    "cm", query, constraints, workers=warm,
-                    use_result_cache=False,
-                )
-            solo_start = time.perf_counter()
-            solo = service.query(
-                "cm", query, constraints, workers=1,
+    workers = min(4, max(2, cores))
+    with TCSMService(
+        ServiceConfig(max_workers=workers, pool="process")
+    ) as service:
+        service.load_graph("cm", graph)
+        for warm in (1, workers):  # warm the plan; time the search
+            service.query(
+                "cm", query, constraints, workers=warm,
                 use_result_cache=False,
             )
-            solo_s = time.perf_counter() - solo_start
-            fan_start = time.perf_counter()
-            fanned = service.query(
-                "cm", query, constraints, workers=workers,
-                use_result_cache=False,
-            )
-            fan_s = time.perf_counter() - fan_start
-        assert fanned.match_count == solo.match_count
-        print(f"{pool}-pool x{workers}: solo={solo_s * 1e3:.1f}ms "
-              f"fanned={fan_s * 1e3:.1f}ms "
-              f"speedup={solo_s / fan_s:.2f}x "
-              f"matches={fanned.match_count}")
+        solo_start = time.perf_counter()
+        solo = service.query(
+            "cm", query, constraints, workers=1,
+            use_result_cache=False,
+        )
+        solo_s = time.perf_counter() - solo_start
+        fan_start = time.perf_counter()
+        fanned = service.query(
+            "cm", query, constraints, workers=workers,
+            use_result_cache=False,
+        )
+        fan_s = time.perf_counter() - fan_start
+    assert fanned.match_count == solo.match_count
+    print(f"process-pool x{workers}: solo={solo_s * 1e3:.1f}ms "
+          f"fanned={fan_s * 1e3:.1f}ms "
+          f"speedup={solo_s / fan_s:.2f}x "
+          f"matches={fanned.match_count}")
     return fanout_main()
 
 

@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=PATH",
                        help="preload a SNAP temporal edge list (repeatable)")
     serve.add_argument("--workers", type=int, default=4,
-                       help="worker-pool size / partitions per query")
+                       help="process-pool size / partitions per query "
+                            "(thread-pool queries run as one partition)")
     serve.add_argument("--pool", choices=("thread", "process"),
                        default="thread",
                        help="worker pool flavour (default thread)")
@@ -199,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--time-budget", type=float, default=None,
                         help="per-query wall-clock budget in seconds")
     submit.add_argument("--workers", type=int, default=None,
-                        help="partitions for this query")
+                        help="process-pool partitions for this query")
     submit.add_argument("--partition-strategy", default=None,
                         choices=("stride", "range", "label"),
                         help="candidate partitioning strategy for "

@@ -20,9 +20,12 @@ When active:
   helper reached without its guarding lock — into an immediate error
   at the exact site instead of a silent data race.
 
-Both checks are zero-cost when disabled: the env flag is read per call
-site (not cached) so tests can toggle it, and ``assert_lock_held``
-returns before touching the lock when the sanitizer is off.
+Both checks are zero-cost when disabled: the env flag is never cached,
+so tests can toggle it, and ``assert_lock_held`` returns before touching
+the lock when the sanitizer is off.  Most call sites read the flag per
+call; a hot path reads it once per entry and passes the answer down as
+``enabled`` (``StreamingEngine.ingest`` reads it once per call, not once
+per edge and helper).
 """
 
 from __future__ import annotations
@@ -57,18 +60,23 @@ def sanitize_enabled() -> bool:
 
 
 def assert_lock_held(
-    lock: threading.Lock | threading.RLock, name: str = "lock"
+    lock: threading.Lock | threading.RLock,
+    name: str = "lock",
+    *,
+    enabled: bool | None = None,
 ) -> None:
     """Fail fast if *lock* is not held at a site R013 certifies as guarded.
 
-    No-op unless the sanitizer is enabled.  For ``RLock`` the check is
+    No-op unless the sanitizer is enabled: *enabled* when given (a
+    caller's once-per-entry :func:`sanitize_enabled` reading), else the
+    environment flag read now.  For ``RLock`` the check is
     exact (``_is_owned`` knows the owning thread); for a plain ``Lock``
     Python cannot attribute ownership, so the check degrades to
     "somebody holds it" — still enough to catch the common bug of
     calling a ``*_locked()`` helper from a new code path without the
     ``with self._lock:`` wrapper, since the helper runs unlocked there.
     """
-    if not sanitize_enabled():
+    if not (sanitize_enabled() if enabled is None else enabled):
         return
     owned = getattr(lock, "_is_owned", None)
     held = owned() if callable(owned) else lock.locked()

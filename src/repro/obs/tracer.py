@@ -8,10 +8,11 @@ Design constraints, in order:
    manager.  Span emission sites are phase-granular (prepare, per-filter,
    enumerate, per-partition) — never per-candidate — so even an *enabled*
    tracer costs a handful of span objects per query.
-2. **Thread-correct.**  Partitioned execution runs one query across a
-   worker pool; parent/child nesting is tracked per thread (spans opened
-   on different threads are siblings, never mis-parented), and the
-   finished-span list is appended under a lock.
+2. **Thread-correct.**  Parent/child nesting is tracked per thread
+   (spans opened on different threads are siblings, never
+   mis-parented), and the finished-span list is appended under a lock.
+   Spans recorded in another process (a process-pool partition) are
+   grafted in with :meth:`Tracer.adopt`.
 3. **Exportable.**  Finished spans carry everything the Chrome trace-event
    format needs (name, start, duration, thread, parent, attributes); the
    exporters live in :mod:`repro.obs.export`.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass, field
 from types import TracebackType
 from typing import Any, Protocol, runtime_checkable
@@ -175,7 +176,8 @@ class Tracer:
         self._lock = threading.Lock()
         self._counter = 0
         self._local = threading.local()
-        self._thread_ids: dict[int, int] = {}
+        #: Native thread id (or an adopted lane) -> small export index.
+        self._thread_ids: dict[Hashable, int] = {}
 
     # ------------------------------------------------------------------
     # recording
@@ -220,6 +222,44 @@ class Tracer:
                     attrs=active.attrs,
                 )
             )
+
+    def adopt(
+        self, spans: Sequence[Span], epoch: float, lane: Hashable
+    ) -> None:
+        """Graft *spans* another tracer finished under this thread's
+        innermost open span.
+
+        *epoch* is the other tracer's epoch on this tracer's clock
+        (:func:`time.perf_counter` reads the system-wide monotonic
+        clock, so a worker process's epoch qualifies); *lane* names the
+        thread the spans ran on in exports.  Span ids are renumbered;
+        the other tracer's root spans become children of the open span.
+        """
+        stack = self._stack()
+        parent = stack[-1]._span_id if stack else None
+        shift = epoch - self.epoch
+        with self._lock:
+            thread = self._thread_ids.setdefault(lane, len(self._thread_ids))
+            ids: dict[int, int] = {}
+            for span in spans:
+                ids[span.span_id] = self._counter
+                self._counter += 1
+            for span in spans:
+                self._spans.append(
+                    Span(
+                        span_id=ids[span.span_id],
+                        parent_id=(
+                            parent
+                            if span.parent_id is None
+                            else ids[span.parent_id]
+                        ),
+                        name=span.name,
+                        start=span.start + shift,
+                        end=span.end + shift,
+                        thread=thread,
+                        attrs=span.attrs,
+                    )
+                )
 
     # ------------------------------------------------------------------
     # reading

@@ -1,10 +1,10 @@
 """Asyncio front door: batched admission over a thread-backed service.
 
-:class:`TCSMService` is synchronous by design — queries run on worker
-threads or a process pool, and ``submit()`` blocks until the answer is
-ready.  That shape is wrong for a network-facing deployment where
-thousands of clients multiplex onto one event loop.  The
-:class:`AsyncFrontDoor` bridges the two worlds:
+:class:`TCSMService` is synchronous by design — a query runs on the
+thread that submits it (or fans out over a process pool), and
+``submit()`` blocks until the answer is ready.  That shape is wrong for a
+network-facing deployment where thousands of clients multiplex onto one
+event loop.  The :class:`AsyncFrontDoor` bridges the two worlds:
 
 * **Bounded queues with backpressure.**  Every tenant gets a bounded
   FIFO; when a tenant's queue is full, new requests are *shed*
@@ -16,9 +16,12 @@ thousands of clients multiplex onto one event loop.  The
   one request per visit, so a tenant flooding the door cannot starve a
   light tenant: with two tenants at equal priority each gets every other
   admission slot regardless of queue depths.
-* **Batched admission.**  Each worker drains up to ``max_batch``
-  requests per wakeup and runs them on one ``asyncio.to_thread`` hop,
-  amortising thread handoff over the batch instead of paying it per
+* **Batched thread handoff.**  Each admission worker owns one
+  long-lived service thread.  It drains up to ``max_batch`` requests
+  per wakeup and hands the batch to its thread through a
+  :class:`queue.SimpleQueue`; the thread runs the batch and answers
+  with ``loop.call_soon_threadsafe``.  A request crosses one thread
+  boundary each way, and the handoff is paid per batch, not per
   request.
 
 :func:`serve_stdio_async` is the JSONL wiring (``repro serve --async``):
@@ -32,7 +35,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 from collections import deque
+from queue import SimpleQueue
 from dataclasses import dataclass, field
 from typing import IO, Any
 
@@ -54,9 +59,9 @@ class AsyncFrontConfig:
     ``max_queue_depth`` bounds each tenant's FIFO (beyond it requests
     are shed); ``max_batch`` caps how many requests one worker admits
     per wakeup; ``workers`` is the number of concurrent batch runners
-    (each occupies one thread while a batch executes); ``tenant_field``
-    names the request key carrying the tenant identity — requests
-    without it share the ``"default"`` lane.
+    (each owns one service thread, started by ``start()`` and joined by
+    ``close()``); ``tenant_field`` names the request key carrying the
+    tenant identity — requests without it share the ``"default"`` lane.
     """
 
     max_queue_depth: int = 64
@@ -96,6 +101,8 @@ class FrontDoorStats:
 
 
 _QueueItem = tuple[dict[str, Any], "asyncio.Future[dict[str, Any]]"]
+#: One batch handed to a service thread, and the future it settles.
+_Handoff = tuple[list[_QueueItem], "asyncio.Future[None]"]
 
 
 class AsyncFrontDoor:
@@ -110,7 +117,8 @@ class AsyncFrontDoor:
             response = await front.submit({"op": "ping"})
 
     ``close()`` drains every queued request before returning, so no
-    admitted request is ever dropped on shutdown.
+    admitted request is ever dropped on shutdown, then stops and joins
+    the service threads.
     """
 
     def __init__(
@@ -126,33 +134,59 @@ class AsyncFrontDoor:
         self._ready: deque[str] = deque()
         self._cond: asyncio.Condition | None = None
         self._workers: list[asyncio.Task[None]] = []
+        self._threads: list[threading.Thread] = []
+        self._inboxes: list[SimpleQueue[_Handoff | None]] = []
         self._closing = False
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Spawn the admission workers (idempotent)."""
+        """Spawn the admission workers and their service threads
+        (idempotent)."""
         if self._workers:
             return
         # No workers exist yet, so nothing races this reset.
         self._closing = False  # reprolint: guarded-by(_cond)
         self._cond = asyncio.Condition()
-        self._workers = [
-            asyncio.create_task(self._worker(), name=f"front-door-{i}")
-            for i in range(self.config.workers)
-        ]
+        loop = asyncio.get_running_loop()
+        for i in range(self.config.workers):
+            inbox: SimpleQueue[_Handoff | None] = SimpleQueue()
+            thread = threading.Thread(
+                target=self._serve,
+                args=(inbox, loop),
+                name=f"front-door-{i}",
+                daemon=True,
+            )
+            thread.start()
+            self._threads.append(thread)
+            self._inboxes.append(inbox)
+            self._workers.append(
+                asyncio.create_task(self._worker(inbox), name=f"front-door-{i}")
+            )
 
     async def close(self) -> None:
-        """Drain queued requests, then stop the workers (idempotent)."""
+        """Drain queued requests, then stop the workers and join their
+        service threads (idempotent)."""
         if self._cond is None:
             return
         async with self._cond:
             self._closing = True
             self._cond.notify_all()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
-        self._cond = None
+        try:
+            await asyncio.gather(*self._workers, return_exceptions=True)
+        finally:
+            # Also on a cancelled close: cancelled workers hand over no
+            # more batches, so each thread finishes the batch it holds,
+            # reads the stop marker and exits.
+            for inbox in self._inboxes:
+                inbox.put(None)
+            for thread in self._threads:
+                thread.join()
+            self._workers = []
+            self._threads = []
+            self._inboxes = []
+            self._cond = None
 
     async def __aenter__(self) -> "AsyncFrontDoor":
         await self.start()
@@ -219,8 +253,9 @@ class AsyncFrontDoor:
     # ------------------------------------------------------------------
     # admission workers
     # ------------------------------------------------------------------
-    async def _worker(self) -> None:
+    async def _worker(self, inbox: SimpleQueue[_Handoff | None]) -> None:
         assert self._cond is not None
+        loop = asyncio.get_running_loop()
         while True:
             batch: list[_QueueItem] = []
             async with self._cond:
@@ -238,27 +273,60 @@ class AsyncFrontDoor:
                         self._ready.append(tenant)
                 self.stats.admitted += len(batch)
                 self.stats.batches += 1
-            requests = [request for request, _ in batch]
+            done: asyncio.Future[None] = loop.create_future()
+            inbox.put((batch, done))
             try:
-                responses = await asyncio.to_thread(
-                    self._run_batch, requests
-                )
+                await done
             except BaseException as exc:
                 for _, future in batch:
                     if not future.done():
                         future.set_exception(exc)
                 raise
-            for (_, future), response in zip(batch, responses):
-                self.stats.served += 1
-                if not future.done():
-                    future.set_result(response)
 
-    def _run_batch(
-        self, requests: list[dict[str, Any]]
-    ) -> list[dict[str, Any]]:
-        # Runs on a worker thread: the service's own submit() is
-        # blocking and never raises (it returns error envelopes).
-        return [self.service.submit(request) for request in requests]
+    def _serve(
+        self,
+        inbox: SimpleQueue[_Handoff | None],
+        loop: asyncio.AbstractEventLoop,
+    ) -> None:
+        """Service-thread body: run handed-over batches until stopped.
+
+        The service's own ``submit()`` is blocking and never raises (it
+        returns error envelopes); anything that still escapes fails the
+        batch on the loop.
+        """
+        while (handoff := inbox.get()) is not None:
+            batch, done = handoff
+            outcome: list[dict[str, Any]] | BaseException
+            try:
+                outcome = [self.service.submit(request) for request, _ in batch]
+            except BaseException as exc:
+                outcome = exc
+            try:
+                loop.call_soon_threadsafe(self._finish, batch, done, outcome)
+            except RuntimeError:  # the loop is closed: nobody awaits it
+                return
+
+    def _finish(
+        self,
+        batch: list[_QueueItem],
+        done: asyncio.Future[None],
+        outcome: list[dict[str, Any]] | BaseException,
+    ) -> None:
+        """Settle one batch's futures (runs on the event loop).
+
+        A failed batch fails only ``done``; the worker awaiting it fails
+        the batch's futures.
+        """
+        if isinstance(outcome, BaseException):
+            if not done.done():
+                done.set_exception(outcome)
+            return
+        for (_, future), response in zip(batch, outcome):
+            self.stats.served += 1
+            if not future.done():
+                future.set_result(response)
+        if not done.done():
+            done.set_result(None)
 
 
 async def serve_stdio_async(

@@ -1,39 +1,44 @@
-"""Partitioned parallel query execution over bounded worker pools.
-
-One query fans out as ``count`` partitions of the root candidate space
-(see :mod:`repro.core.partition`); each worker enumerates its slice with
-its own :class:`SearchStats`, and the executor concatenates matches in
-partition order and merges the stats.  Because partitions are disjoint
-and jointly exhaustive (under every partition strategy), the merged
-match multiset is *identical* to a single-worker run — the determinism
-guard in the test suite pins this.
+"""Query execution: one partition in-process, or a partitioned process pool.
 
 Two pool flavours, per the ``concurrent.futures`` split:
 
 ``thread`` (default)
-    Workers share the prepared matcher from the plan cache (per-run state
-    lives inside ``run()``), so fan-out costs nothing extra in memory.
-    Best for short queries and for keeping deadline checks responsive.
+    Every query runs as one partition on the thread that called the
+    service's ``submit`` (the front door's service thread, or the
+    caller's own).  The prepared matcher comes from the plan cache and
+    keeps its per-run state inside ``run()``, so concurrent queries
+    share it safely.  The paper's searches are sequential backtracking,
+    and under the GIL a thread fan-out runs no faster, so the thread
+    pool never partitions: :meth:`QueryExecutor.effective_workers`
+    returns 1.
 
 ``process`` (opt-in)
-    One persistent process pool per executor, started (forked) on the
-    first process query and joined by :meth:`QueryExecutor.close`.
-    Workers sidestep the GIL for CPU-bound searches.  Each task names
-    the graph by its shared-memory segment
+    One query fans out as ``count`` partitions of the root candidate
+    space (see :mod:`repro.core.partition`), one per worker of a
+    persistent process pool, started (forked) on the first process
+    query and joined by :meth:`QueryExecutor.close`.  Each worker
+    enumerates its slice with its own :class:`SearchStats`; the executor
+    concatenates matches in partition order and merges the stats.
+    Because partitions are disjoint and jointly exhaustive (under every
+    partition strategy), the merged match multiset is *identical* to a
+    single-partition run — the determinism guard in the test suite pins
+    this.  Each task names the graph by its shared-memory segment
     (:class:`~repro.graphs.SharedSnapshot`), so workers attach to the one
     graph image — zero buffer copies, zero recompiles — and each worker
     keeps an LRU of prepared (and, with codegen, compiled) matchers
     keyed by the query's plan key, so a repeated plan skips
-    ``prepare()`` in the worker just as the plan cache skips it on the
-    thread path.  Before each task a worker drops the plans and mappings
+    ``prepare()`` in the worker just as the plan cache skips it
+    in-process.  Before each task a worker drops the plans and mappings
     of graphs the parent has since replaced or dropped.  A worker that
     dies mid-query fails that query with
     :class:`~repro.errors.WorkerCrashedError`; the broken pool is
-    discarded and the next process query starts a fresh one.
+    discarded and the next process query starts a fresh one.  A traced
+    query's workers record their partition's spans and ship them back,
+    and the parent grafts them under its ``enumerate`` span.
 
-Each outcome carries per-worker probes (compiles, owned CSR bytes, plan
-cache hits, process ids) so tests and benchmarks can assert the
-compile-once, share-one-image and prepare-once guarantees.
+Each process outcome carries per-worker probes (compiles, owned CSR
+bytes, plan cache hits, process ids) so tests and benchmarks can assert
+the compile-once, share-one-image and prepare-once guarantees.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Hashable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
@@ -74,7 +79,7 @@ from ..graphs.shm import (
     release_inherited_segments,
     retired_attachments,
 )
-from ..obs import NULL_TRACER, TraceSink, sanitize_enabled
+from ..obs import NULL_TRACER, Span, TraceSink, Tracer, sanitize_enabled
 
 __all__ = ["ExecutionOutcome", "ProcessSpec", "QueryExecutor"]
 
@@ -89,7 +94,7 @@ class ExecutionOutcome:
     merged matches are globally sorted ascending by latest edge time.
 
     The ``worker_*`` fields are per-partition probes of process runs
-    (empty for thread runs): how many CSR snapshot compilations the
+    (empty for in-process runs): how many CSR snapshot compilations the
     partition triggered in its worker, how many CSR bytes the worker's
     graph owns privately (0: attached to the shared segment), whether
     the worker's plan cache already held the prepared matcher, and the
@@ -123,7 +128,7 @@ class ProcessSpec:
     ``time_budget`` is the *remaining* per-query budget at fan-out time;
     each worker derives its own deadline from it when it starts its
     partition, so process workers honour the same budget protocol as
-    thread workers.
+    an in-process run.
     """
 
     query: QueryGraph
@@ -151,9 +156,9 @@ def _run_slice(
     """Run *matcher* under *ctx* into a fresh sink built from (*mode*,
     *order_by*, *limit*, *collect*).
 
-    The one run step of every path (inline, thread partition, process
-    worker).  The slice's stats land on ``ctx.stats``; returns its
-    matches and whether the limit shaped them.
+    The one run step of both paths (in-process, process worker).  The
+    slice's stats land on ``ctx.stats``; returns its matches and whether
+    the limit shaped them.
     """
     sink = build_sink(
         mode=mode, order_by=order_by, limit=limit, collect=collect
@@ -231,16 +236,20 @@ class _SliceResult(NamedTuple):
     compiles: int
     #: CSR bytes the worker's graph owns privately (0: shared segment).
     graph_bytes: int
+    #: A traced task's tracer epoch and finished spans (None untraced).
+    trace: tuple[float, tuple[Span, ...]] | None = None
 
 
 def _run_task(
-    spec: ProcessSpec, partition: tuple[int, int] | None
+    spec: ProcessSpec, partition: tuple[int, int] | None, traced: bool = False
 ) -> _SliceResult:
     """Worker entry point: run one partition on the cached plan.
 
     Returns slice-only stats: prepare-time filter counters stay on the
     worker's matcher, and the service merges its own plan's copy once
-    per query, exactly as on the thread path.
+    per query, exactly as for an in-process run.  A *traced* task runs
+    its slice inside a ``partition:<i>/<n>`` span of a worker-local
+    tracer and returns the spans as plain data.
     """
     started = time.monotonic()
     plans = _WORKER_PLANS
@@ -254,6 +263,7 @@ def _run_task(
             f"matcher {matcher.name!r} does not support partitioned "
             "execution"
         )
+    tracer: TraceSink = Tracer() if traced else NULL_TRACER
     ctx = RunContext(
         # Exact top-k needs the full enumeration (see run_matcher).
         limit=None if spec.order_by == "earliest" else spec.limit,
@@ -262,15 +272,21 @@ def _run_task(
         ),
         partition=partition,
         partition_strategy=spec.partition_strategy,
+        tracer=tracer,
     )
-    matches, _ = _run_slice(
-        matcher,
-        ctx,
-        spec.mode,
-        spec.order_by,
-        spec.limit,
-        spec.collect_matches,
-    )
+    index, count = partition or (0, 1)
+    with tracer.span(
+        f"partition:{index}/{count}", algorithm=matcher.name
+    ) as span:
+        matches, _ = _run_slice(
+            matcher,
+            ctx,
+            spec.mode,
+            spec.order_by,
+            spec.limit,
+            spec.collect_matches,
+        )
+        span.annotate(matches=ctx.stats.matches)
     return _SliceResult(
         matches=matches,
         stats=ctx.stats,
@@ -279,6 +295,11 @@ def _run_task(
         plan_hit=hit,
         compiles=snapshot_compile_count() - compile_floor,
         graph_bytes=spec.graph.snapshot().owned_nbytes,
+        trace=(
+            (tracer.epoch, tracer.spans())
+            if isinstance(tracer, Tracer)
+            else None
+        ),
     )
 
 
@@ -323,9 +344,12 @@ def _merge_partitions(
 
 
 class QueryExecutor:
-    """Bounded worker pools that fan queries out across seed partitions.
+    """Runs prepared queries in-process, or fans them out over processes.
 
-    ``worker_plans`` bounds each process worker's plan cache.
+    ``max_workers`` is the number of process-pool workers, and so the
+    most partitions one process query fans out into; thread-pool
+    queries always run as one partition.  ``worker_plans`` bounds each
+    process worker's plan cache.
     """
 
     def __init__(
@@ -340,9 +364,6 @@ class QueryExecutor:
         self.max_workers = max_workers
         self.pool = pool
         self.worker_plans = worker_plans
-        self._threads = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-query"
-        )
         self._processes: ProcessPoolExecutor | None = None
         self._closed = False
         self._processes_lock = threading.Lock()
@@ -353,101 +374,54 @@ class QueryExecutor:
     def effective_workers(
         self, matcher: Matcher, workers: int | None = None
     ) -> int:
-        """Partition count for *matcher*: requested, capped, and clamped
-        to 1 for matchers without partition support (baselines)."""
-        requested = self.max_workers if workers is None else workers
-        count = max(1, min(requested, self.max_workers))
-        if count > 1 and not supports_partition(matcher):
+        """Partition count for *matcher*: requested and capped at
+        ``max_workers`` on the process pool; 1 on the thread pool and
+        for matchers without partition support (baselines)."""
+        if self.pool == "thread" or not supports_partition(matcher):
             return 1
-        return count
+        requested = self.max_workers if workers is None else workers
+        return max(1, min(requested, self.max_workers))
 
     # ------------------------------------------------------------------
-    # thread execution (shared prepared matcher)
+    # in-process execution (shared prepared matcher)
     # ------------------------------------------------------------------
     def run_matcher(
         self,
         matcher: Matcher,
         limit: int | None = None,
         deadline: float | None = None,
-        workers: int | None = None,
         collect_matches: bool = True,
-        partition_strategy: str = "stride",
         order_by: str = "any",
         mode: str = "enumerate",
         tracer: TraceSink | None = None,
     ) -> ExecutionOutcome:
-        """Run *matcher* inline or across the thread pool, merging partitions.
+        """Run *matcher* as one partition on the calling thread.
 
         The matcher must already be prepared (the plan cache guarantees
-        this); per-run state is local to each run, so all partitions
-        share the one matcher object safely.  Every partition enumerates
-        into its own sink built from (*mode*, *order_by*, *limit*) — for
-        ``order_by="earliest"`` that is a per-partition bounded top-k
-        heap whose union merges into the exact global top-k.  When
-        *tracer* is given, each fanned-out slice runs inside a
-        ``partition:<i>/<n>`` span (recorded on its worker thread).
+        this); per-run state is local to each run, so concurrent callers
+        share the one matcher object safely.  The run enumerates into a
+        sink built from (*mode*, *order_by*, *limit*).
         """
-        tr = tracer if tracer is not None else NULL_TRACER
         enqueued = time.perf_counter()
-        count = self.effective_workers(matcher, workers)
         ordered = order_by == "earliest"
-        # Exact top-k needs the full (per-partition) enumeration; a
-        # context limit would stop pull-based matchers at the first k.
-        ctx_limit = None if ordered else limit
-
-        if count == 1:
-            ctx = RunContext(limit=ctx_limit, deadline=deadline, tracer=tr)
-            started = time.perf_counter()
-            matches, truncated = _run_slice(
-                matcher, ctx, mode, order_by, limit, collect_matches
-            )
-            finished = time.perf_counter()
-            return ExecutionOutcome(
-                matches=matches,
-                stats=ctx.stats,
-                partitions=1,
-                queue_seconds=max(0.0, started - enqueued),
-                match_seconds=finished - started,
-                truncated_by_limit=truncated,
-                ordered=ordered,
-            )
-
-        base_ctx = RunContext(
-            limit=ctx_limit,
+        ctx = RunContext(
+            # Exact top-k needs the full enumeration; a context limit
+            # would stop pull-based matchers at the first k.
+            limit=None if ordered else limit,
             deadline=deadline,
-            partition_strategy=partition_strategy,
-            tracer=tr,
+            tracer=tracer if tracer is not None else NULL_TRACER,
         )
-
-        def run_partition(
-            index: int,
-        ) -> tuple[float, tuple[Match, ...], SearchStats]:
-            started = time.perf_counter()
-            ctx = base_ctx.with_partition(index, count)
-            with tr.span(
-                f"partition:{index}/{count}", algorithm=matcher.name
-            ) as span:
-                matches, _ = _run_slice(
-                    matcher, ctx, mode, order_by, limit, collect_matches
-                )
-                span.annotate(matches=ctx.stats.matches)
-            return started, matches, ctx.stats
-
-        futures = [
-            self._threads.submit(run_partition, index) for index in range(count)
-        ]
-        results = [future.result() for future in futures]
+        started = time.perf_counter()
+        matches, truncated = _run_slice(
+            matcher, ctx, mode, order_by, limit, collect_matches
+        )
         finished = time.perf_counter()
-        first_start = min(started for started, _, _ in results)
-        matches_merged, stats_merged, truncated = _merge_partitions(
-            [(part, stats) for _, part, stats in results], limit, order_by
-        )
         return ExecutionOutcome(
-            matches=matches_merged,
-            stats=stats_merged,
-            partitions=count,
-            queue_seconds=max(0.0, first_start - enqueued),
-            match_seconds=finished - first_start,
+            matches=matches,
+            stats=ctx.stats,
+            partitions=1,
+            queue_seconds=max(0.0, started - enqueued),
+            match_seconds=finished - started,
             truncated_by_limit=truncated,
             ordered=ordered,
         )
@@ -456,7 +430,10 @@ class QueryExecutor:
     # process execution (opt-in; one persistent pool)
     # ------------------------------------------------------------------
     def run_process(
-        self, spec: ProcessSpec, workers: int | None = None
+        self,
+        spec: ProcessSpec,
+        workers: int | None = None,
+        tracer: Tracer | None = None,
     ) -> ExecutionOutcome:
         """Run *spec* across the persistent process pool, merging partitions.
 
@@ -464,6 +441,8 @@ class QueryExecutor:
         :meth:`run_matcher`, the outcome's stats cover enumeration only;
         prepare-time filter counters are the caller's to merge once.
         ``queue_seconds`` runs until the first worker starts its task.
+        With *tracer*, each worker records its partition's spans and
+        they are grafted under the calling thread's innermost open span.
 
         Raises :class:`~repro.errors.WorkerCrashedError` when a worker
         dies mid-query; the broken pool is discarded, so the next call
@@ -476,7 +455,10 @@ class QueryExecutor:
         try:
             futures = [
                 pool.submit(
-                    _run_task, spec, (index, count) if count > 1 else None
+                    _run_task,
+                    spec,
+                    (index, count) if count > 1 else None,
+                    tracer is not None,
                 )
                 for index in range(count)
             ]
@@ -488,6 +470,11 @@ class QueryExecutor:
                 "on the next query"
             ) from exc
         finished = time.monotonic()
+        if tracer is not None:
+            for part in parts:
+                if part.trace is not None:
+                    epoch, spans = part.trace
+                    tracer.adopt(spans, epoch, lane=("worker", part.pid))
         first_start = min(part.started for part in parts)
         matches_merged, stats_merged, truncated = _merge_partitions(
             [(part.matches, part.stats) for part in parts],
@@ -533,8 +520,7 @@ class QueryExecutor:
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut both pools down, joining every worker process (idempotent)."""
-        self._threads.shutdown(wait=True)
+        """Shut the process pool down, joining every worker (idempotent)."""
         with self._processes_lock:
             pool, self._processes = self._processes, None
             self._closed = True

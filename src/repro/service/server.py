@@ -1,11 +1,12 @@
 """The TCSM query service: embeddable façade plus a JSONL stdio server.
 
 :class:`TCSMService` ties the subsystem together — graph registry, plan
-cache, result cache, partitioned executor, metrics, admission control —
+cache, result cache, executor, metrics, admission control —
 behind one ``query()`` call.  A query flows::
 
     admit -> resolve graph -> result cache? -> plan cache (prepare once)
-          -> partitioned execution under a deadline -> tag + cache + meter
+          -> execution under a deadline (in-process, or partitioned over
+             the process pool) -> tag + cache + meter
 
 Failures degrade gracefully: deadline expiry returns the partial prefix
 tagged ``timed_out``, a match limit tags ``truncated``, overload is a
@@ -34,6 +35,7 @@ from ..core import (
     find_matches,
     supports_codegen,
 )
+from ..core.partition import check_partition_strategy
 from ..errors import (
     AdmissionError,
     ReproError,
@@ -85,7 +87,12 @@ _UNSET_BUDGET = object()
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Tuning knobs for :class:`TCSMService` (see docs/SERVICE.md)."""
+    """Tuning knobs for :class:`TCSMService` (see docs/SERVICE.md).
+
+    ``max_workers`` is the number of process-pool partitions (and
+    workers); ``pool="thread"`` queries always run as one partition on
+    the thread that submits them.
+    """
 
     max_workers: int = 4
     pool: str = "thread"
@@ -141,7 +148,7 @@ class ServiceResult:
     stats: SearchStats = field(repr=False, default_factory=SearchStats)
     trace_id: str | None = None
     #: Per-partition fan-out probes from process-pool runs (empty for
-    #: thread and inline runs): CSR compiles each worker triggered (0:
+    #: in-process runs): CSR compiles each worker triggered (0:
     #: workers attach), CSR bytes each worker's graph owns privately (0:
     #: attached to the shared-memory segment), and whether each worker's
     #: plan cache already held the prepared matcher.
@@ -440,12 +447,13 @@ class TCSMService:
         ``"cost"``); it is folded into the matcher options, so plan and
         result caches key distinct plans separately.
 
-        ``partition_strategy`` chooses how fan-out carves the root
-        candidates (``"stride"``, ``"range"`` or ``"label"``; see
-        :mod:`repro.core.partition`).  Any strategy returns the same
+        ``partition_strategy`` chooses how process-pool fan-out carves
+        the root candidates (``"stride"``, ``"range"`` or ``"label"``;
+        see :mod:`repro.core.partition`).  Any strategy returns the same
         match multiset, but with a ``limit`` the enumeration order
         decides *which* matches come back, so the result cache keys on
-        it.
+        it.  The thread pool runs one partition, so there it is
+        validated and then keyed as ``"stride"``.
 
         ``codegen=True`` asks for a per-plan *compiled* enumerator
         (:mod:`repro.core.codegen`): the plan cache compiles a
@@ -478,7 +486,11 @@ class TCSMService:
         use_codegen = wants_codegen and supports_codegen(algo)
         if use_codegen:
             options["codegen"] = True
-        strategy = partition_strategy or "stride"
+        strategy = check_partition_strategy(partition_strategy or "stride")
+        if self.config.pool == "thread":
+            # One partition: the strategy carves nothing, so it must not
+            # split the result cache either.
+            strategy = "stride"
         order = (order_by or "any").lower()
         answer_mode = (mode or "enumerate").lower()
         if answer_mode == "count":
@@ -566,13 +578,10 @@ class TCSMService:
                 time.monotonic() + budget if budget is not None else None
             )
             count = self.executor.effective_workers(plan.matcher, workers)
-            # Process workers record no spans (spans cannot cross the
-            # process boundary); the thread pool records partition spans
-            # on the worker threads.
             with tr.span("enumerate", algorithm=algo) as span:
                 # The registry exports a shared segment exactly when the
-                # pool is "process"; a one-partition query runs inline on
-                # the cached plan either way.
+                # pool is "process"; a one-partition query runs on this
+                # thread on the cached plan either way.
                 shared = handle.shared
                 if shared is not None and count > 1:
                     # Workers attach to the segment by name and keep
@@ -599,8 +608,12 @@ class TCSMService:
                             mode=answer_mode,
                             options=options,
                         )
+                        # Traced workers ship their partition spans
+                        # back; they land under this enumerate span.
                         outcome = self.executor.run_process(
-                            spec, workers=count
+                            spec,
+                            workers=count,
+                            tracer=tr if isinstance(tr, Tracer) else None,
                         )
                     finally:
                         shared.close()
@@ -609,9 +622,7 @@ class TCSMService:
                         plan.matcher,
                         limit=limit,
                         deadline=deadline,
-                        workers=count,
                         collect_matches=collect_matches,
-                        partition_strategy=strategy,
                         order_by=order,
                         mode=answer_mode,
                         tracer=tr,

@@ -88,7 +88,7 @@ from ..graphs import (
     TemporalGraph,
     ensure_snapshot,
 )
-from ..obs import NULL_TRACER, TraceSink, assert_lock_held
+from ..obs import NULL_TRACER, TraceSink, assert_lock_held, sanitize_enabled
 from .subscription import (
     Emission,
     Subscription,
@@ -97,6 +97,9 @@ from .subscription import (
 )
 
 __all__ = ["IngestReport", "StreamReplayMatcher", "StreamingEngine"]
+
+#: The engine lock's name in sanitizer errors.
+_LOCK_NAME = "StreamingEngine._lock"
 
 #: An edge to ingest: ``(u, v, t)`` or ``(u, v, t, label)``.
 EdgeInput = Sequence[Any]
@@ -241,7 +244,9 @@ class StreamingEngine:
                     self._graph.tracer = previous
 
     def _ingest_locked(self, edges: Iterable[EdgeInput]) -> IngestReport:
-        assert_lock_held(self._lock, "StreamingEngine._lock")
+        # One sanitizer reading per call; the per-edge helpers reuse it.
+        sanitize = sanitize_enabled()
+        assert_lock_held(self._lock, _LOCK_NAME, enabled=sanitize)
         start = time.perf_counter()
         graph = self._graph
         flushes_before = graph.flush_count
@@ -263,7 +268,7 @@ class StreamingEngine:
                 if self._watermark is None or t > self._watermark:
                     self._watermark = t
                 edge = TemporalEdge(u, v, t)
-                emitted += self._deliver_locked(edge, edge_start)
+                emitted += self._deliver_locked(edge, edge_start, sanitize)
         except GraphError as exc:
             raise GraphError(
                 f"{exc} (edge {total} of the batch; the {new_edges} new "
@@ -273,7 +278,7 @@ class StreamingEngine:
             self._edges_ingested += new_edges
             self._duplicates += duplicates
             if new_edges:
-                self._expire_partials_locked()
+                self._expire_partials_locked(sanitize)
         return IngestReport(
             edges=total,
             new_edges=new_edges,
@@ -285,14 +290,17 @@ class StreamingEngine:
             watermark=self._watermark,
         )
 
-    def _deliver_locked(self, edge: TemporalEdge, edge_start: float) -> int:
+    def _deliver_locked(
+        self, edge: TemporalEdge, edge_start: float, sanitize: bool
+    ) -> int:
         """Run every subscription's delta search for one new edge.
 
         Runs two call levels below ``ingest``'s ``with self._lock:``
         (one past R013's caller analysis); the ``guarded-by`` pragmas
-        assert what :func:`assert_lock_held` checks at runtime.
+        assert what :func:`assert_lock_held` checks at runtime whenever
+        *sanitize* (the ingest call's sanitizer reading) is set.
         """
-        assert_lock_held(self._lock, "StreamingEngine._lock")
+        assert_lock_held(self._lock, _LOCK_NAME, enabled=sanitize)
         graph = self._graph  # reprolint: guarded-by(_lock)
         labels = graph.labels
         key = (labels[edge.u], labels[edge.v])
@@ -315,12 +323,14 @@ class StreamingEngine:
                     for match in _pinned_delta_search(
                         graph, sub, pin, edge, sub.stats, deadline
                     ):
-                        self._emit_locked(sub, match, edge, edge_start)
+                        self._emit_locked(
+                            sub, match, edge, edge_start, sanitize
+                        )
                         found += 1
                 span.annotate(matches=found)
             sub.search_seconds += time.perf_counter() - search_start
             emitted += found
-            self._open_partial_locked(sub, edge)
+            self._open_partial_locked(sub, edge, sanitize)
         return emitted
 
     def _emit_locked(
@@ -329,11 +339,12 @@ class StreamingEngine:
         match: Match,
         edge: TemporalEdge,
         edge_start: float,
+        sanitize: bool,
     ) -> None:
         """Queue one emission; the bounded sink drops the oldest past
         capacity (and counts the drop) so ingest never blocks on a slow
         consumer."""
-        assert_lock_held(self._lock, "StreamingEngine._lock")
+        assert_lock_held(self._lock, _LOCK_NAME, enabled=sanitize)
         latency = time.perf_counter() - edge_start
         sub.queue.accept(
             Emission(
@@ -350,7 +361,7 @@ class StreamingEngine:
         sub.last_latency_seconds = latency
 
     def _open_partial_locked(
-        self, sub: Subscription, edge: TemporalEdge
+        self, sub: Subscription, edge: TemporalEdge, sanitize: bool
     ) -> None:
         """Record the edge's candidacy window in the partial ledger.
 
@@ -359,7 +370,7 @@ class StreamingEngine:
         only grow.  ``partials_live`` then legitimately reads 0 and
         expiry never fires — documented in docs/STREAMING.md.
         """
-        assert_lock_held(self._lock, "StreamingEngine._lock")
+        assert_lock_held(self._lock, _LOCK_NAME, enabled=sanitize)
         if math.isinf(sub.max_span):
             return
         self._partial_tokens += 1
@@ -367,7 +378,7 @@ class StreamingEngine:
             sub.partials, (edge.t + sub.max_span, self._partial_tokens)
         )
 
-    def _expire_partials_locked(self) -> None:
+    def _expire_partials_locked(self, sanitize: bool) -> None:
         """Drop partials whose feasible window the watermark has passed.
 
         Called once per ``ingest`` call, after its last new edge: the
@@ -376,7 +387,7 @@ class StreamingEngine:
         runs two call levels below the ``with self._lock:`` in
         ``ingest`` — hence the pragmas.
         """
-        assert_lock_held(self._lock, "StreamingEngine._lock")
+        assert_lock_held(self._lock, _LOCK_NAME, enabled=sanitize)
         watermark = self._watermark  # reprolint: guarded-by(_lock)
         if watermark is None:
             return

@@ -1,7 +1,11 @@
 """Shared fixtures for the service-subsystem tests."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from repro.core import RunContext
 from repro.datasets import (
     load_dataset,
     paper_constraints,
@@ -10,6 +14,7 @@ from repro.datasets import (
 )
 from repro.graphs import SharedSnapshot
 from repro.service import ProcessSpec
+from repro.service import executor as executor_module
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +49,39 @@ def toy_spec(toy):
         plan_key="toy-eve",
     )
     shared.close()
+
+
+def run_partitions(matcher, count, *, limit=None, deadline=None):
+    """Run *matcher* as *count* core-level partitions and merge them.
+
+    Each slice runs under ``RunContext.with_partition`` through the
+    executor's one run step, and the slices merge exactly as a process
+    pool query's do; returns ``(matches, stats, truncated)``.
+    """
+    base = RunContext(limit=limit, deadline=deadline)
+    parts = []
+    for index in range(count):
+        ctx = base.with_partition(index, count)
+        matches, _ = executor_module._run_slice(
+            matcher, ctx, "enumerate", "any", limit, True
+        )
+        parts.append((matches, ctx.stats))
+    return executor_module._merge_partitions(parts, limit)
+
+
+def tree_free(stats):
+    """*stats* without the fields that describe the matching tree's shape.
+
+    Each partition expands its own root node, and counts it as a failed
+    enumeration when its slice of root candidates yields nothing, so
+    ``nodes_expanded``, ``failed_enumerations``, ``fail_layers`` and
+    ``first_fail_layer`` depend on the partition count; every other
+    counter is partition-invariant.
+    """
+    return replace(
+        stats,
+        nodes_expanded=0,
+        failed_enumerations=0,
+        first_fail_layer=None,
+        fail_layers=Counter(),
+    )

@@ -88,6 +88,99 @@ class TestFairScheduling:
         assert fake.order[-1] == "flood" or "light" not in fake.order[-3:]
 
 
+class Boom(BaseException):
+    """Escapes ``except Exception``, as an interpreter-level error would."""
+
+
+class PoisonService:
+    """Answers every request from its thread; raises Boom on ``bad``."""
+
+    def __init__(self):
+        self.threads = set()
+
+    def submit(self, request):
+        self.threads.add(threading.current_thread().name)
+        if request.get("id") == "bad":
+            raise Boom("poisoned batch")
+        return {"op": "ping", "status": "ok", "id": request.get("id")}
+
+
+class TestServiceThreads:
+    def test_close_joins_every_door_thread(self):
+        fake = PoisonService()
+        config = AsyncFrontConfig(workers=3)
+
+        async def scenario():
+            front = AsyncFrontDoor(fake, config)
+            await front.start()
+            threads = list(front._threads)
+            assert len(threads) == 3
+            assert all(thread.is_alive() for thread in threads)
+            await asyncio.gather(
+                *(front.submit({"op": "ping", "id": i}) for i in range(20))
+            )
+            await front.close()
+            return threads
+
+        threads = asyncio.run(scenario())
+        # Requests ran on the door's own service threads ...
+        assert fake.threads <= {thread.name for thread in threads}
+        # ... and close() joined every one of them.
+        assert not any(thread.is_alive() for thread in threads)
+        assert not any(
+            thread.name.startswith("front-door-")
+            for thread in threading.enumerate()
+        )
+
+    def test_cancelled_close_still_joins_every_door_thread(self):
+        fake = GatedService()
+        config = AsyncFrontConfig(workers=2)
+
+        async def scenario():
+            front = AsyncFrontDoor(fake, config)
+            await front.start()
+            threads = list(front._threads)
+            pending = asyncio.ensure_future(front.submit({"op": "ping"}))
+            await asyncio.sleep(0.05)  # a door thread now holds the batch
+            closing = asyncio.create_task(front.close())
+            await asyncio.sleep(0.05)
+            # Release the batch while the cancelled close is joining.
+            threading.Timer(0.05, fake.gate.set).start()
+            closing.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await closing
+            pending.cancel()
+            return threads
+
+        threads = asyncio.run(scenario())
+        assert not any(thread.is_alive() for thread in threads)
+        assert fake.order == ["default"]
+
+    def test_escaping_base_exception_fails_only_its_batch(self):
+        fake = PoisonService()
+        config = AsyncFrontConfig(max_batch=2, workers=2)
+
+        async def scenario():
+            async with AsyncFrontDoor(fake, config) as front:
+                # Both requests are queued before a worker wakes, so
+                # they form one batch.
+                poisoned = await asyncio.gather(
+                    front.submit({"op": "ping", "id": "bad"}),
+                    front.submit({"op": "ping", "id": "ok"}),
+                    return_exceptions=True,
+                )
+                later = await asyncio.gather(
+                    *(front.submit({"op": "ping", "id": i}) for i in range(4))
+                )
+                return poisoned, later, front.stats_snapshot()
+
+        poisoned, later, stats = asyncio.run(scenario())
+        assert all(isinstance(outcome, Boom) for outcome in poisoned)
+        assert [r["id"] for r in later] == [0, 1, 2, 3]
+        assert all(r["status"] == "ok" for r in later)
+        assert stats["served"] == 4
+
+
 class TestBackpressure:
     def test_queue_full_sheds_with_structured_response(self):
         fake = GatedService()

@@ -89,7 +89,7 @@ class TestPersistentPool:
             result = svc.query("toy", query, tc, workers=2)
             assert svc.executor._processes is None
             assert set(multiprocessing.active_children()) == before
-        assert result.partitions == 2
+        assert result.partitions == 1
 
     def test_close_leaves_no_live_children(self, toy_spec):
         executor = QueryExecutor(max_workers=2, pool="process")

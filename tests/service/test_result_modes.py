@@ -12,6 +12,8 @@ Two families of guarantees ride on the sink refactor:
   enumeration — for every TCSM algorithm, both executor pools, and
   every partition strategy, because per-partition bounded heaps merge
   through one total order (:func:`repro.core.sinks.match_sort_key`).
+  Only the process pool partitions; the thread pool runs one partition
+  whatever strategy is asked for.
 """
 
 import random
@@ -189,24 +191,33 @@ class TestExactTopK:
     def test_thread_pool_topk_is_exact(
         self, dense, reference_topk, algorithm, strategy
     ):
+        """The thread pool runs one partition whatever the strategy: the
+        answer and every counter equal the stride run's."""
         graph, query, constraints = dense
         expected, total = reference_topk
         with TCSMService(ServiceConfig(max_workers=3)) as svc:
             svc.load_graph("dense", graph)
-            result = svc.query(
-                "dense",
-                query,
-                constraints,
-                algorithm=algorithm,
-                limit=TOP_K,
-                order_by="earliest",
-                workers=3,
-                partition_strategy=strategy,
+            result, stride = (
+                svc.query(
+                    "dense",
+                    query,
+                    constraints,
+                    algorithm=algorithm,
+                    limit=TOP_K,
+                    order_by="earliest",
+                    workers=3,
+                    partition_strategy=chosen,
+                    use_result_cache=False,
+                )
+                for chosen in (strategy, "stride")
             )
+        assert result.partitions == 1
         assert list(result.matches) == expected
         assert result.ordered
         assert result.truncated_by_limit  # N > k was selected down
-        assert result.stats.matches == total  # full per-partition sweep
+        assert result.stats.matches == total  # one full sweep
+        assert result.matches == stride.matches
+        assert result.stats == stride.stats
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("algorithm", TCSM_ALGORITHMS)
@@ -214,7 +225,7 @@ class TestExactTopK:
         self, process_service, dense, reference_topk, algorithm, strategy
     ):
         _, query, constraints = dense
-        expected, _ = reference_topk
+        expected, total = reference_topk
         result = process_service.query(
             "dense",
             query,
@@ -226,8 +237,11 @@ class TestExactTopK:
             partition_strategy=strategy,
             use_result_cache=False,
         )
+        assert result.partitions == 3
         assert list(result.matches) == expected
         assert result.ordered
+        assert result.truncated_by_limit
+        assert result.stats.matches == total  # full per-partition sweep
 
     def test_single_worker_topk_matches_fanout(self, dense, reference_topk):
         graph, query, constraints = dense

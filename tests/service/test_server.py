@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import (
     AdmissionError,
+    AlgorithmError,
     UnknownAlgorithmError,
     UnknownGraphError,
 )
@@ -88,16 +89,39 @@ class TestQueryPath:
         assert counted.matches == ()
         assert counted.match_count == full.match_count
 
-    def test_partitioned_query_agrees_with_solo(self, service, workload):
+    def test_partitioned_query_agrees_with_solo(
+        self, service, cm_graph, workload
+    ):
         query, constraints = workload
         solo = service.query(
             "cm", query, constraints, workers=1, use_result_cache=False
         )
-        fanned = service.query(
-            "cm", query, constraints, workers=2, use_result_cache=False
-        )
+        config = ServiceConfig(max_workers=2, pool="process")
+        with TCSMService(config) as process_service:
+            process_service.load_graph("cm", cm_graph)
+            fanned = process_service.query(
+                "cm", query, constraints, workers=2, use_result_cache=False
+            )
         assert fanned.partitions == 2
         assert sorted(fanned.matches) == sorted(solo.matches)
+
+    def test_thread_pool_strategies_share_one_cache_entry(
+        self, service, workload
+    ):
+        query, constraints = workload
+        stride = service.query(
+            "cm", query, constraints, limit=3, partition_strategy="stride"
+        )
+        label = service.query(
+            "cm", query, constraints, limit=3, partition_strategy="label"
+        )
+        assert stride.result_cache == "miss"
+        assert label.result_cache == "hit"
+        assert label.matches == stride.matches
+        with pytest.raises(AlgorithmError, match="partition strategy"):
+            service.query(
+                "cm", query, constraints, partition_strategy="zigzag"
+            )
 
 
 class TestGraphLifecycle:

@@ -2,8 +2,8 @@
 and edge-labeled matching end to end through the serving stack.
 
 The registry compiles one CSR snapshot per ``(graph, version)`` at
-registration; every later stage — plan preparation, partitioned thread
-fan-out, process-pool shipping — consumes that frozen snapshot and never
+registration; every later stage — plan preparation, in-process runs,
+process-pool partitions — consumes that frozen snapshot and never
 triggers a recompile.  The process-wide
 :func:`repro.graphs.snapshot_compile_count` probe pins it.
 """
@@ -101,14 +101,13 @@ class TestEdgeLabeledServicePath:
         with TCSMService(ServiceConfig(max_workers=3)) as svc:
             svc.load_graph("ledger", graph)
             solo = svc.query("ledger", query, constraints, workers=1)
-            fanned = svc.query(
-                "ledger",
-                query,
-                constraints,
-                workers=3,
-                use_result_cache=False,
-            )
+        # Only the process pool partitions a query.
+        config = ServiceConfig(max_workers=3, pool="process")
+        with TCSMService(config) as svc:
+            svc.load_graph("ledger", graph)
+            fanned = svc.query("ledger", query, constraints, workers=3)
         assert solo.matches == tuple(reference.matches)
+        assert fanned.partitions == 3
         assert sorted(fanned.matches) == sorted(reference.matches)
 
     def test_labels_constrain_matches_through_service(self, labeled_workload):
@@ -122,10 +121,12 @@ class TestEdgeLabeledServicePath:
 
     def test_result_cache_hit_after_partitioned_run(self, labeled_workload):
         query, constraints, graph = labeled_workload
-        with TCSMService(ServiceConfig(max_workers=2)) as svc:
+        config = ServiceConfig(max_workers=2, pool="process")
+        with TCSMService(config) as svc:
             svc.load_graph("ledger", graph)
             cold = svc.query("ledger", query, constraints, workers=2)
             warm = svc.query("ledger", query, constraints, workers=2)
+        assert cold.partitions == 2
         assert cold.result_cache == "miss"
         assert warm.result_cache == "hit"
         assert warm.matches == cold.matches

@@ -94,20 +94,33 @@ class TestTracedQueries:
         json.dumps(payload)  # the whole payload is JSONL-safe
 
     def test_fanned_out_traced_query_records_partition_spans(
-        self, service, workload
+        self, cm_graph, workload
     ):
+        # Process workers record their partition's spans and ship them
+        # back; the service grafts them under its enumerate span.
         query, constraints = workload
-        result = service.query(
-            "cm", query, constraints, workers=2, trace=True
-        )
-        payload = service.traces.get(result.trace_id)
+        config = ServiceConfig(max_workers=2, pool="process")
+        with TCSMService(config) as svc:
+            svc.load_graph("cm", cm_graph)
+            result = svc.query("cm", query, constraints, workers=2, trace=True)
+            payload = svc.traces.get(result.trace_id)
+        events = payload["chrome"]["traceEvents"]
+        (enumerate_event,) = [e for e in events if e["name"] == "enumerate"]
         partition_events = [
-            e for e in payload["chrome"]["traceEvents"]
-            if e["name"].startswith("partition:")
+            e for e in events if e["name"].startswith("partition:")
         ]
         assert {e["name"] for e in partition_events} == {
             "partition:0/2", "partition:1/2"
         }
+        for event in partition_events:
+            assert event["args"]["parent_id"] == (
+                enumerate_event["args"]["span_id"]
+            )
+            assert event["args"]["algorithm"] == "tcsm-eve"
+        assert result.match_count > 0
+        assert sum(e["args"]["matches"] for e in partition_events) == (
+            result.match_count
+        )
 
     def test_traced_queries_bypass_the_result_cache(self, service, workload):
         query, constraints = workload

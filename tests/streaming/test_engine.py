@@ -7,14 +7,16 @@ backpressure, partial expiry, no-replay — checkable by eye.
 """
 
 import random
+import sys
 
 import pytest
 
 from repro.datasets import random_temporal_graph
 from repro.errors import GraphError, StreamingError, UnknownSubscriptionError
 from repro.graphs import QueryGraph, SegmentedGraph, TemporalConstraints
-from repro.obs import Tracer
+from repro.obs import SanitizerError, Tracer
 from repro.streaming import StreamingEngine, SubscriptionOptions
+from repro.streaming import engine as engine_module
 
 #: q0: A->B, q1: B->C with 0 <= t1 - t0 <= 10.
 QUERY = QueryGraph(["A", "B", "C"], [(0, 1), (1, 2)])
@@ -333,3 +335,59 @@ def test_batch_size_does_not_change_observable_state(seed):
     assert one_engine.graph.freeze().fingerprint == (
         wide_engine.graph.freeze().fingerprint
     )
+
+
+class TestSanitizerReading:
+    """``ingest`` reads ``REPRO_SANITIZE`` once per call, and every
+    per-edge helper asserts the lock whenever that reading is on."""
+
+    HELPERS = {
+        "_ingest_locked",
+        "_deliver_locked",
+        "_emit_locked",
+        "_open_partial_locked",
+        "_expire_partials_locked",
+    }
+
+    def test_toggle_between_ingest_calls(self, monkeypatch):
+        reads = []
+        checks = []
+        real_read = engine_module.sanitize_enabled
+        real_check = engine_module.assert_lock_held
+
+        def counting_read():
+            reads.append(1)
+            return real_read()
+
+        def recording_check(lock, name="lock", *, enabled=None):
+            checks.append((sys._getframe(1).f_code.co_name, enabled))
+            real_check(lock, name, enabled=enabled)
+
+        monkeypatch.setattr(engine_module, "sanitize_enabled", counting_read)
+        monkeypatch.setattr(engine_module, "assert_lock_held", recording_check)
+        engine = make_engine()
+        engine.subscribe(QUERY, CONSTRAINTS, sub_id="s")
+
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        engine.ingest([(0, 1, 5), (3, 1, 6)])
+        assert len(reads) == 1
+        assert checks and all(enabled is False for _, enabled in checks)
+
+        reads.clear()
+        checks.clear()
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        report = engine.ingest([(1, 2, 8), (4, 5, 9)])
+        assert report.emitted == 2
+        assert len(reads) == 1
+        assert all(enabled is True for _, enabled in checks)
+        assert {helper for helper, _ in checks} == self.HELPERS
+        # Per edge and helper: two edges, two emissions, one sweep.
+        assert len(checks) == 1 + 2 + 2 + 2 + 1
+
+    def test_enabled_reading_catches_an_unheld_lock(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        engine = make_engine()
+        engine.subscribe(QUERY, CONSTRAINTS, sub_id="s")
+        with pytest.raises(SanitizerError, match="StreamingEngine._lock"):
+            engine._expire_partials_locked(True)
+        engine._expire_partials_locked(False)  # reading off: no check

@@ -201,10 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-query wall-clock budget in seconds")
     submit.add_argument("--workers", type=int, default=None,
                         help="process-pool partitions for this query")
-    submit.add_argument("--partition-strategy", default=None,
-                        choices=("stride", "range", "label"),
-                        help="candidate partitioning strategy for "
-                             "fan-out (query op)")
     submit.add_argument("--order-by", default=None,
                         choices=("any", "earliest"),
                         help="result order: 'earliest' returns the exact "
@@ -503,8 +499,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             request["time_budget"] = args.time_budget
         if args.workers is not None:
             request["workers"] = args.workers
-        if args.partition_strategy is not None:
-            request["partition_strategy"] = args.partition_strategy
         if args.order_by is not None:
             request["order_by"] = args.order_by
         if args.mode is not None:

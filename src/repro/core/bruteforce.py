@@ -133,10 +133,7 @@ class BruteForceMatcher:
         root_candidates: list[int] | None = None
         if partition is not None and n > 0:
             root_candidates = partition_slice(
-                graph.vertices_with_label(query.label(0)),
-                partition,
-                strategy=ctx.partition_strategy,
-                label_of=graph.label,
+                graph.vertices_with_label(query.label(0)), partition
             )
 
         def dfs(u: int) -> None:

@@ -125,7 +125,7 @@ class CandidateSpace:
     a closing position a target -> slot dict).  See the module docstring.
     """
 
-    __slots__ = ("kinds", "slots", "_pairs", "_labels")
+    __slots__ = ("kinds", "slots", "_pairs")
 
     def __init__(
         self,
@@ -168,13 +168,9 @@ class CandidateSpace:
         self.kinds: tuple[str, ...] = tuple(kinds)
         self.slots = tuple(slots)
         self._pairs = [pair_candidates[e] for e in order]
-        self._labels = graph.labels
 
     def seeds(
-        self,
-        pos: int,
-        partition: tuple[int, int] | None = None,
-        strategy: str = "stride",
+        self, pos: int, partition: tuple[int, int] | None = None
     ) -> Iterable[Pair]:
         """Candidate pairs of seed position *pos*, in LDF's set order.
 
@@ -185,7 +181,4 @@ class CandidateSpace:
         pairs = self._pairs[pos]
         if partition is None:
             return pairs
-        labels = self._labels
-        return partition_slice(
-            pairs, partition, strategy=strategy, label_of=lambda pair: labels[pair[0]]
-        )
+        return partition_slice(pairs, partition)

@@ -333,7 +333,7 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
     for name in counters:
         w.line(f"{name} = 0")
     w.line(f"fails = [0] * {m + 2}")
-    w.line("root_seed = _SEEDS(0, ctx.partition, ctx.partition_strategy)")
+    w.line("root_seed = _SEEDS(0, ctx.partition)")
 
     nonlocal_decl = "nonlocal " + ", ".join(counters)
 
@@ -668,10 +668,7 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line(f"fails = [0] * {n + 2}")
     root_vertex = tcq.order[0]
     w.open("if ctx.partition is not None:")
-    w.line(
-        f"root_seed = _PART_SLICE(cands{root_vertex}, ctx.partition, "
-        "strategy=ctx.partition_strategy, label_of=labf)"
-    )
+    w.line(f"root_seed = _PART_SLICE(cands{root_vertex}, ctx.partition)")
     w.close()
     w.open("else:")
     w.line(f"root_seed = cands{root_vertex}")

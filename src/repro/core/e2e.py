@@ -271,7 +271,7 @@ class E2EMatcher:
         # Read-only view of edge_times: a constraint is checked only at the
         # position where its later edge binds, so both reads are bound.
         bound_times = cast("list[int]", edge_times)
-        root_seeds = space.seeds(0, ctx.partition, ctx.partition_strategy)
+        root_seeds = space.seeds(0, ctx.partition)
         # Per-filter pruning counters, fetched once so the hot loop only
         # touches ints.  Chained on the same candidate stream, so each
         # filter's ``considered`` equals the previous one's ``survivors``.

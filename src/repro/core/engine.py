@@ -325,7 +325,6 @@ def find_matches(
         limit=ctx_limit,
         deadline=deadline,
         partition=opts.partition,
-        partition_strategy=opts.partition_strategy,
         stats=stats,
         tracer=tr,
     )

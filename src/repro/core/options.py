@@ -24,7 +24,7 @@ from typing import Any
 
 from ..errors import AlgorithmError
 from ..obs import NULL_TRACER, TraceSink
-from .partition import check_partition_strategy
+from .partition import check_partition
 from .planner import validate_plan
 from .stats import SearchStats
 
@@ -47,13 +47,8 @@ class MatchOptions:
         When False, matches are counted but not retained.
     partition:
         ``(index, count)`` seed partition restricting the search to one
-        deterministic slice of the root candidates.
-    partition_strategy:
-        How the root candidates are carved into partitions: ``"stride"``
-        (default, round-robin over the id order), ``"range"``
-        (contiguous vertex-id shards) or ``"label"`` (shards grouped by
-        root label).  See :mod:`repro.core.partition`; every strategy
-        preserves the exact-multiset merge guarantee.
+        deterministic slice of the root candidates (see
+        :mod:`repro.core.partition`).
     plan:
         Matching-order planning mode for the TCSM matchers: ``"paper"``
         (default) keeps the paper's structural orders, ``"cost"`` lets
@@ -96,7 +91,6 @@ class MatchOptions:
     tighten: bool = False
     collect_matches: bool = True
     partition: tuple[int, int] | None = None
-    partition_strategy: str = "stride"
     plan: str = "paper"
     trace: bool = False
     sanitize: bool = False
@@ -117,14 +111,8 @@ class MatchOptions:
                 f"not {self.mode!r}"
             )
         validate_plan(self.plan)
-        check_partition_strategy(self.partition_strategy)
         if self.partition is not None:
-            index, count = self.partition
-            if count < 1 or not 0 <= index < count:
-                raise AlgorithmError(
-                    f"partition must satisfy 0 <= index < count, "
-                    f"not {self.partition}"
-                )
+            check_partition(self.partition)
 
     def canonical_hash(self) -> str:
         """Stable hex digest of the *result-shaping* fields.
@@ -155,7 +143,6 @@ class MatchOptions:
                 "partition": (
                     None if self.partition is None else list(self.partition)
                 ),
-                "partition_strategy": self.partition_strategy,
                 "plan": self.plan,
                 "order_by": self.order_by,
                 "mode": self.mode,
@@ -182,16 +169,11 @@ class RunContext:
     limit: int | None = None
     deadline: float | None = None
     partition: tuple[int, int] | None = None
-    partition_strategy: str = "stride"
     stats: SearchStats = field(default_factory=SearchStats)
     tracer: TraceSink = NULL_TRACER
 
     def with_partition(self, index: int, count: int) -> "RunContext":
-        """This context re-aimed at one partition slice, with fresh stats.
-
-        The partition *strategy* is preserved, so the executor's fan-out
-        derives all slices from one consistently-carved candidate order.
-        """
+        """This context re-aimed at one partition slice, with fresh stats."""
         return replace(
             self, partition=(index, count), stats=SearchStats()
         )

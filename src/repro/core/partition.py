@@ -2,31 +2,14 @@
 
 A *partition* ``(index, count)`` restricts a matcher to one deterministic
 slice of the search tree's root candidates — the candidate set of the
-first TCQ/TCQ+ position only.  Because every match binds the root to
-exactly one candidate, the match sets of the ``count`` partitions are
-pairwise disjoint and their union is exactly the unpartitioned match
-set; this is what lets the service layer fan one query out across a
-worker pool and merge results without deduplication.
-
-Three *strategies* decide which candidates a partition owns, all with
-the same disjoint-and-exhaustive guarantee (each is a chunking of one
-fixed total order over the candidates):
-
-``"stride"`` (default)
-    ``sorted(candidates)[index::count]`` — round-robin over the
-    id-sorted candidates, spreading dense id regions evenly.  This is
-    the original root-candidate slicing.
-``"range"``
-    Contiguous id ranges: partition ``i`` owns the ``i``-th of ``count``
-    equal chunks of the id-sorted candidates.  Turns partitions into
-    *vertex-range data shards* — each worker's probes concentrate on one
-    contiguous region of the CSR arrays, which is the cache- and
-    page-locality-friendly choice for shared-memory fan-out.
-``"label"``
-    Contiguous chunks of the candidates sorted by ``(label, id)`` via
-    the caller-supplied ``label_of`` key.  Groups same-labelled roots
-    into the same shard (falls back to ``"range"`` ordering when no
-    ``label_of`` is available).
+first TCQ/TCQ+ position only.  Partition ``index`` owns
+``sorted(candidates)[index::count]``: a round-robin over the id-sorted
+candidates, which spreads dense id regions evenly across the slices.
+Because every match binds the root to exactly one candidate, the match
+sets of the ``count`` partitions are pairwise disjoint and their union
+is exactly the unpartitioned match set; this is what lets the service
+layer fan one query out across a worker pool and merge results without
+deduplication.
 
 Only the root position may be partitioned: restricting a *later* seed
 (e.g. the seed of a second connected component) would cross-product the
@@ -35,36 +18,30 @@ restrictions and lose matches.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Iterable
 from typing import TypeVar
 
 from ..errors import AlgorithmError
 
-__all__ = [
-    "PARTITION_STRATEGIES",
-    "check_partition",
-    "check_partition_strategy",
-    "partition_slice",
-]
+__all__ = ["check_partition", "partition_slice"]
 
 _OrderedT = TypeVar("_OrderedT", int, "tuple[int, int]")
 
-#: Recognised values for the ``partition_strategy`` knob.
-PARTITION_STRATEGIES: tuple[str, ...] = ("stride", "range", "label")
 
-
-def check_partition(partition: tuple[int, int]) -> tuple[int, int]:
+def check_partition(partition: object) -> tuple[int, int]:
     """Validate a ``(index, count)`` partition; returns it normalised.
 
     Raises :class:`AlgorithmError` on a malformed partition so a bad
     service request fails loudly instead of silently dropping matches.
     """
-    try:
-        index, count = partition
-    except (TypeError, ValueError):
-        raise AlgorithmError(
-            f"partition must be an (index, count) pair, got {partition!r}"
-        ) from None
+    match partition:
+        case (int() as index, int() as count):
+            pass
+        case _:
+            raise AlgorithmError(
+                "partition must be an (index, count) pair of ints, "
+                f"got {partition!r}"
+            )
     if count < 1 or not 0 <= index < count:
         raise AlgorithmError(
             f"partition index {index} out of range for count {count}"
@@ -72,44 +49,15 @@ def check_partition(partition: tuple[int, int]) -> tuple[int, int]:
     return index, count
 
 
-def check_partition_strategy(strategy: str) -> str:
-    """Validate a partition strategy name; returns it unchanged."""
-    if strategy not in PARTITION_STRATEGIES:
-        known = ", ".join(PARTITION_STRATEGIES)
-        raise AlgorithmError(
-            f"unknown partition strategy {strategy!r}; available: {known}"
-        )
-    return strategy
-
-
-def _chunk(ordered: list[_OrderedT], index: int, count: int) -> list[_OrderedT]:
-    """The *index*-th of *count* contiguous, balanced chunks of *ordered*."""
-    n = len(ordered)
-    return ordered[index * n // count : (index + 1) * n // count]
-
-
 def partition_slice(
-    candidates: Iterable[_OrderedT],
-    partition: tuple[int, int],
-    strategy: str = "stride",
-    label_of: Callable[[_OrderedT], Hashable] | None = None,
+    candidates: Iterable[_OrderedT], partition: tuple[int, int]
 ) -> list[_OrderedT]:
     """Deterministic slice of *candidates* owned by *partition*.
 
-    Candidates are totally ordered first (by id, or by ``(label, id)``
-    for the ``"label"`` strategy) so the assignment is independent of
-    set iteration order; see the module docstring for how each strategy
-    carves that order up.  All strategies yield pairwise-disjoint,
-    jointly-exhaustive slices — the exact-multiset merge invariant the
-    executor relies on holds for every strategy.
+    Candidates are id-sorted first so the assignment is independent of
+    set iteration order; the slices of one ``count`` are pairwise
+    disjoint and jointly exhaustive — the exact-multiset merge
+    invariant the executor relies on.
     """
     index, count = check_partition(partition)
-    check_partition_strategy(strategy)
-    if strategy == "stride":
-        return sorted(candidates)[index::count]
-    if strategy == "label" and label_of is not None:
-        # repr() keys keep arbitrary Hashable labels mutually comparable;
-        # the id tie-break makes the order (and thus the shards) total.
-        keyed = sorted(candidates, key=lambda c: (repr(label_of(c)), c))
-        return _chunk(keyed, index, count)
-    return _chunk(sorted(candidates), index, count)
+    return sorted(candidates)[index::count]

@@ -69,7 +69,7 @@ def match_sort_key(match: Match) -> SortKey:
     The remaining components (full timestamp vector, vertex embedding,
     edge tuple) break ties totally, so the top-k of any partitioned
     union is a deterministic multiset identical to the top-k of the
-    full enumeration regardless of partition strategy or executor.
+    full enumeration regardless of partitioning or executor.
     """
     return (
         max(edge.t for edge in match.edge_map),

@@ -262,12 +262,7 @@ class V2VMatcher:
         used: set[int] = set()
         root_candidates: list[int] | None = None
         if partition is not None:
-            root_candidates = partition_slice(
-                candidates[tcq.order[0]],
-                partition,
-                strategy=ctx.partition_strategy,
-                label_of=graph.label,
-            )
+            root_candidates = partition_slice(candidates[tcq.order[0]], partition)
         # Per-filter pruning counters, fetched once so the hot loop only
         # touches ints.  Chained on the same candidate stream, so each
         # filter's ``considered`` equals the previous one's ``survivors``.

@@ -19,10 +19,10 @@ Two pool flavours, per the ``concurrent.futures`` split:
     query and joined by :meth:`QueryExecutor.close`.  Each worker
     enumerates its slice with its own :class:`SearchStats`; the executor
     concatenates matches in partition order and merges the stats.
-    Because partitions are disjoint and jointly exhaustive (under every
-    partition strategy), the merged match multiset is *identical* to a
-    single-partition run — the determinism guard in the test suite pins
-    this.  Each task names the graph by its shared-memory segment
+    Because partitions are disjoint and jointly exhaustive, the merged
+    match multiset is *identical* to a single-partition run — the
+    determinism guard in the test suite pins this.  Each task names the
+    graph by its shared-memory segment
     (:class:`~repro.graphs.SharedSnapshot`), so workers attach to the one
     graph image — zero buffer copies, zero recompiles — and each worker
     keeps an LRU of prepared (and, with codegen, compiled) matchers
@@ -139,7 +139,6 @@ class ProcessSpec:
     limit: int | None = None
     time_budget: float | None = None
     collect_matches: bool = True
-    partition_strategy: str = "stride"
     order_by: str = "any"
     mode: str = "enumerate"
     options: dict[str, Any] = field(default_factory=dict)
@@ -271,7 +270,6 @@ def _run_task(
             None if spec.time_budget is None else started + spec.time_budget
         ),
         partition=partition,
-        partition_strategy=spec.partition_strategy,
         tracer=tracer,
     )
     index, count = partition or (0, 1)
@@ -320,7 +318,7 @@ def _merge_partitions(
     jointly exhaustive); the global exact top-k is the k smallest of
     the union under :func:`~repro.core.sinks.match_sort_key`, a
     deterministic multiset identical to the top-k of an unpartitioned
-    full enumeration for every partition strategy and worker count.
+    full enumeration for every worker count.
     """
     matches: list[Match] = []
     stats = SearchStats()
@@ -437,7 +435,10 @@ class QueryExecutor:
     ) -> ExecutionOutcome:
         """Run *spec* across the persistent process pool, merging partitions.
 
-        Starts the pool on first use.  Concurrent calls share it.  Like
+        *spec* fans out as *workers* partitions (default
+        ``max_workers``); the service sizes it with
+        :meth:`effective_workers`.  Starts the pool on first use.
+        Concurrent calls share it.  Like
         :meth:`run_matcher`, the outcome's stats cover enumeration only;
         prepare-time filter counters are the caller's to merge once.
         ``queue_seconds`` runs until the first worker starts its task.
@@ -448,8 +449,7 @@ class QueryExecutor:
         dies mid-query; the broken pool is discarded, so the next call
         starts a fresh one.
         """
-        requested = self.max_workers if workers is None else workers
-        count = max(1, min(requested, self.max_workers))
+        count = self.max_workers if workers is None else workers
         enqueued = time.monotonic()
         pool = self._process_pool()
         try:

@@ -35,7 +35,6 @@ from ..core import (
     find_matches,
     supports_codegen,
 )
-from ..core.partition import check_partition_strategy
 from ..errors import (
     AdmissionError,
     ReproError,
@@ -417,7 +416,6 @@ class TCSMService:
         use_result_cache: bool = True,
         options: dict[str, Any] | None = None,
         plan: str | None = None,
-        partition_strategy: str | None = None,
         order_by: str | None = None,
         mode: str | None = None,
         codegen: bool = False,
@@ -446,14 +444,6 @@ class TCSMService:
         ``plan`` selects the matching-order planner (``"paper"`` or
         ``"cost"``); it is folded into the matcher options, so plan and
         result caches key distinct plans separately.
-
-        ``partition_strategy`` chooses how process-pool fan-out carves
-        the root candidates (``"stride"``, ``"range"`` or ``"label"``;
-        see :mod:`repro.core.partition`).  Any strategy returns the same
-        match multiset, but with a ``limit`` the enumeration order
-        decides *which* matches come back, so the result cache keys on
-        it.  The thread pool runs one partition, so there it is
-        validated and then keyed as ``"stride"``.
 
         ``codegen=True`` asks for a per-plan *compiled* enumerator
         (:mod:`repro.core.codegen`): the plan cache compiles a
@@ -486,11 +476,6 @@ class TCSMService:
         use_codegen = wants_codegen and supports_codegen(algo)
         if use_codegen:
             options["codegen"] = True
-        strategy = check_partition_strategy(partition_strategy or "stride")
-        if self.config.pool == "thread":
-            # One partition: the strategy carves nothing, so it must not
-            # split the result cache either.
-            strategy = "stride"
         order = (order_by or "any").lower()
         answer_mode = (mode or "enumerate").lower()
         if answer_mode == "count":
@@ -521,7 +506,6 @@ class TCSMService:
             match_opts = MatchOptions(
                 limit=limit,
                 collect_matches=collect_matches,
-                partition_strategy=strategy,
                 order_by=order,
                 mode=answer_mode,
                 codegen=use_codegen,
@@ -603,7 +587,6 @@ class TCSMService:
                                 else max(0.0, deadline - time.monotonic())
                             ),
                             collect_matches=collect_matches,
-                            partition_strategy=strategy,
                             order_by=order,
                             mode=answer_mode,
                             options=options,
@@ -916,9 +899,6 @@ class TCSMService:
         plan = request.get("plan")
         if plan is not None:
             plan = str(plan)
-        strategy = request.get("partition_strategy")
-        if strategy is not None:
-            strategy = str(strategy)
         order_by = request.get("order_by")
         if order_by is not None:
             order_by = str(order_by)
@@ -943,7 +923,6 @@ class TCSMService:
             collect_matches=not count_only,
             options=options,
             plan=plan,
-            partition_strategy=strategy,
             order_by=order_by,
             mode=mode,
             codegen=bool(request.get("codegen", False)),

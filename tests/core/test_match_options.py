@@ -46,7 +46,9 @@ class TestMatchOptions:
         with pytest.raises(AlgorithmError, match="limit"):
             MatchOptions(limit=-1)
 
-    @pytest.mark.parametrize("partition", [(5, 2), (-1, 4), (0, 0), (2, 2)])
+    @pytest.mark.parametrize(
+        "partition", [(5, 2), (-1, 4), (0, 0), (2, 2), (1, 2, 3), 5, "ab"]
+    )
     def test_bad_partition_rejected(self, partition):
         with pytest.raises(AlgorithmError, match="partition"):
             MatchOptions(partition=partition)

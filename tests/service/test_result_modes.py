@@ -9,11 +9,10 @@ Two families of guarantees ride on the sink refactor:
   enter the exact-result cache at all.
 * **Exact top-k** — ``order_by="earliest"`` with a ``limit`` must
   return the *global* top-k multiset — identical to sorting the full
-  enumeration — for every TCSM algorithm, both executor pools, and
-  every partition strategy, because per-partition bounded heaps merge
-  through one total order (:func:`repro.core.sinks.match_sort_key`).
-  Only the process pool partitions; the thread pool runs one partition
-  whatever strategy is asked for.
+  enumeration — for every TCSM algorithm and both executor pools,
+  because per-partition bounded heaps merge through one total order
+  (:func:`repro.core.sinks.match_sort_key`).  Only the process pool
+  partitions; the thread pool runs one partition.
 """
 
 import random
@@ -30,7 +29,6 @@ from repro.graphs import (
 from repro.service import ServiceConfig, TCSMService
 
 TCSM_ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
-STRATEGIES = ("stride", "range", "label")
 TOP_K = 7
 
 
@@ -184,45 +182,34 @@ class TestCacheCorrectness:
 
 
 class TestExactTopK:
-    """Every algorithm x pool x strategy returns the pinned top-k."""
+    """Every algorithm x pool returns the pinned top-k."""
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("algorithm", TCSM_ALGORITHMS)
-    def test_thread_pool_topk_is_exact(
-        self, dense, reference_topk, algorithm, strategy
-    ):
-        """The thread pool runs one partition whatever the strategy: the
-        answer and every counter equal the stride run's."""
+    def test_thread_pool_topk_is_exact(self, dense, reference_topk, algorithm):
+        """The thread pool runs one partition whatever ``workers`` says."""
         graph, query, constraints = dense
         expected, total = reference_topk
         with TCSMService(ServiceConfig(max_workers=3)) as svc:
             svc.load_graph("dense", graph)
-            result, stride = (
-                svc.query(
-                    "dense",
-                    query,
-                    constraints,
-                    algorithm=algorithm,
-                    limit=TOP_K,
-                    order_by="earliest",
-                    workers=3,
-                    partition_strategy=chosen,
-                    use_result_cache=False,
-                )
-                for chosen in (strategy, "stride")
+            result = svc.query(
+                "dense",
+                query,
+                constraints,
+                algorithm=algorithm,
+                limit=TOP_K,
+                order_by="earliest",
+                workers=3,
+                use_result_cache=False,
             )
         assert result.partitions == 1
         assert list(result.matches) == expected
         assert result.ordered
         assert result.truncated_by_limit  # N > k was selected down
         assert result.stats.matches == total  # one full sweep
-        assert result.matches == stride.matches
-        assert result.stats == stride.stats
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("algorithm", TCSM_ALGORITHMS)
     def test_process_pool_topk_is_exact(
-        self, process_service, dense, reference_topk, algorithm, strategy
+        self, process_service, dense, reference_topk, algorithm
     ):
         _, query, constraints = dense
         expected, total = reference_topk
@@ -234,7 +221,6 @@ class TestExactTopK:
             limit=TOP_K,
             order_by="earliest",
             workers=3,
-            partition_strategy=strategy,
             use_result_cache=False,
         )
         assert result.partitions == 3

@@ -7,7 +7,6 @@ import pytest
 
 from repro.errors import (
     AdmissionError,
-    AlgorithmError,
     UnknownAlgorithmError,
     UnknownGraphError,
 )
@@ -104,24 +103,6 @@ class TestQueryPath:
             )
         assert fanned.partitions == 2
         assert sorted(fanned.matches) == sorted(solo.matches)
-
-    def test_thread_pool_strategies_share_one_cache_entry(
-        self, service, workload
-    ):
-        query, constraints = workload
-        stride = service.query(
-            "cm", query, constraints, limit=3, partition_strategy="stride"
-        )
-        label = service.query(
-            "cm", query, constraints, limit=3, partition_strategy="label"
-        )
-        assert stride.result_cache == "miss"
-        assert label.result_cache == "hit"
-        assert label.matches == stride.matches
-        with pytest.raises(AlgorithmError, match="partition strategy"):
-            service.query(
-                "cm", query, constraints, partition_strategy="zigzag"
-            )
 
 
 class TestGraphLifecycle:

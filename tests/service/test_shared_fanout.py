@@ -9,7 +9,7 @@ through the service:
 * total graph memory is one segment within 1.3x of a single snapshot,
   not K copies;
 * the partitioned multiset is exactly the single-threaded answer for
-  every partition strategy and every TCSM algorithm.
+  every TCSM algorithm.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.service import ServiceConfig, TCSMService
 
 WORKERS = 4
 TCSM = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
-STRATEGIES = ("stride", "range", "label")
 
 
 @pytest.fixture(scope="module")
@@ -76,10 +75,7 @@ class TestZeroCopyFanOut:
         assert result.worker_compiles == (0,) * WORKERS
         assert result.worker_graph_bytes == (0,) * WORKERS
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_every_strategy_matches_the_solo_answer(
-        self, shared_service, workload, strategy
-    ):
+    def test_fanout_matches_the_solo_answer(self, shared_service, workload):
         query, constraints = workload
         solo = shared_service.query(
             "cm", query, constraints, workers=1, use_result_cache=False
@@ -89,7 +85,6 @@ class TestZeroCopyFanOut:
             query,
             constraints,
             workers=WORKERS,
-            partition_strategy=strategy,
             use_result_cache=False,
         )
         assert sorted(fanned.matches) == sorted(solo.matches)

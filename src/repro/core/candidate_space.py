@@ -1,4 +1,8 @@
-"""Candidate-space slot index: LDF's pairs as CSR slot ids, per position.
+"""Candidate spaces: per matching position, what the enumerators iterate.
+
+Two indexes live here, one per algorithm family: the E2E/EVE slot index
+(:class:`CandidateSpace`) and V2V's per-position candidate neighbour
+lists (:func:`vertex_candidate_lists`, at the end of the module).
 
 E2E and EVE (Algorithms 4-5) extend a partial match only along edges in
 LDF's candidate set (Alg. 4 lines 1-3 and 14-15).  Stored as a set of
@@ -36,11 +40,29 @@ With ``intersect_candidates=False`` (the filter ablation) only the
 source of the slot ids changes: the raw CSR run plus the unbound
 endpoint's label check.  (At a closing position that check is vacuous
 for the bound target, which an earlier position label-checked.)
+
+V2V (Algorithm 2) binds one query vertex per position, drawing its
+candidates from the data neighbourhood of its prec's match ``d``: the
+*base* is ``d``'s out-run, its in-run, or, when the query links the two
+vertices both ways, the mutual list ``[x in in-run if (d, x) is a
+pair]``.  Scanning the base and probing NLF's set per neighbour made
+every visit pay for the non-candidates too.  :class:`NeighbourCandidates`
+holds, per position and bound prec vertex, the *survivors* (base
+members in NLF's set, or label matches when ``intersect_candidates`` is
+off) in base order, each survivor's index in the base, and the base
+length, filled on first touch like the slot index.  The enumerators
+credit the skipped non-candidates (the index gaps, and the tail after
+the last survivor) to the ``intersect`` counter and the failed
+enumerations in bulk, so every counter keeps its per-neighbour meaning.
+Its structural and temporal checks read pairs through
+:func:`pair_readers`, the unchecked twins of ``has_pair`` and
+``timestamps_list`` over the out-plane.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+import bisect
+from collections.abc import Callable, Hashable, Iterable, Sequence
 
 from ..graphs import GraphSnapshot, QueryGraph
 
@@ -51,7 +73,11 @@ __all__ = [
     "IN",
     "OUT",
     "SEED",
+    "CandidateList",
     "CandidateSpace",
+    "NeighbourCandidates",
+    "pair_readers",
+    "vertex_candidate_lists",
 ]
 
 #: Position kinds, by which endpoints earlier positions bound.
@@ -182,3 +208,119 @@ class CandidateSpace:
         if partition is None:
             return pairs
         return partition_slice(pairs, partition)
+
+
+#: One V2V list: (survivors, their indices in the base, base length).
+CandidateList = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+class NeighbourCandidates(dict[int, CandidateList]):
+    """Bound prec vertex -> its candidate neighbours at one V2V position."""
+
+    __slots__ = ("_out_plane", "_in_plane", "_need", "_allowed", "_labels", "_label")
+
+    def __init__(
+        self,
+        graph: GraphSnapshot,
+        need_out: bool,
+        need_in: bool,
+        allowed: frozenset[int] | None,
+        label: Hashable,
+    ) -> None:
+        super().__init__()
+        # (offsets, neighbours) of each CSR plane.
+        self._out_plane = (graph.out_offsets, graph.out_nbrs)
+        self._in_plane = (graph.in_offsets, graph.in_nbrs)
+        self._need = (need_out, need_in)
+        self._allowed = allowed
+        self._labels = graph.labels
+        self._label = label
+
+    def base(self, d: int) -> Sequence[int]:
+        """The neighbours of *d* a V2V position draws from, id order."""
+        need_out, need_in = self._need
+        if need_out:
+            offsets, nbrs = self._out_plane
+            out_run = nbrs[offsets[d] : offsets[d + 1]]
+            if not need_in:
+                return out_run
+        offsets, nbrs = self._in_plane
+        in_run = nbrs[offsets[d] : offsets[d + 1]]
+        if not need_out:
+            return in_run
+        # Both runs are id-sorted, so their sorted intersection is the
+        # in-run filtered by "(d, x) is a pair".
+        return sorted(set(in_run).intersection(out_run))
+
+    def __missing__(self, d: int) -> CandidateList:
+        base = self.base(d)
+        allowed = self._allowed
+        if allowed is None:
+            # Ablation: label matches only (Algorithm 2 line 15 as written).
+            labels, label = self._labels, self._label
+            kept = [i for i, x in enumerate(base) if labels[x] == label]
+        else:
+            kept = [i for i, x in enumerate(base) if x in allowed]
+        found = (tuple([base[i] for i in kept]), tuple(kept), len(base))
+        self[d] = found
+        return found
+
+
+def vertex_candidate_lists(
+    query: QueryGraph,
+    graph: GraphSnapshot,
+    order: Sequence[int],
+    prec: Sequence[int | None],
+    candidates: Sequence[frozenset[int]],
+    intersect: bool,
+) -> tuple[NeighbourCandidates | None, ...]:
+    """Per V2V position, its :class:`NeighbourCandidates` (None: a seed).
+
+    *order* and *prec* are the TCQ's matching order and prec vertices,
+    *candidates* NLF's per-query-vertex sets.  Nothing is filled here.
+    """
+    lists: list[NeighbourCandidates | None] = []
+    for u, u_prec in zip(order, prec):
+        if u_prec is None:
+            lists.append(None)
+            continue
+        lists.append(
+            NeighbourCandidates(
+                graph,
+                query.has_edge(u_prec, u),
+                query.has_edge(u, u_prec),
+                candidates[u] if intersect else None,
+                query.label(u),
+            )
+        )
+    return tuple(lists)
+
+
+def pair_readers(
+    graph: GraphSnapshot,
+) -> tuple[Callable[[int, int], bool], Callable[[int, int], Sequence[int]]]:
+    """Unchecked ``has_pair`` and ``timestamps_list`` over the out-plane.
+
+    Both bisect ``a``'s id-sorted out-run for ``b``; the run reader
+    returns the pair's sorted timestamps (``()`` for an absent pair).
+    For vertex ids that come from the snapshot itself.
+    """
+    offsets = graph.out_offsets
+    nbrs = graph.out_nbrs
+    ts_offsets = graph.out_ts_offsets
+    times = graph.out_times
+    bl = bisect.bisect_left
+
+    def has_pair(a: int, b: int) -> bool:
+        hi = offsets[a + 1]
+        k = bl(nbrs, b, offsets[a], hi)
+        return k < hi and nbrs[k] == b
+
+    def pair_run(a: int, b: int) -> Sequence[int]:
+        hi = offsets[a + 1]
+        k = bl(nbrs, b, offsets[a], hi)
+        if k < hi and nbrs[k] == b:
+            return times[ts_offsets[k] : ts_offsets[k + 1]]
+        return ()
+
+    return has_pair, pair_run

@@ -23,6 +23,10 @@ matcher, one specialized Python enumeration function in which:
   (:mod:`repro.core.candidate_space`): a slot id reads the neighbour and
   its timestamp run straight off the snapshot's flat CSR planes, with no
   non-candidate neighbour scanned and no checked accessor called;
+* V2V positions iterate the prec's candidate list from the same module
+  (survivors, their neighbour-run indices, the run length), crediting
+  the skipped non-candidates in bulk, and probe pairs and runs through
+  its unchecked out-plane readers;
 * planes, slot indexes and label constants are closed over as
   entry-function locals, so the hot loop never touches a module dict;
 * all ``SearchStats`` counters accumulate in local integers flushed in a
@@ -63,13 +67,13 @@ from typing import TYPE_CHECKING, Any, cast
 
 from ..graphs import TemporalEdge
 
-from .candidate_space import CLOSE, IN, OUT, SEED
+from .candidate_space import CLOSE, IN, OUT, SEED, pair_readers
 from .match import Match
 from .options import RunContext
 from .partition import partition_slice
 from .sinks import ResultSink, StopEnumeration
 from .stats import SearchStats
-from .timestamps import iter_timestamp_assignments, windows_compatible
+from .timestamps import windows_compatible
 from .windows import constraint_slices, propagate_run_windows, windowed_times
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -155,6 +159,25 @@ def _flush_fails(stats: SearchStats, fails: Sequence[int]) -> None:
             stats.fail_layers[layer] += count
             if stats.first_fail_layer is None or layer < stats.first_fail_layer:
                 stats.first_fail_layer = layer
+
+
+def _flush_v2v(
+    stats: SearchStats, fails: Sequence[int], skipped: Sequence[int]
+) -> None:
+    """Fold V2V's per-layer failures and skipped non-candidates into *stats*.
+
+    ``skipped[layer]`` counts the base members the candidate lists left
+    out at that layer (:mod:`repro.core.candidate_space`).  A scan would
+    have generated each one, let the intersect filter consider and prune
+    it, and recorded a failed enumeration, so they are credited exactly
+    so: the counters read as if every neighbour had been scanned.
+    """
+    total = sum(skipped)
+    stats.candidates_generated += total
+    bucket = stats.filter("intersect")
+    bucket.considered += total
+    bucket.pruned += total
+    _flush_fails(stats, [f + s for f, s in zip(fails, skipped)])
 
 
 def _num(value: float) -> str:
@@ -569,7 +592,8 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     query = matcher.query
     tcq = matcher.tcq
     candidates = matcher.candidates
-    assert tcq is not None and candidates is not None
+    lists = matcher.candidate_lists
+    assert tcq is not None and candidates is not None and lists is not None
     m = query.num_edges
     n = query.num_vertices
     if m == 0 or n == 0:
@@ -577,37 +601,34 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     graph = matcher._view
     edge_labels = query.edge_labels
     edge_endpoints = query.edges
-    intersect = matcher.intersect_candidates
+    has_pair, pair_run = pair_readers(graph)
 
     ns: dict[str, Any] = {
         "_PART_SLICE": partition_slice,
-        "_LAB": graph.label,
-        "_OUT": graph.out_neighbor_ids,
-        "_IN": graph.in_neighbor_ids,
-        "_HP": graph.has_pair,
-        "_TS": graph.timestamps_list,
-        "_TSL": graph.timestamps_with_label,
+        "_HP": has_pair,
+        "_RUN": pair_run,
+        "_LTG": graph.label_runs.get,
         "_MONO": time.monotonic,
         "_STOP": StopEnumeration,
         "_MATCH": Match,
         "_TE": TemporalEdge,
-        "_FLUSH_FAILS": _flush_fails,
+        "_TNEW": tuple.__new__,
+        "_FLUSH": _flush_v2v,
         "_CS": constraint_slices,
         "_WC": windows_compatible,
         "_PROP": propagate_run_windows,
         "_WT": windowed_times,
-        "_ITER_TS": iter_timestamp_assignments,
-        "_CONS": matcher.constraints,
+        "_SOLVE": matcher._solver.assignments,
         "_DIST": matcher._dist,
     }
-    for u in range(n):
-        ns[f"_CANDS_{u}"] = candidates[u]
+    for pos, u in enumerate(tcq.order):
+        if lists[pos] is None:
+            ns[f"_CANDS_{u}"] = candidates[u]
+        else:
+            ns[f"_LISTS_{pos}"] = lists[pos]
     for e in range(m):
         if edge_labels[e] is not None:
             ns[f"_EL_{e}"] = edge_labels[e]
-    if not intersect:
-        for pos, u in enumerate(tcq.order):
-            ns[f"_QL_{pos}"] = query.label(u)
 
     w = _Writer()
     w.open("def _enumerate(ctx, sink):")
@@ -622,27 +643,26 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("Stop = _STOP")
     w.line("Mk = _MATCH")
     w.line("TE = _TE")
-    w.line("tsl = _TS")
-    w.line("tsw = _TSL")
-    w.line("outn = _OUT")
-    w.line("inn = _IN")
+    w.line("tnew = _TNEW")
+    # Unchecked pair readers over the snapshot's out-plane.
     w.line("hp = _HP")
-    w.line("labf = _LAB")
+    w.line("run = _RUN")
+    if query.has_edge_labels:
+        w.line("ltg = _LTG")
     w.line("wc = _WC")
     w.line("cs = _CS")
     w.line("prop = _PROP")
     w.line("wt = _WT")
     w.line("dist = _DIST")
-    w.line("iter_ts = _ITER_TS")
-    w.line("cons = _CONS")
-    for u in range(n):
-        w.line(f"cands{u} = _CANDS_{u}")
+    w.line("solve = _SOLVE")
+    for pos, u in enumerate(tcq.order):
+        if lists[pos] is None:
+            w.line(f"cands{u} = _CANDS_{u}")
+        else:
+            w.line(f"lists{pos} = _LISTS_{pos}")
     for e in range(m):
         if edge_labels[e] is not None:
             w.line(f"el{e} = _EL_{e}")
-    if not intersect:
-        for pos in range(n):
-            w.line(f"ql{pos} = _QL_{pos}")
     w.line(f"vm = [0] * {n}")
     w.line("used = set()")
     w.line("used_add = used.add")
@@ -652,8 +672,6 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
         "val_n",
         "nodes_n",
         "match_n",
-        "int_c",
-        "int_p",
         "inj_c",
         "inj_p",
         "str_c",
@@ -666,6 +684,8 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     for name in counters:
         w.line(f"{name} = 0")
     w.line(f"fails = [0] * {n + 2}")
+    # Per layer, the base members the candidate lists skipped.
+    w.line(f"skp = [0] * {n + 2}")
     root_vertex = tcq.order[0]
     w.open("if ctx.partition is not None:")
     w.line(f"root_seed = _PART_SLICE(cands{root_vertex}, ctx.partition)")
@@ -676,17 +696,20 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
 
     nonlocal_decl = "nonlocal " + ", ".join(counters)
 
-    def run_expr(e: int, u: str, v: str) -> str:
-        if edge_labels[e] is None:
-            return f"tsl({u}, {v})"
-        return f"tsw({u}, {v}, el{e})"
+    def emit_run(name: str, e: int, a: str, b: str) -> None:
+        """Bind *name* to the run of data pair ``(a, b)`` for query edge *e*
+        (the per-label run for a labeled edge)."""
+        if edge_labels[e] is not None:
+            w.line(f"{name} = ltg(({a}, {b}, el{e}), ())")
+        else:
+            w.line(f"{name} = run({a}, {b})")
 
     # Leaf: joint timestamp enumeration over the complete embedding.
     w.open("def leaf():")
     w.line("nonlocal match_n, join_c, join_p")
     _deadline_check(w)
     for e, (eu, ev) in enumerate(edge_endpoints):
-        w.line(f"r{e} = {run_expr(e, f'vm[{eu}]', f'vm[{ev}]')}")
+        emit_run(f"r{e}", e, f"vm[{eu}]", f"vm[{ev}]")
     run_names = ", ".join(f"r{e}" for e in range(m))
     total_len = " + ".join(f"len(r{e})" for e in range(m))
     w.line(f"wins = prop([{run_names}], dist)")
@@ -704,17 +727,17 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     verts = ", ".join(f"vm[{u}]" for u in range(n))
     vtrailing = "," if n == 1 else ""
     w.line(f"fm = ({verts}{vtrailing})")
-    w.open(
-        f"for times in iter_ts(opts, cons, use_windows={matcher.use_windows}):"
-    )
+    w.open("for times in solve(opts):")
     w.line("produced = True")
     w.line("match_n += 1")
+    # Matches and their edges are named tuples built through
+    # tuple.__new__ directly, skipping their Python-level __new__.
     edges = ", ".join(
-        f"TE(fm[{eu}], fm[{ev}], times[{e}])"
+        f"tnew(TE, (fm[{eu}], fm[{ev}], times[{e}]))"
         for e, (eu, ev) in enumerate(edge_endpoints)
     )
     etrailing = "," if m == 1 else ""
-    w.line(f"accept(Mk(({edges}{etrailing}), fm))")
+    w.line(f"accept(tnew(Mk, (({edges}{etrailing}), fm)))")
     w.close()
     w.open("if not produced:")
     w.line("join_p += 1")
@@ -729,35 +752,24 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
         _deadline_check(w)
         w.line("nodes_n += 1")
         w.line("produced = False")
-        if u_prec is None:
-            base = "root_seed" if pos == 0 else f"cands{u}"
-        else:
-            need_out, need_in = matcher._prec_needs[pos]
-            w.line(f"dp = vm[{u_prec}]")
-            if need_out and need_in:
-                w.line("base = [x for x in inn(dp) if hp(dp, x)]")
-                base = "base"
-            elif need_out:
-                base = "outn(dp)"
-            else:
-                base = "inn(dp)"
         fail = f"fails[{pos + 1}] += 1"
-        w.open(f"for v in {base}:")
-        _deadline_check(w)
+        if u_prec is None:
+            # A seed iterates its own candidate set: nothing to skip.
+            w.open(f"for v in {'root_seed' if pos == 0 else f'cands{u}'}:")
+            _deadline_check(w)
+        else:
+            # The prec's candidate list: survivors in base order, their
+            # base indices and the base length.  The index gaps are the
+            # skipped non-candidates.
+            w.line(f"sv, ix, size = lists{pos}[vm[{u_prec}]]")
+            w.line("nxt = 0")
+            w.open("for i, v in zip(ix, sv):")
+            _deadline_check(w)
+            w.line(f"skp[{pos + 1}] += i - nxt")
+            w.line("nxt = i + 1")
+        # Every generated candidate is one the intersect considers, so
+        # the flush credits cand_n to both.
         w.line("cand_n += 1")
-        w.line("int_c += 1")
-        if u_prec is not None:
-            # Seed positions iterate their own candidate set, so the
-            # membership test is statically true and elided (the counter
-            # stays, matching the interpreted stream).
-            if intersect:
-                w.open(f"if v not in cands{u}:")
-            else:
-                w.open(f"if labf(v) != ql{pos}:")
-            w.line("int_p += 1")
-            w.line(fail)
-            w.line("continue")
-            w.close()
         w.line("inj_c += 1")
         w.open("if v in used:")
         w.line("inj_p += 1")
@@ -784,8 +796,8 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
         for c in tcq.check_at[pos]:
             eu, ev = edge_endpoints[c.earlier]
             lu, lv = edge_endpoints[c.later]
-            w.line(f"e_ts = {run_expr(c.earlier, f'vm[{eu}]', f'vm[{ev}]')}")
-            w.line(f"l_ts = {run_expr(c.later, f'vm[{lu}]', f'vm[{lv}]')}")
+            emit_run("e_ts", c.earlier, f"vm[{eu}]", f"vm[{ev}]")
+            emit_run("l_ts", c.later, f"vm[{lu}]", f"vm[{lv}]")
             w.line(f"e_ts, l_ts = cs(e_ts, l_ts, {c.gap}, stats)")
             w.open(f"if not wc(e_ts, l_ts, {c.gap}):")
             w.line("tmp_p += 1")
@@ -800,6 +812,8 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
             w.line(f"d{pos + 1}()")
         w.line("used_discard(v)")
         w.close()  # for v
+        if u_prec is not None:
+            w.line(f"skp[{pos + 1}] += size - nxt")
         w.open("if not produced:")
         w.line(fail)
         w.close()
@@ -813,8 +827,7 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("stats.validations += val_n")
     w.line("stats.nodes_expanded += nodes_n")
     w.line("stats.matches += match_n")
-    w.line("b_int.considered += int_c")
-    w.line("b_int.pruned += int_p")
+    w.line("b_int.considered += cand_n")
     w.line("b_inj.considered += inj_c")
     w.line("b_inj.pruned += inj_p")
     w.line("b_str.considered += str_c")
@@ -828,7 +841,7 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("b_join.considered += join_c")
     w.line("b_join.pruned += join_p")
     w.close()
-    w.line("_FLUSH_FAILS(stats, fails)")
+    w.line("_FLUSH(stats, fails, skp)")
     w.close()
     w.close()  # def _enumerate
 
@@ -846,7 +859,11 @@ def _finish(
     filename = f"<repro-codegen:{algorithm}:{m}e{n}v:{id(ns):x}>"
     code = compile(source, filename, "exec")
     exec(code, ns)  # noqa: S102 - confined to this module by reprolint R020
-    entry = cast(EntryFunction, ns["_enumerate"])
+    # Popped so the namespace does not hold its own entry function: with
+    # no ns -> entry -> ns cycle, a dropped plan (and the candidate index
+    # its namespace closes over) is freed at once, not at the next full
+    # collection.
+    entry = cast(EntryFunction, ns.pop("_enumerate"))
     linecache.cache[filename] = (
         len(source),
         None,

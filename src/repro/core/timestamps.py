@@ -17,6 +17,11 @@ prunings:
 * constraint ordering — edges are assigned most-constrained-first so
   violations surface early.
 
+Both depend on the constraint set alone, so :class:`TimestampPlan` builds
+them once (distance matrix, edge order, check table) and solves any
+number of option sets; TCSM-V2V plans once in ``prepare`` and solves at
+every leaf.  :func:`iter_timestamp_assignments` is the one-off form.
+
 There is also an existence check (:func:`windows_compatible`) used for the
 partial pruning inside TCSM-V2V's DFS.
 """
@@ -30,6 +35,7 @@ from collections.abc import Iterator, Sequence
 from ..graphs import TemporalConstraints
 
 __all__ = [
+    "TimestampPlan",
     "iter_timestamp_assignments",
     "count_timestamp_assignments",
     "windows_compatible",
@@ -57,12 +63,129 @@ def windows_compatible(
     return False
 
 
+class TimestampPlan:
+    """The joint solver's static tables for one constraint set.
+
+    Everything the solver derives from ``(constraints, use_windows)``
+    alone is computed here once: the STN distance matrix (when windows
+    are on), the most-constrained-first edge order and the per-position
+    check table.  A matcher builds one plan in ``prepare`` and calls
+    :meth:`assignments` at every complete embedding, so no leaf re-runs
+    Floyd-Warshall.  *dist* lets a caller that already holds the
+    constraints' distance matrix pass it in instead of recomputing it.
+    """
+
+    __slots__ = ("num_edges", "dist", "order", "checks")
+
+    def __init__(
+        self,
+        constraints: TemporalConstraints,
+        use_windows: bool = True,
+        dist: Sequence[Sequence[float]] | None = None,
+    ) -> None:
+        m = constraints.num_edges
+        self.num_edges = m
+        self.dist: Sequence[Sequence[float]] | None = None
+        if use_windows:
+            self.dist = dist if dist is not None else constraints.distance_matrix()
+        # Assign most-constrained edges first; unconstrained edges go last
+        # so their (free) choices multiply after all checks passed.
+        order = sorted(range(m), key=lambda e: -constraints.degree(e))
+        position = [0] * m
+        for pos, edge in enumerate(order):
+            position[edge] = pos
+        # Pre-index constraints by the later-assigned side so each is
+        # checked exactly once, as soon as both sides are bound.
+        checks: list[list[tuple[int, int, float, bool]]] = [[] for _ in range(m)]
+        for c in constraints:
+            if position[c.earlier] < position[c.later]:
+                checks[position[c.later]].append(
+                    (c.earlier, c.later, c.gap, True)
+                )
+            else:
+                checks[position[c.earlier]].append(
+                    (c.earlier, c.later, c.gap, False)
+                )
+        self.order = tuple(order)
+        self.checks = tuple(tuple(entries) for entries in checks)
+
+    def assignments(
+        self, options: Sequence[Sequence[int]]
+    ) -> Iterator[tuple[int, ...]]:
+        """Yield every per-edge timestamp choice satisfying the constraints.
+
+        ``options[i]`` is the sorted sequence of available timestamps for
+        query edge ``i``; yields tuples index-aligned with *options*.
+        """
+        m = len(options)
+        if m != self.num_edges:
+            raise ValueError(
+                f"got {m} option lists for {self.num_edges} query edges"
+            )
+        if any(len(times) == 0 for times in options):
+            return
+        if not m:
+            yield ()
+            return
+        dist = self.dist
+        order = self.order
+        checks = self.checks
+        chosen: list[int] = [0] * m
+        last = m - 1
+
+        def candidates_at(pos: int) -> Sequence[int]:
+            """Position *pos*'s timestamps inside the windows the edges
+            assigned before it (``order[:pos]``) imply."""
+            edge = order[pos]
+            times = options[edge]
+            if dist is None or not pos:
+                return times
+            lo, hi = -math.inf, math.inf
+            for other in order[:pos]:
+                t_other = chosen[other]
+                hi = min(hi, t_other + dist[other][edge])
+                lo = max(lo, t_other - dist[edge][other])
+            if lo > hi:
+                return ()
+            left = 0 if lo == -math.inf else bisect.bisect_left(times, lo)
+            right = len(times) if hi == math.inf else bisect.bisect_right(times, hi)
+            return times[left:right]
+
+        # Depth-first over positions with an explicit stack of candidate
+        # iterators (one per assigned position): the same order as the
+        # recursive backtracking, without a generator per level.
+        stack = [iter(candidates_at(0))]
+        while stack:
+            pos = len(stack) - 1
+            edge = order[pos]
+            for t in stack[pos]:
+                for earlier, later, gap, current_is_later in checks[pos]:
+                    if current_is_later:
+                        delta = t - chosen[earlier]
+                    else:
+                        delta = chosen[later] - t
+                    if not 0 <= delta <= gap:
+                        break
+                else:
+                    chosen[edge] = t
+                    if pos == last:
+                        yield tuple(chosen)
+                        continue
+                    stack.append(iter(candidates_at(pos + 1)))
+                    break
+            else:
+                stack.pop()
+
+
 def iter_timestamp_assignments(
     options: Sequence[Sequence[int]],
     constraints: TemporalConstraints,
     use_windows: bool = True,
 ) -> Iterator[tuple[int, ...]]:
     """Yield every per-edge timestamp choice satisfying *constraints*.
+
+    A one-off :class:`TimestampPlan`: callers that solve many option
+    sets under one constraint set should build the plan once instead.
 
     Parameters
     ----------
@@ -81,80 +204,7 @@ def iter_timestamp_assignments(
     ------
     tuple of timestamps, index-aligned with *options*.
     """
-    m = len(options)
-    if m != constraints.num_edges:
-        raise ValueError(
-            f"got {m} option lists for {constraints.num_edges} query edges"
-        )
-    if any(len(times) == 0 for times in options):
-        return
-
-    dist = constraints.distance_matrix() if use_windows else None
-
-    # Assign most-constrained edges first; unconstrained edges go last so
-    # their (free) choices multiply after all checks passed.
-    order = sorted(range(m), key=lambda e: -constraints.degree(e))
-    position = [0] * m
-    for pos, edge in enumerate(order):
-        position[edge] = pos
-
-    # Pre-index constraints by the later-assigned side so each is checked
-    # exactly once, as soon as both sides are bound.
-    checks: list[list[tuple[int, int, float, bool]]] = [[] for _ in range(m)]
-    for c in constraints:
-        if position[c.earlier] < position[c.later]:
-            checks[position[c.later]].append(
-                (c.earlier, c.later, c.gap, True)
-            )
-        else:
-            checks[position[c.earlier]].append(
-                (c.earlier, c.later, c.gap, False)
-            )
-
-    chosen: list[int] = [0] * m
-    assigned: list[int] = []
-
-    def candidates_at(pos: int) -> Iterator[int]:
-        edge = order[pos]
-        times = options[edge]
-        if dist is None or not assigned:
-            yield from times
-            return
-        lo, hi = -math.inf, math.inf
-        for other in assigned:
-            t_other = chosen[other]
-            hi = min(hi, t_other + dist[other][edge])
-            lo = max(lo, t_other - dist[edge][other])
-        if lo > hi:
-            return
-        left = 0 if lo == -math.inf else bisect.bisect_left(times, lo)
-        right = len(times) if hi == math.inf else bisect.bisect_right(times, hi)
-        yield from times[left:right]
-
-    def backtrack(pos: int) -> Iterator[tuple[int, ...]]:
-        if pos == m:
-            yield tuple(chosen)
-            return
-        edge = order[pos]
-        for t in candidates_at(pos):
-            ok = True
-            for earlier, later, gap, current_is_later in checks[pos]:
-                if current_is_later:
-                    delta = t - chosen[earlier]
-                else:
-                    delta = chosen[later] - t
-                if not 0 <= delta <= gap:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            chosen[edge] = t
-            assigned.append(edge)
-            yield from backtrack(pos + 1)
-            assigned.pop()
-        return
-
-    yield from backtrack(0)
+    yield from TimestampPlan(constraints, use_windows).assignments(options)
 
 
 def count_timestamp_assignments(

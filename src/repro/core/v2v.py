@@ -8,12 +8,21 @@ an *existential* window check as soon as a constraint's last vertex is
 matched.  Once all vertices are embedded, the per-edge timestamp choices
 that jointly satisfy the constraint set are enumerated — the "edge
 permutation" step that makes V2V pay on temporally dense instances.
+
+Both enumerators (this interpreted DFS and the generated one in
+:mod:`repro.core.codegen`) draw a position's candidates from one per-plan
+list per bound prec vertex (:mod:`repro.core.candidate_space`): the
+neighbours that pass the NLF intersection, in neighbour order, so no
+non-candidate is scanned, and the skipped ones are credited to the
+counters in bulk.  Pairs and their timestamp runs are read off the
+snapshot's planes, and the joint timestamp solver is planned once in
+``prepare`` (:class:`~repro.core.timestamps.TimestampPlan`).
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import cast
 
 from ..errors import AlgorithmError
@@ -26,7 +35,12 @@ from ..graphs import (
 )
 from ..obs import NULL_TRACER, TraceSink
 
-from .codegen import CompiledPlan, compile_enumerator
+from .candidate_space import (
+    NeighbourCandidates,
+    pair_readers,
+    vertex_candidate_lists,
+)
+from .codegen import CompiledPlan, _flush_v2v, compile_enumerator
 from .filters import initial_vertex_candidates
 from .match import Match
 from .options import RunContext
@@ -35,7 +49,7 @@ from .planner import plan_costs, validate_plan
 from .sinks import CollectSink, ResultSink, StopEnumeration
 from .stats import SearchStats
 from .tcq import TCQ, build_tcq
-from .timestamps import iter_timestamp_assignments, windows_compatible
+from .timestamps import TimestampPlan, windows_compatible
 from .windows import (
     constraint_slices,
     propagate_run_windows,
@@ -118,6 +132,11 @@ class V2VMatcher:
         self._dist: list[list[float]] = []
         self.candidates: list[frozenset[int]] | None = None
         self.tcq: TCQ | None = None
+        #: Per position, the prec's candidate neighbours (None at a seed;
+        #: set by ``prepare``, filled lazily while enumerating).
+        self.candidate_lists: tuple[NeighbourCandidates | None, ...] | None = None
+        #: The joint timestamp solver's plan (set by ``prepare``).
+        self._solver: TimestampPlan
         #: Filter counters accumulated during ``prepare`` (the engine
         #: merges them into the run stats exactly once per query).
         self.prepare_stats = SearchStats()
@@ -151,29 +170,31 @@ class V2VMatcher:
             costs=plan_costs(self._view) if self.plan == "cost" else None,
         )
         self._dist = self.constraints.distance_matrix()
-        # Per position: the directed query edges linking the vertex to its
-        # prec, and the forward-vertex structural checks.
+        # The joint solver's tables depend on the constraints alone: one
+        # plan serves every leaf, reusing the distance matrix above.
+        self._solver = TimestampPlan(
+            self.constraints, self.use_windows, dist=self._dist
+        )
+        # Per position: the candidate neighbours of the prec's match, and
+        # the forward-vertex structural checks.
         query = self.query
         tcq = self.tcq
-        self._prec_needs: list[tuple[bool, bool]] = []
+        self.candidate_lists = vertex_candidate_lists(
+            query,
+            self._view,
+            tcq.order,
+            tcq.prec,
+            self.candidates,
+            self.intersect_candidates,
+        )
         self._fv_checks: list[tuple[tuple[int, bool, bool], ...]] = []
         for pos, u in enumerate(tcq.order):
-            u_prec = tcq.prec[pos]
-            if u_prec is None:
-                self._prec_needs.append((False, False))
-            else:
-                self._prec_needs.append(
-                    (query.has_edge(u_prec, u), query.has_edge(u, u_prec))
-                )
             checks: list[tuple[int, bool, bool]] = []
             for w in tcq.forward[pos]:
                 checks.append(
                     (w, query.has_edge(u, w), query.has_edge(w, u))
                 )
             self._fv_checks.append(tuple(checks))
-        # Per constraint edge: endpoint pair for quick lookup.
-        self._edge_endpoints = self.query.edges
-        self._required_edge_labels = self.query.edge_labels
         if self.codegen:
             with tr.span("codegen-compile", algorithm=self.name) as sp:
                 self._compiled = compile_enumerator(self)
@@ -189,20 +210,6 @@ class V2VMatcher:
         bailed on this query shape.
         """
         return None if self._compiled is None else self._compiled.source
-
-    def _edge_times(
-        self, edge_index: int, du: int, dv: int
-    ) -> Sequence[int]:
-        """Timestamps of data pair ``(du, dv)`` admissible for a query edge
-        (honours the edge-label generalisation).
-
-        Returns the full sorted run without touching counters; callers
-        account expansion via :mod:`repro.core.windows`.
-        """
-        required = self._required_edge_labels[edge_index]
-        if required is None:
-            return self._view.timestamps_list(du, dv)
-        return self._view.timestamps_with_label(du, dv, required)
 
     # ------------------------------------------------------------------
     # matching (Algorithm 2 lines 5-27)
@@ -252,6 +259,8 @@ class V2VMatcher:
         # because narrowing does not propagate into the closures below.
         tcq = cast(TCQ, self.tcq)
         candidates = cast("list[frozenset[int]]", self.candidates)
+        lists = cast("tuple[NeighbourCandidates, ...]", self.candidate_lists)
+        fv_checks = self._fv_checks
         query = self.query
         graph = self._view
         n = query.num_vertices
@@ -270,6 +279,25 @@ class V2VMatcher:
         inj_counters = search_stats.filter("injectivity")
         structure_counters = search_stats.filter("structure")
         temporal_counters = search_stats.filter("temporal")
+        # Per layer: failed enumerations, and the base members the
+        # candidate lists skipped (non-candidates, each one generated and
+        # then pruned by the intersect); folded into the stats once.
+        fails = [0] * (n + 2)
+        skipped = [0] * (n + 2)
+        edge_endpoints = query.edges
+        edge_labels = query.edge_labels
+        solve = self._solver.assignments
+        dist = self._dist
+        has_pair, pair_run = pair_readers(graph)
+        label_run = graph.label_runs.get
+
+        def edge_run(e: int, a: int, b: int) -> Sequence[int]:
+            """Timestamps of data pair ``(a, b)`` admissible for query edge
+            *e* (honours the edge-label generalisation)."""
+            label = edge_labels[e]
+            if label is None:
+                return pair_run(a, b)
+            return label_run((a, b, label), ())
 
         def temporal_ok(pos: int) -> bool:
             """Existential window check for constraints closing at *pos*.
@@ -279,25 +307,61 @@ class V2VMatcher:
             feasible timestamps.
             """
             for c in tcq.check_at[pos]:
-                eu, ev = self._edge_endpoints[c.earlier]
-                lu, lv = self._edge_endpoints[c.later]
-                earlier_times = self._edge_times(c.earlier, bound[eu], bound[ev])
-                later_times = self._edge_times(c.later, bound[lu], bound[lv])
+                eu, ev = edge_endpoints[c.earlier]
+                lu, lv = edge_endpoints[c.later]
                 earlier_times, later_times = constraint_slices(
-                    earlier_times, later_times, c.gap, search_stats
+                    edge_run(c.earlier, bound[eu], bound[ev]),
+                    edge_run(c.later, bound[lu], bound[lv]),
+                    c.gap,
+                    search_stats,
                 )
                 if not windows_compatible(earlier_times, later_times, c.gap):
                     return False
             return True
 
         def structure_ok(pos: int, v: int) -> bool:
-            for w, need_uw, need_wu in self._fv_checks[pos]:
+            for w, need_uw, need_wu in fv_checks[pos]:
                 dw = bound[w]
-                if need_uw and not graph.has_pair(v, dw):
+                if need_uw and not has_pair(v, dw):
                     return False
-                if need_wu and not graph.has_pair(dw, v):
+                if need_wu and not has_pair(dw, v):
                     return False
             return True
+
+        def leaf() -> None:
+            """Joint timestamp enumeration for a complete vertex embedding.
+
+            One interval-propagation pass over the run endpoints
+            (:func:`propagate_run_windows`) shrinks every run to its
+            STN-feasible slice before the joint solver expands anything
+            — or proves no assignment exists without expanding at all.
+            """
+            runs = [
+                edge_run(e, bound[a], bound[b])
+                for e, (a, b) in enumerate(edge_endpoints)
+            ]
+            join_counters = search_stats.filter("timestamp-join")
+            join_counters.considered += 1
+            windows = propagate_run_windows(runs, dist)
+            if windows is None:
+                for run in runs:
+                    search_stats.timestamps_skipped += len(run)
+                join_counters.pruned += 1
+                fails[n] += 1
+                return
+            options = [
+                windowed_times(run, window, search_stats)
+                for run, window in zip(runs, windows)
+            ]
+            final_map = tuple(bound)
+            produced = False
+            for times in solve(options):
+                produced = True
+                search_stats.matches += 1
+                sink.accept(Match.from_vertex_map(query, final_map, times))
+            if not produced:
+                join_counters.pruned += 1
+                fails[n] += 1
 
         def dfs(pos: int) -> None:
             if deadline is not None and time.monotonic() > deadline:
@@ -305,121 +369,66 @@ class V2VMatcher:
                 search_stats.deadline_hit = True
                 raise StopEnumeration
             if pos == n:
-                self._emit_matches(vertex_map, search_stats, pos, sink)
+                leaf()
                 return
             search_stats.nodes_expanded += 1
             u = tcq.order[pos]
             u_prec = tcq.prec[pos]
-            allowed = candidates[u]
-            base: Collection[int]
+            # (index in the base, candidate) pairs, and the base length.
+            indexed: Iterable[tuple[int, int]]
             if u_prec is None:
+                # A seed iterates its own candidate set: nothing to prune.
                 # Only the root (pos 0) may be partitioned; later component
                 # seeds must stay exhaustive or matches would be lost.
+                seeds: Sequence[int] | frozenset[int] = candidates[u]
                 if pos == 0 and root_candidates is not None:
-                    base = root_candidates
-                else:
-                    base = allowed
+                    seeds = root_candidates
+                indexed = enumerate(seeds)
+                size = len(seeds)
             else:
-                d_prec = bound[u_prec]
-                need_out, need_in = self._prec_needs[pos]
-                if need_out and need_in:
-                    # Pair probe (CSR bisect) rather than a membership
-                    # test on the neighbour sequence, which would be
-                    # linear on the array-backed view.
-                    base = [
-                        x
-                        for x in graph.in_neighbor_ids(d_prec)
-                        if graph.has_pair(d_prec, x)
-                    ]
-                elif need_out:
-                    base = graph.out_neighbor_ids(d_prec)
-                else:
-                    base = graph.in_neighbor_ids(d_prec)
+                survivors, indices, size = lists[pos][bound[u_prec]]
+                indexed = zip(indices, survivors)
+            checks = fv_checks[pos]
+            closing = tcq.check_at[pos]
+            expected = 0
             produced = False
-            for v in base:
+            for i, v in indexed:
                 if deadline is not None and time.monotonic() > deadline:
                     search_stats.budget_exhausted = True
                     search_stats.deadline_hit = True
                     raise StopEnumeration
+                skipped[pos + 1] += i - expected
+                expected = i + 1
                 search_stats.candidates_generated += 1
                 intersect_counters.considered += 1
-                if self.intersect_candidates or u_prec is None:
-                    if v not in allowed:
-                        intersect_counters.pruned += 1
-                        search_stats.record_fail(pos + 1)
-                        continue
-                elif graph.label(v) != query.label(u):
-                    intersect_counters.pruned += 1
-                    search_stats.record_fail(pos + 1)
-                    continue
                 inj_counters.considered += 1
                 if v in used:
                     inj_counters.pruned += 1
-                    search_stats.record_fail(pos + 1)
+                    fails[pos + 1] += 1
                     continue
                 search_stats.validations += 1
                 structure_counters.considered += 1
-                if not structure_ok(pos, v):
+                if checks and not structure_ok(pos, v):
                     structure_counters.pruned += 1
-                    search_stats.record_fail(pos + 1)
+                    fails[pos + 1] += 1
                     continue
                 vertex_map[u] = v
                 temporal_counters.considered += 1
-                if not temporal_ok(pos):
+                if closing and not temporal_ok(pos):
                     temporal_counters.pruned += 1
                     vertex_map[u] = None
-                    search_stats.record_fail(pos + 1)
+                    fails[pos + 1] += 1
                     continue
                 produced = True
                 used.add(v)
                 dfs(pos + 1)
                 used.discard(v)
                 vertex_map[u] = None
+            skipped[pos + 1] += size - expected
             if not produced:
-                search_stats.record_fail(pos + 1)
+                fails[pos + 1] += 1
 
-        dfs(0)
-
-    def _emit_matches(
-        self,
-        vertex_map: list[int | None],
-        stats: SearchStats,
-        pos: int,
-        sink: ResultSink,
-    ) -> None:
-        """Joint timestamp enumeration for a complete vertex embedding.
-
-        One interval-propagation pass over the run endpoints (:func:`propagate_run_windows`) shrinks every run
-        to its STN-feasible slice before the joint solver expands
-        anything — or proves no assignment exists without expanding at
-        all.
-        """
-        complete = cast("list[int]", vertex_map)  # all positions bound here
-        runs = [
-            self._edge_times(index, complete[u], complete[v])
-            for index, (u, v) in enumerate(self._edge_endpoints)
-        ]
-        options: list[Sequence[int]] | None = None
-        windows = propagate_run_windows(runs, self._dist)
-        if windows is None:
-            for run in runs:
-                stats.timestamps_skipped += len(run)
-        else:
-            options = [
-                windowed_times(run, window, stats)
-                for run, window in zip(runs, windows)
-            ]
-        join_counters = stats.filter("timestamp-join")
-        join_counters.considered += 1
-        any_assignment = False
-        final_map = tuple(complete)
-        if options is not None:
-            for times in iter_timestamp_assignments(
-                options, self.constraints, use_windows=self.use_windows
-            ):
-                any_assignment = True
-                stats.matches += 1
-                sink.accept(Match.from_vertex_map(self.query, final_map, times))
-        if not any_assignment:
-            join_counters.pruned += 1
-            stats.record_fail(pos)
+        try:
+            dfs(0)
+        finally:
+            _flush_v2v(search_stats, fails, skipped)

@@ -235,13 +235,14 @@ def labeled_instances(draw):
 @settings(max_examples=100, deadline=None)
 @given(labeled_instances(), st.booleans(), st.integers(1, 3), st.booleans())
 def test_slot_index_enumerators_agree(instance, intersect, parts, shared):
-    """Interpreted and generated E2E/EVE over the slot index.
+    """Interpreted and generated enumerators over the candidate spaces.
 
-    Per partition ``(i, parts)`` the two enumerators return the same
-    matches and identical ``SearchStats``/``FilterStats``; the union over
-    the partitions is the brute-force oracle's multiset.  Edge labels,
-    the ``intersect_candidates=False`` ablation and a shared-memory
-    snapshot are drawn too.
+    E2E/EVE iterate the slot index and V2V its per-position candidate
+    lists.  Per partition ``(i, parts)`` the two enumerators return the
+    same matches and identical ``SearchStats``/``FilterStats``; the union
+    over the partitions is the brute-force oracle's multiset.  Edge
+    labels, the ``intersect_candidates=False`` ablation and a
+    shared-memory snapshot are drawn too.
     """
     query, tc, graph = instance
     oracle = Counter(brute_force_matches(query, tc, graph))
@@ -252,7 +253,7 @@ def test_slot_index_enumerators_agree(instance, intersect, parts, shared):
         attached = SharedSnapshot.attach(owner.name)
         snapshot = attached.snapshot()
     try:
-        for algorithm in ("tcsm-e2e", "tcsm-eve"):
+        for algorithm in ("tcsm-v2v", "tcsm-e2e", "tcsm-eve"):
             union: Counter = Counter()
             for index in range(parts):
                 interp, compiled = (

@@ -216,9 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(service default: 200)")
     submit.add_argument("--estimate-seed", type=int, default=None,
                         help="RNG seed for --mode estimate (default 0)")
-    submit.add_argument("--codegen", action="store_true",
-                        help="ask the service for a compiled enumerator "
-                             "(ignored by algorithms without support)")
     submit.add_argument("--count-only", action="store_true",
                         help="request match counts without match payloads")
     submit.add_argument("--trace", action="store_true",
@@ -507,8 +504,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             request["probes"] = args.probes
         if args.estimate_seed is not None:
             request["seed"] = args.estimate_seed
-        if args.codegen:
-            request["codegen"] = True
         if args.count_only:
             request["count_only"] = True
         if args.trace:

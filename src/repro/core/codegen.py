@@ -51,8 +51,9 @@ listener::
     codegen.set_codegen_listener(lambda plan: print(plan.source))
 
 or read ``matcher.compiled_source`` after ``prepare()``.  Generated
-sources are also registered with :mod:`linecache`, so tracebacks out of
-a compiled enumerator show real source lines.
+sources are also registered with :mod:`linecache` for as long as their
+entry function lives, so tracebacks out of a compiled enumerator show
+real source lines and a dropped plan takes its source with it.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ import bisect
 import linecache
 import math
 import time
+import weakref
 from collections.abc import Callable, Hashable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, cast
@@ -864,17 +866,26 @@ def _finish(
     # its namespace closes over) is freed at once, not at the next full
     # collection.
     entry = cast(EntryFunction, ns.pop("_enumerate"))
-    linecache.cache[filename] = (
-        len(source),
-        None,
-        source.splitlines(keepends=True),
-        filename,
-    )
+    lines = (len(source), None, source.splitlines(keepends=True), filename)
+    linecache.cache[filename] = lines
+    # The source lines live as long as the entry function: a long-lived
+    # service compiles without bound, and linecache is process-global.
+    weakref.finalize(entry, _forget_source, filename, lines)
     plan = CompiledPlan(algorithm=algorithm, source=source, entry=entry)
     listener = _LISTENER
     if listener is not None:
         listener(plan)
     return plan
+
+
+def _forget_source(filename: str, lines: tuple[Any, ...]) -> None:
+    """Drop a dead plan's source from linecache.
+
+    Only if the entry is still *lines*: the filename embeds ``id(ns)``,
+    which a later compile may reuse once this plan's namespace is gone.
+    """
+    if linecache.cache.get(filename) is lines:
+        linecache.cache.pop(filename, None)
 
 
 def compile_enumerator(matcher: Any) -> CompiledPlan | None:

@@ -19,6 +19,7 @@ neighbour and its timestamp run on the snapshot's flat planes.
 from __future__ import annotations
 
 import bisect
+import threading
 import time
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from typing import cast
@@ -113,9 +114,12 @@ class E2EMatcher:
         self.intersect_candidates = intersect_candidates
         self.plan = validate_plan(plan)
         self.codegen = codegen
-        #: Specialized enumerator compiled by ``prepare`` when
-        #: ``codegen`` is set; None means the interpreted loop runs.
+        #: Specialized enumerator set by :meth:`compile` (which
+        #: ``prepare`` calls when ``codegen`` is set); None means the
+        #: interpreted loop runs.
         self._compiled: CompiledPlan | None = None
+        self._compile_lock = threading.Lock()
+        self._compile_tried = False
         #: Per-position window bounds for the kernel (set by ``prepare``).
         self._window_plan: tuple[WindowBounds, ...] = ()
         self.pair_candidates: list[frozenset[tuple[int, int]]] | None = None
@@ -163,21 +167,41 @@ class E2EMatcher:
             self.intersect_candidates,
         )
         self._vmatch_plan = self._build_vmatch_plan()
+        self._prepared = True
         if self.codegen:
+            self.compile(tracer=tr)
+
+    def compile(self, tracer: TraceSink | None = None) -> bool:
+        """Compile this plan's specialized enumerator (idempotent).
+
+        Thread-safe: concurrent callers on one shared plan compile it
+        once, under the ``codegen-compile`` span of the caller that does
+        the work.  Returns True when this call compiled the enumerator;
+        False when an earlier call already compiled (or tried to) or the
+        generator declined the query shape.  Later runs dispatch to the
+        compiled entry; runs already under way finish interpreted.
+        """
+        self.prepare(tracer)
+        with self._compile_lock:
+            if self._compile_tried:
+                return False
+            self._compile_tried = True
+            tr = tracer if tracer is not None else NULL_TRACER
             with tr.span("codegen-compile", algorithm=self.name) as sp:
                 self._compiled = compile_enumerator(self)
                 sp.annotate(compiled=self._compiled is not None)
-        self._prepared = True
+            return self._compiled is not None
 
     @property
     def compiled_source(self) -> str | None:
         """Generated source of the specialized enumerator, if compiled.
 
-        The debug hook documented in ``docs/CODEGEN.md``; ``None`` when
-        ``codegen`` is off, ``prepare`` has not run, or the generator
-        bailed on this query shape.
+        The debug hook documented in ``docs/CODEGEN.md``; ``None`` until
+        :meth:`compile` has run (``prepare`` runs it when ``codegen`` is
+        set), or when the generator bailed on this query shape.
         """
-        return None if self._compiled is None else self._compiled.source
+        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
+        return None if compiled is None else compiled.source
 
     def _build_vmatch_plan(
         self,
@@ -244,9 +268,11 @@ class E2EMatcher:
         ``ctx.stats`` as ``budget_exhausted`` + ``limit_hit``.
         """
         self.prepare()
+        # Set once by compile(): a lock-free read sees None or the plan.
+        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
         try:
-            if self._compiled is not None:
-                self._compiled.entry(ctx, sink)
+            if compiled is not None:
+                compiled.entry(ctx, sink)
             else:
                 self._run_sink(ctx, sink)
         except StopEnumeration:
@@ -451,4 +477,10 @@ class E2EMatcher:
             if not produced:
                 search_stats.record_fail(pos + 1)
 
-        dfs(0)
+        try:
+            dfs(0)
+        finally:
+            # dfs is recursive, so its closure holds its own cell: clear
+            # it, or the run's sink, stats and slot index wait for the
+            # cyclic collector.
+            del dfs

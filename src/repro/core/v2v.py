@@ -21,6 +21,7 @@ snapshot's planes, and the joint timestamp solver is planned once in
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from typing import cast
@@ -125,9 +126,12 @@ class V2VMatcher:
         self.use_windows = use_windows
         self.plan = validate_plan(plan)
         self.codegen = codegen
-        #: Specialized enumerator compiled by ``prepare`` when
-        #: ``codegen`` is set; None means the interpreted loop runs.
+        #: Specialized enumerator set by :meth:`compile` (which
+        #: ``prepare`` calls when ``codegen`` is set); None means the
+        #: interpreted loop runs.
         self._compiled: CompiledPlan | None = None
+        self._compile_lock = threading.Lock()
+        self._compile_tried = False
         #: STN distance matrix for the window kernel (set by ``prepare``).
         self._dist: list[list[float]] = []
         self.candidates: list[frozenset[int]] | None = None
@@ -195,21 +199,41 @@ class V2VMatcher:
                     (w, query.has_edge(u, w), query.has_edge(w, u))
                 )
             self._fv_checks.append(tuple(checks))
+        self._prepared = True
         if self.codegen:
+            self.compile(tracer=tr)
+
+    def compile(self, tracer: TraceSink | None = None) -> bool:
+        """Compile this plan's specialized enumerator (idempotent).
+
+        Thread-safe: concurrent callers on one shared plan compile it
+        once, under the ``codegen-compile`` span of the caller that does
+        the work.  Returns True when this call compiled the enumerator;
+        False when an earlier call already compiled (or tried to) or the
+        generator declined the query shape.  Later runs dispatch to the
+        compiled entry; runs already under way finish interpreted.
+        """
+        self.prepare(tracer)
+        with self._compile_lock:
+            if self._compile_tried:
+                return False
+            self._compile_tried = True
+            tr = tracer if tracer is not None else NULL_TRACER
             with tr.span("codegen-compile", algorithm=self.name) as sp:
                 self._compiled = compile_enumerator(self)
                 sp.annotate(compiled=self._compiled is not None)
-        self._prepared = True
+            return self._compiled is not None
 
     @property
     def compiled_source(self) -> str | None:
         """Generated source of the specialized enumerator, if compiled.
 
-        The debug hook documented in ``docs/CODEGEN.md``; ``None`` when
-        ``codegen`` is off, ``prepare`` has not run, or the generator
-        bailed on this query shape.
+        The debug hook documented in ``docs/CODEGEN.md``; ``None`` until
+        :meth:`compile` has run (``prepare`` runs it when ``codegen`` is
+        set), or when the generator bailed on this query shape.
         """
-        return None if self._compiled is None else self._compiled.source
+        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
+        return None if compiled is None else compiled.source
 
     # ------------------------------------------------------------------
     # matching (Algorithm 2 lines 5-27)
@@ -241,9 +265,11 @@ class V2VMatcher:
         ``ctx.stats`` as ``budget_exhausted`` + ``limit_hit``.
         """
         self.prepare()
+        # Set once by compile(): a lock-free read sees None or the plan.
+        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
         try:
-            if self._compiled is not None:
-                self._compiled.entry(ctx, sink)
+            if compiled is not None:
+                compiled.entry(ctx, sink)
             else:
                 self._run_sink(ctx, sink)
         except StopEnumeration:
@@ -432,3 +458,7 @@ class V2VMatcher:
             dfs(0)
         finally:
             _flush_v2v(search_stats, fails, skipped)
+            # dfs is recursive, so its closure holds its own cell: clear
+            # it, or the run's sink, stats and candidate lists wait for
+            # the cyclic collector.
+            del dfs

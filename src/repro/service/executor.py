@@ -25,11 +25,12 @@ Two pool flavours, per the ``concurrent.futures`` split:
     graph by its shared-memory segment
     (:class:`~repro.graphs.SharedSnapshot`), so workers attach to the one
     graph image — zero buffer copies, zero recompiles — and each worker
-    keeps an LRU of prepared (and, with codegen, compiled) matchers
-    keyed by the query's plan key, so a repeated plan skips
-    ``prepare()`` in the worker just as the plan cache skips it
-    in-process.  Before each task a worker drops the plans and mappings
-    of graphs the parent has since replaced or dropped.  A worker that
+    keeps an LRU of prepared matchers keyed by the query's plan key, so
+    a repeated plan skips ``prepare()`` in the worker just as the plan
+    cache skips it in-process.  Worker plans stay interpreted: a plan
+    reused in the pool would pay its compile once per worker.  Before
+    each task a worker drops the plans and mappings of graphs the
+    parent has since replaced or dropped.  A worker that
     dies mid-query fails that query with
     :class:`~repro.errors.WorkerCrashedError`; the broken pool is
     discarded and the next process query starts a fresh one.  A traced
@@ -168,7 +169,7 @@ def _run_slice(
 
 
 class _WorkerPlans:
-    """One pool worker's LRU of prepared (and compiled) matchers.
+    """One pool worker's LRU of prepared (interpreted) matchers.
 
     Keyed by (segment name, plan key): a hit reuses the matcher its
     first task prepared; a miss prepares one against the attached graph.

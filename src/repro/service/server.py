@@ -33,7 +33,6 @@ from ..core import (
     SearchStats,
     create_matcher,
     find_matches,
-    supports_codegen,
 )
 from ..errors import (
     AdmissionError,
@@ -140,8 +139,10 @@ class ServiceResult:
     truncated_by_limit: bool = False
     truncated_by_deadline: bool = False
     ordered: bool = False
-    #: True when the answer was produced by a specialised compiled
-    #: enumerator (``codegen``) rather than the interpreted matcher.
+    #: True when the plan's compiled enumerator (``codegen``) served the
+    #: answer: an in-process run on a reused plan of an algorithm with a
+    #: generator.  A cold plan and a process-pool fan-out run
+    #: interpreted.  A request's ``codegen`` field does not change it.
     codegen: bool = False
     estimate: CountEstimate | None = None
     stats: SearchStats = field(repr=False, default_factory=SearchStats)
@@ -418,7 +419,6 @@ class TCSMService:
         plan: str | None = None,
         order_by: str | None = None,
         mode: str | None = None,
-        codegen: bool = False,
         trace: bool = False,
     ) -> ServiceResult:
         """Execute one query end to end through the serving stack.
@@ -445,15 +445,13 @@ class TCSMService:
         ``"cost"``); it is folded into the matcher options, so plan and
         result caches key distinct plans separately.
 
-        ``codegen=True`` asks for a per-plan *compiled* enumerator
-        (:mod:`repro.core.codegen`): the plan cache compiles a
-        specialised enumeration function once per :class:`PlanKey` and
-        every later hit reuses it.  The flag is folded into both cache
-        keys (via the matcher options hash and
-        :meth:`MatchOptions.canonical_hash`), so compiled and
-        interpreted plans never alias; on algorithms without codegen
-        support (the baselines) the flag is ignored.  The result echoes
-        the *effective* setting in its ``codegen`` field.
+        Plans compile on reuse (:mod:`repro.core.codegen`): a cold plan
+        runs the interpreted enumerator, and the first plan-cache hit
+        that runs in-process compiles it, so every reused plan runs
+        generated code.  A ``codegen`` entry in *options* is dropped:
+        it selects nothing and splits no cache key.  Process-pool
+        workers keep their plans interpreted.  The result's ``codegen``
+        field says whether the compiled enumerator served the answer.
 
         ``trace=True`` forces tracing for this query; otherwise the
         configured sample rate decides.  Traced queries bypass the result
@@ -470,12 +468,9 @@ class TCSMService:
         options = dict(options) if options else {}
         if plan is not None:
             options["plan"] = plan
-        # Normalise the codegen request (kwarg or options entry) against
-        # algorithm support: baselines silently run interpreted.
-        wants_codegen = bool(codegen or options.pop("codegen", False))
-        use_codegen = wants_codegen and supports_codegen(algo)
-        if use_codegen:
-            options["codegen"] = True
+        # Compiling is the plan cache's decision (on reuse), so a
+        # codegen request neither compiles in prepare nor splits a key.
+        options.pop("codegen", None)
         order = (order_by or "any").lower()
         answer_mode = (mode or "enumerate").lower()
         if answer_mode == "count":
@@ -508,7 +503,6 @@ class TCSMService:
                 collect_matches=collect_matches,
                 order_by=order,
                 mode=answer_mode,
-                codegen=use_codegen,
             )
             result_key = ResultKey(
                 graph_name=handle.name,
@@ -562,12 +556,15 @@ class TCSMService:
                 time.monotonic() + budget if budget is not None else None
             )
             count = self.executor.effective_workers(plan.matcher, workers)
+            # The registry exports a shared segment exactly when the pool
+            # is "process"; a one-partition query runs on this thread on
+            # the cached plan either way.
+            shared = handle.shared if count > 1 else None
+            compiled = shared is None and self._compile_on_reuse(
+                plan, plan_hit, tr
+            )
             with tr.span("enumerate", algorithm=algo) as span:
-                # The registry exports a shared segment exactly when the
-                # pool is "process"; a one-partition query runs on this
-                # thread on the cached plan either way.
-                shared = handle.shared
-                if shared is not None and count > 1:
+                if shared is not None:
                     # Workers attach to the segment by name and keep
                     # their own prepared copy of this plan under its
                     # key.  The addref/close pair keeps a just-replaced
@@ -642,7 +639,7 @@ class TCSMService:
                 truncated_by_limit=truncated_by_limit,
                 truncated_by_deadline=timed_out,
                 ordered=outcome.ordered,
-                codegen=use_codegen,
+                codegen=compiled,
                 plan_cache="hit" if plan_hit else "miss",
                 result_cache="miss" if use_result_cache else "bypass",
                 build_seconds=0.0 if plan_hit else plan.build_seconds,
@@ -661,6 +658,24 @@ class TCSMService:
             return result
         finally:
             self._release()
+
+    def _compile_on_reuse(
+        self, plan: CachedPlan, plan_hit: bool, tr: TraceSink
+    ) -> bool:
+        """Compile a reused plan's enumerator; True if it is compiled.
+
+        A plan-cache miss stays interpreted: a plan used once never earns
+        back the compile.  The first hit compiles it (once, whatever the
+        concurrency; the ``codegen-compile`` span lands in this query's
+        trace) and counts ``plan_compiles``.
+        """
+        matcher = plan.matcher
+        compile_plan = getattr(matcher, "compile", None)
+        if compile_plan is None:
+            return False  # no generator for this algorithm
+        if plan_hit and compile_plan(tracer=tr):
+            self.metrics.inc("plan_compiles")
+        return getattr(matcher, "compiled_source", None) is not None
 
     def _estimate(
         self,
@@ -925,7 +940,6 @@ class TCSMService:
             plan=plan,
             order_by=order_by,
             mode=mode,
-            codegen=bool(request.get("codegen", False)),
             trace=bool(request.get("trace", False)),
         )
         include_matches = (

@@ -6,17 +6,21 @@ from .e2e import E2EMatcher
 from .engine import (
     MatchResult,
     Matcher,
+    PreparedRun,
     available_algorithms,
     count_matches,
     create_matcher,
     find_matches,
     invoke_run_sink,
     matcher_kwargs,
+    merge_prepare_stats,
     register_algorithm,
+    run_prepared,
     supports_codegen,
     supports_partition,
 )
 from .results import CountEstimate, MatchSet
+from .sink_matcher import SinkMatcherBase
 from .sinks import (
     BoundedQueueSink,
     CollectSink,
@@ -98,8 +102,10 @@ __all__ = [
     "NO_WINDOW",
     "PLAN_CHOICES",
     "PlanCosts",
+    "PreparedRun",
     "RunContext",
     "SearchStats",
+    "SinkMatcherBase",
     "TCF",
     "TCQ",
     "TCQPlus",
@@ -139,6 +145,7 @@ __all__ = [
     "iter_timestamp_assignments",
     "ldf",
     "matcher_kwargs",
+    "merge_prepare_stats",
     "nlf",
     "partition_slice",
     "plan_costs",
@@ -146,6 +153,7 @@ __all__ = [
     "register_algorithm",
     "render_tcq",
     "render_tcq_plus",
+    "run_prepared",
     "score_edge_order",
     "score_vertex_order",
     "set_codegen_listener",

@@ -18,29 +18,25 @@ import time
 from collections.abc import Collection, Iterator, Sequence
 from typing import cast
 
-from ..errors import AlgorithmError
-from ..graphs import (
-    GraphSnapshot,
-    GraphView,
-    QueryGraph,
-    TemporalConstraints,
-    ensure_snapshot,
-)
-from ..obs import TraceSink
+from ..graphs import GraphView, QueryGraph, TemporalConstraints
 
 from .match import Match
 from .options import RunContext
 from .partition import partition_slice
-from .sinks import CollectSink, ResultSink, StopEnumeration
+from .sink_matcher import SinkMatcherBase
+from .sinks import ResultSink, StopEnumeration
 
 __all__ = ["BruteForceMatcher", "brute_force_matches"]
 
 
-class BruteForceMatcher:
-    """Oracle matcher with the same protocol as the real matchers."""
+class BruteForceMatcher(SinkMatcherBase):
+    """Oracle matcher with the same protocol as the real matchers.
+
+    It shares the run contract (:class:`SinkMatcherBase`) and nothing
+    of the search: no plan, no filters, no generated code.
+    """
 
     name = "brute-force"
-    supports_partition = True
 
     def __init__(
         self,
@@ -48,58 +44,15 @@ class BruteForceMatcher:
         constraints: TemporalConstraints,
         graph: GraphView,
     ) -> None:
-        if constraints.num_edges != query.num_edges:
-            raise AlgorithmError(
-                f"constraints expect {constraints.num_edges} query edges, "
-                f"query has {query.num_edges}"
-            )
-        self.query = query
-        self.constraints = constraints
-        self.graph = graph
-        self._view: GraphSnapshot | None = None
-
-    def _resolve_view(self) -> GraphSnapshot:
-        """Freeze the data graph on first use (``run`` skips ``prepare``)."""
-        if self._view is None:
-            self._view = ensure_snapshot(self.graph)
-        return self._view
-
-    def prepare(self, tracer: TraceSink | None = None) -> None:
-        """Resolve the data-plane view (kept for protocol compatibility)."""
-        self._resolve_view()
-
-    def run(self, ctx: RunContext) -> Iterator[Match]:
-        """Yield every match, in deterministic order.
-
-        ``ctx.partition=(index, count)`` restricts the search to the slice
-        of the first query vertex's candidates owned by that partition
-        (see :mod:`repro.core.partition`).  Pull facade over
-        :meth:`run_sink`: the generator replays the collected prefix.
-        """
-        sink = CollectSink(limit=ctx.limit)
-        self.run_sink(ctx, sink)
-        yield from sink.finish()
-
-    def run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
-        """Push every match into *sink* — the primary entry point.
-
-        A satisfied sink raises :class:`StopEnumeration`, which unwinds
-        the recursion directly; the stop is recorded on ``ctx.stats`` as
-        ``budget_exhausted`` + ``limit_hit``.
-        """
-        try:
-            self._run_sink(ctx, sink)
-        except StopEnumeration:
-            ctx.stats.budget_exhausted = True
-            if not ctx.stats.deadline_hit:
-                ctx.stats.limit_hit = True
+        # No ``codegen`` keyword: the oracle has no generator.
+        super().__init__(query, constraints, graph)
 
     def _run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
         deadline = ctx.deadline
         partition = ctx.partition
         search_stats = ctx.stats
         query = self.query
-        graph = self._resolve_view()
+        graph = self._view
         n = query.num_vertices
         vertex_map: list[int | None] = [None] * n
         # Read-only view: positions below `u` are always bound in id order.

@@ -63,9 +63,9 @@ import linecache
 import math
 import time
 import weakref
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, cast
+from typing import TYPE_CHECKING, Any, cast, overload
 
 from ..graphs import TemporalEdge
 
@@ -123,6 +123,36 @@ class CompiledPlan:
     algorithm: str
     source: str
     entry: EntryFunction
+
+
+class _SourceLines(Sequence[str]):
+    """The :mod:`linecache` lines of one generated source, split on read.
+
+    linecache wants a list of lines; this view over the plan's own
+    source string keeps a live plan's source in memory once.  Only a
+    traceback or a debugger reads it, a few lines at a time.
+    """
+
+    __slots__ = ("source", "_count")
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self._count = source.count("\n")
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.source.splitlines(keepends=True))
+
+    @overload
+    def __getitem__(self, index: int) -> str: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[str]: ...
+
+    def __getitem__(self, index: int | slice) -> str | list[str]:
+        return self.source.splitlines(keepends=True)[index]
 
 
 class _Writer:
@@ -866,8 +896,8 @@ def _finish(
     # its namespace closes over) is freed at once, not at the next full
     # collection.
     entry = cast(EntryFunction, ns.pop("_enumerate"))
-    lines = (len(source), None, source.splitlines(keepends=True), filename)
-    linecache.cache[filename] = lines
+    lines = (len(source), None, _SourceLines(source), filename)
+    linecache.cache[filename] = lines  # type: ignore[assignment]
     # The source lines live as long as the entry function: a long-lived
     # service compiles without bound, and linecache is process-global.
     weakref.finalize(entry, _forget_source, filename, lines)

@@ -19,37 +19,28 @@ neighbour and its timestamp run on the snapshot's flat planes.
 from __future__ import annotations
 
 import bisect
-import threading
 import time
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from typing import cast
 
 from ..errors import AlgorithmError
-from ..graphs import (
-    GraphSnapshot,
-    GraphView,
-    QueryGraph,
-    TemporalConstraints,
-    TemporalEdge,
-    ensure_snapshot,
-)
-from ..obs import NULL_TRACER, TraceSink
+from ..graphs import GraphView, QueryGraph, TemporalConstraints, TemporalEdge
+from ..obs import TraceSink
 
 from .candidate_space import CLOSE, IN, OUT, CandidateSpace
-from .codegen import CompiledPlan, compile_enumerator
 from .filters import initial_edge_candidate_pairs
 from .match import Match
 from .options import RunContext
 from .planner import plan_costs, validate_plan
-from .sinks import CollectSink, ResultSink, StopEnumeration
-from .stats import SearchStats
+from .sink_matcher import SinkMatcherBase
+from .sinks import ResultSink, StopEnumeration
 from .tcq_plus import TCQPlus, build_tcq_plus
 from .windows import WindowBounds, build_edge_window_plan, feasible_window
 
 __all__ = ["E2EMatcher"]
 
 
-class E2EMatcher:
+class E2EMatcher(SinkMatcherBase):
     """Matcher implementing TCSM-E2E.
 
     Parameters
@@ -77,10 +68,6 @@ class E2EMatcher:
     """
 
     name = "tcsm-e2e"
-    supports_partition = True
-    #: :mod:`repro.core.codegen` has a specializing generator for this
-    #: matcher family (the engine consults this before forwarding the
-    #: ``codegen`` option to the constructor).
     supports_codegen = True
 
     #: Subclass hook (TCSM-EVE): vertex pre-matching on newly introduced
@@ -96,30 +83,13 @@ class E2EMatcher:
         plan: str = "paper",
         codegen: bool = False,
     ) -> None:
-        if constraints.num_edges != query.num_edges:
-            raise AlgorithmError(
-                f"constraints expect {constraints.num_edges} query edges, "
-                f"query has {query.num_edges}"
-            )
+        super().__init__(query, constraints, graph, codegen)
         if query.num_edges == 0:
             raise AlgorithmError(
                 "edge-based matchers need at least one query edge"
             )
-        self.query = query
-        self.constraints = constraints
-        self.graph = graph
-        #: The compiled data plane every read goes through (set by
-        #: ``prepare``).
-        self._view: GraphSnapshot
         self.intersect_candidates = intersect_candidates
         self.plan = validate_plan(plan)
-        self.codegen = codegen
-        #: Specialized enumerator set by :meth:`compile` (which
-        #: ``prepare`` calls when ``codegen`` is set); None means the
-        #: interpreted loop runs.
-        self._compiled: CompiledPlan | None = None
-        self._compile_lock = threading.Lock()
-        self._compile_tried = False
         #: Per-position window bounds for the kernel (set by ``prepare``).
         self._window_plan: tuple[WindowBounds, ...] = ()
         self.pair_candidates: list[frozenset[tuple[int, int]]] | None = None
@@ -127,22 +97,15 @@ class E2EMatcher:
         #: index both enumerators read (set by ``prepare``).
         self.candidate_space: CandidateSpace | None = None
         self.tcq_plus: TCQPlus | None = None
-        #: Filter counters accumulated during ``prepare`` (the engine
-        #: merges them into the run stats exactly once per query).
-        self.prepare_stats = SearchStats()
-        self._prepared = False
 
     # ------------------------------------------------------------------
     # preparation (Algorithm 4 lines 1-4)
     # ------------------------------------------------------------------
-    def prepare(self, tracer: TraceSink | None = None) -> None:
-        """Compute LDF candidates, the TCQ+ and the slot index (idempotent)."""
-        if self._prepared:
-            return
-        tr = tracer if tracer is not None else NULL_TRACER
-        with tr.span("compile-snapshot"):
-            self._view = ensure_snapshot(self.graph)
-        with tr.span("candidate-filter:ldf", edges=self.query.num_edges) as sp:
+    def _prepare(self, tracer: TraceSink) -> None:
+        """Compute LDF candidates, the TCQ+ and the slot index."""
+        with tracer.span(
+            "candidate-filter:ldf", edges=self.query.num_edges
+        ) as sp:
             self.pair_candidates = initial_edge_candidate_pairs(
                 self.query,
                 self._view,
@@ -167,41 +130,6 @@ class E2EMatcher:
             self.intersect_candidates,
         )
         self._vmatch_plan = self._build_vmatch_plan()
-        self._prepared = True
-        if self.codegen:
-            self.compile(tracer=tr)
-
-    def compile(self, tracer: TraceSink | None = None) -> bool:
-        """Compile this plan's specialized enumerator (idempotent).
-
-        Thread-safe: concurrent callers on one shared plan compile it
-        once, under the ``codegen-compile`` span of the caller that does
-        the work.  Returns True when this call compiled the enumerator;
-        False when an earlier call already compiled (or tried to) or the
-        generator declined the query shape.  Later runs dispatch to the
-        compiled entry; runs already under way finish interpreted.
-        """
-        self.prepare(tracer)
-        with self._compile_lock:
-            if self._compile_tried:
-                return False
-            self._compile_tried = True
-            tr = tracer if tracer is not None else NULL_TRACER
-            with tr.span("codegen-compile", algorithm=self.name) as sp:
-                self._compiled = compile_enumerator(self)
-                sp.annotate(compiled=self._compiled is not None)
-            return self._compiled is not None
-
-    @property
-    def compiled_source(self) -> str | None:
-        """Generated source of the specialized enumerator, if compiled.
-
-        The debug hook documented in ``docs/CODEGEN.md``; ``None`` until
-        :meth:`compile` has run (``prepare`` runs it when ``codegen`` is
-        set), or when the generator bailed on this query shape.
-        """
-        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
-        return None if compiled is None else compiled.source
 
     def _build_vmatch_plan(
         self,
@@ -241,45 +169,6 @@ class E2EMatcher:
     # ------------------------------------------------------------------
     # matching (Algorithm 4 lines 5-27)
     # ------------------------------------------------------------------
-    def run(self, ctx: RunContext) -> Iterator[Match]:
-        """Yield all matches (pull facade over :meth:`run_sink`).
-
-        ``ctx.partition=(index, count)`` restricts the search to the
-        slice of the *root* edge's candidate pairs owned by that partition
-        (see :mod:`repro.core.partition`); the ``count`` partitions
-        jointly enumerate exactly the unpartitioned match set, disjointly.
-        ``ctx.limit`` and the deadline still stop the search early; the
-        returned generator replays the collected prefix.
-        """
-        self.prepare()
-        return self._run_collected(ctx)
-
-    def _run_collected(self, ctx: RunContext) -> Iterator[Match]:
-        sink = CollectSink(limit=ctx.limit)
-        self.run_sink(ctx, sink)
-        yield from sink.finish()
-
-    def run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
-        """Push every match into *sink* — the primary entry point.
-
-        A satisfied sink raises :class:`StopEnumeration`, which unwinds
-        the DFS recursion directly (no further candidates generated, no
-        further timestamps expanded); the stop is recorded on
-        ``ctx.stats`` as ``budget_exhausted`` + ``limit_hit``.
-        """
-        self.prepare()
-        # Set once by compile(): a lock-free read sees None or the plan.
-        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
-        try:
-            if compiled is not None:
-                compiled.entry(ctx, sink)
-            else:
-                self._run_sink(ctx, sink)
-        except StopEnumeration:
-            ctx.stats.budget_exhausted = True
-            if not ctx.stats.deadline_hit:
-                ctx.stats.limit_hit = True
-
     def _run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
         deadline = ctx.deadline
         search_stats = ctx.stats

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Iterator
-from typing import Any, Protocol
+from typing import Any, NamedTuple, Protocol
 
 from ..errors import AlgorithmError, UnknownAlgorithmError
 from ..graphs import (
@@ -41,7 +41,7 @@ from .eve import EVEMatcher
 from .match import Match
 from .options import MatchOptions, RunContext
 from .results import CountEstimate, MatchResult
-from .sinks import ResultSink, StopEnumeration, build_sink, drain_into_sink
+from .sinks import ResultSink, build_sink, drain_into_sink
 from .stats import SearchStats
 from .v2v import V2VMatcher
 
@@ -50,6 +50,7 @@ __all__ = [
     "MatchOptions",
     "Matcher",
     "MatchResult",
+    "PreparedRun",
     "RunContext",
     "available_algorithms",
     "count_matches",
@@ -57,7 +58,9 @@ __all__ = [
     "find_matches",
     "invoke_run_sink",
     "matcher_kwargs",
+    "merge_prepare_stats",
     "register_algorithm",
+    "run_prepared",
     "supports_codegen",
     "supports_partition",
 ]
@@ -109,6 +112,73 @@ def invoke_run_sink(matcher: Matcher, ctx: RunContext, sink: ResultSink) -> None
         run_sink(ctx, sink)
         return
     drain_into_sink(matcher.run(ctx), sink, ctx.stats)
+
+
+class PreparedRun(NamedTuple):
+    """What :func:`run_prepared` returns for one run."""
+
+    matches: list[Match]
+    stats: SearchStats
+    #: The match limit shaped the returned set: the sink stopped the
+    #: search early, or an exact top-k dropped matches past the k-th.
+    truncated_by_limit: bool
+
+
+def run_prepared(
+    matcher: Matcher,
+    *,
+    mode: str = "enumerate",
+    order_by: str = "any",
+    limit: int | None = None,
+    collect: bool = True,
+    deadline: float | None = None,
+    partition: tuple[int, int] | None = None,
+    stats: SearchStats | None = None,
+    tracer: TraceSink | None = None,
+) -> PreparedRun:
+    """Run a prepared *matcher* once: the one run step of every path.
+
+    :func:`find_matches`, the service's in-process run
+    (``QueryExecutor.run_matcher``) and each process-pool partition call
+    this.  It builds the sink from (*mode*, *order_by*, *limit*,
+    *collect*) and runs the matcher into it under *deadline*, restricted
+    to *partition* when given.  The run's counters accumulate on *stats*
+    (a fresh :class:`SearchStats` by default).
+    """
+    if partition is not None and not supports_partition(matcher):
+        raise AlgorithmError(
+            f"matcher {matcher.name!r} does not support partitioned "
+            "execution"
+        )
+    sink = build_sink(mode=mode, order_by=order_by, limit=limit, collect=collect)
+    ctx = RunContext(
+        # Exact top-k earliest needs the *full* enumeration (the heap
+        # keeps the k best); a context limit would make pull-based
+        # matchers stop at the first k found instead.  Every other sink
+        # enforces its own limit, so the context limit only matters to
+        # pull-based matchers.
+        limit=None if order_by == "earliest" else limit,
+        deadline=deadline,
+        partition=partition,
+        stats=stats if stats is not None else SearchStats(),
+        tracer=tracer if tracer is not None else NULL_TRACER,
+    )
+    invoke_run_sink(matcher, ctx, sink)
+    truncated_by_limit = ctx.stats.limit_hit or bool(
+        getattr(sink, "overflowed", False)
+    )
+    return PreparedRun(sink.finish(), ctx.stats, truncated_by_limit)
+
+
+def merge_prepare_stats(matcher: Matcher, stats: SearchStats) -> None:
+    """Add *matcher*'s prepare-time filter counters to a query's *stats*.
+
+    Called once per query, not per partition or per worker (which would
+    multiply them); matchers without ``prepare_stats`` add nothing.
+    """
+    prepare_stats = getattr(matcher, "prepare_stats", None)
+    if isinstance(prepare_stats, SearchStats):
+        stats.merge(prepare_stats)
 
 
 MatcherFactory = Callable[..., Matcher]
@@ -289,49 +359,31 @@ def find_matches(
             "find_matches() got keyword arguments a pre-built matcher "
             f"would ignore: {', '.join(sorted(matcher_options))}"
         )
-    stats = SearchStats()
 
     build_start = time.perf_counter()
     with tr.span("prepare", algorithm=matcher.name):
         matcher.prepare(tracer=tr)
     build_seconds = time.perf_counter() - build_start
-    prepare_stats = getattr(matcher, "prepare_stats", None)
-    if isinstance(prepare_stats, SearchStats):
-        stats.merge(prepare_stats)
+    stats = SearchStats()
+    merge_prepare_stats(matcher, stats)
 
     deadline = None
     if opts.time_budget is not None:
         deadline = time.monotonic() + opts.time_budget
 
-    if opts.partition is not None and not supports_partition(matcher):
-        raise AlgorithmError(
-            f"matcher {matcher.name!r} does not support partitioned "
-            "execution"
-        )
-    sink = build_sink(
-        mode=opts.mode,
-        order_by=opts.order_by,
-        limit=opts.limit,
-        collect=opts.collect_matches,
-    )
-    # Exact top-k earliest needs the *full* enumeration (the heap keeps
-    # the k best); a context limit would make pull-based matchers stop
-    # at the first k found instead.  Every other sink enforces its own
-    # limit, so the context limit is only kept for pull-based matchers.
-    ctx_limit = opts.limit
-    if opts.order_by == "earliest":
-        ctx_limit = None
-    ctx = RunContext(
-        limit=ctx_limit,
-        deadline=deadline,
-        partition=opts.partition,
-        stats=stats,
-        tracer=tr,
-    )
-
     match_start = time.perf_counter()
     with tr.span("enumerate", algorithm=matcher.name) as enum_span:
-        invoke_run_sink(matcher, ctx, sink)
+        run = run_prepared(
+            matcher,
+            mode=opts.mode,
+            order_by=opts.order_by,
+            limit=opts.limit,
+            collect=opts.collect_matches,
+            deadline=deadline,
+            partition=opts.partition,
+            stats=stats,
+            tracer=tr,
+        )
         enum_span.annotate(
             matches=stats.matches,
             timestamps_expanded=stats.timestamps_expanded,
@@ -339,24 +391,18 @@ def find_matches(
         )
     match_seconds = time.perf_counter() - match_start
 
-    matches: list[Match] = sink.finish()
-    truncated_by_limit = stats.limit_hit or bool(
-        getattr(sink, "overflowed", False)
-    )
-    result = MatchResult(
+    return MatchResult(
         algorithm=matcher.name,
-        matches=matches,
+        matches=run.matches,
         stats=stats,
         build_seconds=build_seconds,
         match_seconds=match_seconds,
         timed_out=stats.deadline_hit,
-        truncated=truncated_by_limit
-        or (stats.budget_exhausted and not stats.deadline_hit),
-        truncated_by_limit=truncated_by_limit,
+        truncated=run.truncated_by_limit,
+        truncated_by_limit=run.truncated_by_limit,
         ordered=opts.order_by == "earliest",
         trace=trace,
     )
-    return result
 
 
 def count_matches(

@@ -124,15 +124,17 @@ class MatchOptions:
         returned; ``order_by``/``mode`` change the result's shape
         outright, so a cached complete enumeration is never served for
         a ``limit=k`` request nor vice versa).  ``codegen`` is covered
-        too — not because it changes the answer (it is pinned not to)
-        but because the service's *plan* cache keys on this hash and a
-        compiled plan is a different artifact from an interpreted one.
-        ``time_budget`` is
-        excluded because only budget-independent (complete) results are
-        ever cached, and ``trace``/``sanitize`` because observability
-        and runtime checking never change the answer.  Equal options
-        hash equal across processes (canonical
-        JSON, no ``hash()`` randomisation).
+        too, though it never changes the answer (it is pinned not to):
+        the hash separates one-shot runs that compile at ``prepare``
+        from those that do not.  The service keys neither cache on it —
+        its ``PlanKey`` fingerprints the matcher options
+        (``options_fingerprint``), and the ``MatchOptions`` behind its
+        ``ResultKey`` never set ``codegen``, because service plans
+        compile on reuse.  ``time_budget`` is excluded because only
+        budget-independent (complete) results are ever cached, and
+        ``trace``/``sanitize`` because observability and runtime
+        checking never change the answer.  Equal options hash equal
+        across processes (canonical JSON, no ``hash()`` randomisation).
         """
         payload = json.dumps(
             {

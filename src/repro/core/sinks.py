@@ -56,7 +56,7 @@ class StopEnumeration(Exception):
     Push-based matchers let it propagate through their DFS recursion (a
     genuine early exit: no further candidates are generated, no further
     timestamps expanded) and their ``run_sink`` wrapper records the stop
-    in ``stats.budget_exhausted`` / ``stats.limit_hit``.
+    with :meth:`~repro.core.stats.SearchStats.record_stop`.
     """
 
 
@@ -305,9 +305,7 @@ def drain_into_sink(
             sink.accept(match)
     except StopEnumeration:
         if stats is not None:
-            stats.budget_exhausted = True
-            if not stats.deadline_hit:
-                stats.limit_hit = True
+            stats.record_stop()
     finally:
         close = getattr(iterator, "close", None)
         if close is not None:

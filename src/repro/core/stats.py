@@ -147,6 +147,16 @@ class SearchStats:
         if self.first_fail_layer is None or layer < self.first_fail_layer:
             self.first_fail_layer = layer
 
+    def record_stop(self) -> None:
+        """Record an early stop (a caught ``StopEnumeration``).
+
+        The deadline check flags ``deadline_hit`` before it raises, so a
+        stop it did not flag came from a satisfied sink: the limit.
+        """
+        self.budget_exhausted = True
+        if not self.deadline_hit:
+            self.limit_hit = True
+
     def merge(self, other: "SearchStats") -> None:
         """Accumulate *other* into self (used by multi-phase baselines)."""
         self.candidates_generated += other.candidates_generated

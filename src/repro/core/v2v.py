@@ -21,34 +21,26 @@ snapshot's planes, and the joint timestamp solver is planned once in
 
 from __future__ import annotations
 
-import threading
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from typing import cast
 
-from ..errors import AlgorithmError
-from ..graphs import (
-    GraphSnapshot,
-    GraphView,
-    QueryGraph,
-    TemporalConstraints,
-    ensure_snapshot,
-)
-from ..obs import NULL_TRACER, TraceSink
+from ..graphs import GraphView, QueryGraph, TemporalConstraints
+from ..obs import TraceSink
 
 from .candidate_space import (
     NeighbourCandidates,
     pair_readers,
     vertex_candidate_lists,
 )
-from .codegen import CompiledPlan, _flush_v2v, compile_enumerator
+from .codegen import _flush_v2v
 from .filters import initial_vertex_candidates
 from .match import Match
 from .options import RunContext
 from .partition import partition_slice
 from .planner import plan_costs, validate_plan
-from .sinks import CollectSink, ResultSink, StopEnumeration
-from .stats import SearchStats
+from .sink_matcher import SinkMatcherBase
+from .sinks import ResultSink, StopEnumeration
 from .tcq import TCQ, build_tcq
 from .timestamps import TimestampPlan, windows_compatible
 from .windows import (
@@ -60,7 +52,7 @@ from .windows import (
 __all__ = ["V2VMatcher"]
 
 
-class V2VMatcher:
+class V2VMatcher(SinkMatcherBase):
     """Matcher implementing TCSM-V2V.
 
     Parameters
@@ -93,10 +85,6 @@ class V2VMatcher:
     """
 
     name = "tcsm-v2v"
-    supports_partition = True
-    #: :mod:`repro.core.codegen` has a specializing generator for this
-    #: matcher (the engine consults this before forwarding the
-    #: ``codegen`` option to the constructor).
     supports_codegen = True
 
     def __init__(
@@ -110,28 +98,11 @@ class V2VMatcher:
         plan: str = "paper",
         codegen: bool = False,
     ) -> None:
-        if constraints.num_edges != query.num_edges:
-            raise AlgorithmError(
-                f"constraints expect {constraints.num_edges} query edges, "
-                f"query has {query.num_edges}"
-            )
-        self.query = query
-        self.constraints = constraints
-        self.graph = graph
-        #: The compiled data plane every read goes through (set by
-        #: ``prepare``).
-        self._view: GraphSnapshot
+        super().__init__(query, constraints, graph, codegen)
         self.count_based_nlf = count_based_nlf
         self.intersect_candidates = intersect_candidates
         self.use_windows = use_windows
         self.plan = validate_plan(plan)
-        self.codegen = codegen
-        #: Specialized enumerator set by :meth:`compile` (which
-        #: ``prepare`` calls when ``codegen`` is set); None means the
-        #: interpreted loop runs.
-        self._compiled: CompiledPlan | None = None
-        self._compile_lock = threading.Lock()
-        self._compile_tried = False
         #: STN distance matrix for the window kernel (set by ``prepare``).
         self._dist: list[list[float]] = []
         self.candidates: list[frozenset[int]] | None = None
@@ -141,22 +112,13 @@ class V2VMatcher:
         self.candidate_lists: tuple[NeighbourCandidates | None, ...] | None = None
         #: The joint timestamp solver's plan (set by ``prepare``).
         self._solver: TimestampPlan
-        #: Filter counters accumulated during ``prepare`` (the engine
-        #: merges them into the run stats exactly once per query).
-        self.prepare_stats = SearchStats()
-        self._prepared = False
 
     # ------------------------------------------------------------------
     # preparation (Algorithm 2 lines 1-4); timed separately by the engine
     # ------------------------------------------------------------------
-    def prepare(self, tracer: TraceSink | None = None) -> None:
-        """Compute initial candidates and build the TCQ (idempotent)."""
-        if self._prepared:
-            return
-        tr = tracer if tracer is not None else NULL_TRACER
-        with tr.span("compile-snapshot"):
-            self._view = ensure_snapshot(self.graph)
-        with tr.span(
+    def _prepare(self, tracer: TraceSink) -> None:
+        """Compute initial candidates and build the TCQ."""
+        with tracer.span(
             "candidate-filter:nlf", vertices=self.query.num_vertices
         ) as sp:
             self.candidates = initial_vertex_candidates(
@@ -199,84 +161,10 @@ class V2VMatcher:
                     (w, query.has_edge(u, w), query.has_edge(w, u))
                 )
             self._fv_checks.append(tuple(checks))
-        self._prepared = True
-        if self.codegen:
-            self.compile(tracer=tr)
-
-    def compile(self, tracer: TraceSink | None = None) -> bool:
-        """Compile this plan's specialized enumerator (idempotent).
-
-        Thread-safe: concurrent callers on one shared plan compile it
-        once, under the ``codegen-compile`` span of the caller that does
-        the work.  Returns True when this call compiled the enumerator;
-        False when an earlier call already compiled (or tried to) or the
-        generator declined the query shape.  Later runs dispatch to the
-        compiled entry; runs already under way finish interpreted.
-        """
-        self.prepare(tracer)
-        with self._compile_lock:
-            if self._compile_tried:
-                return False
-            self._compile_tried = True
-            tr = tracer if tracer is not None else NULL_TRACER
-            with tr.span("codegen-compile", algorithm=self.name) as sp:
-                self._compiled = compile_enumerator(self)
-                sp.annotate(compiled=self._compiled is not None)
-            return self._compiled is not None
-
-    @property
-    def compiled_source(self) -> str | None:
-        """Generated source of the specialized enumerator, if compiled.
-
-        The debug hook documented in ``docs/CODEGEN.md``; ``None`` until
-        :meth:`compile` has run (``prepare`` runs it when ``codegen`` is
-        set), or when the generator bailed on this query shape.
-        """
-        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
-        return None if compiled is None else compiled.source
 
     # ------------------------------------------------------------------
     # matching (Algorithm 2 lines 5-27)
     # ------------------------------------------------------------------
-    def run(self, ctx: RunContext) -> Iterator[Match]:
-        """Yield all matches (pull facade over :meth:`run_sink`).
-
-        ``ctx.partition=(index, count)`` restricts the search to the
-        slice of the *root* vertex's candidates owned by that partition
-        (see :mod:`repro.core.partition`); the ``count`` partitions
-        jointly enumerate exactly the unpartitioned match set, disjointly.
-        ``ctx.limit`` and the deadline still stop the search early; the
-        returned generator replays the collected prefix.
-        """
-        self.prepare()
-        return self._run_collected(ctx)
-
-    def _run_collected(self, ctx: RunContext) -> Iterator[Match]:
-        sink = CollectSink(limit=ctx.limit)
-        self.run_sink(ctx, sink)
-        yield from sink.finish()
-
-    def run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
-        """Push every match into *sink* — the primary entry point.
-
-        A satisfied sink raises :class:`StopEnumeration`, which unwinds
-        the DFS recursion directly (no further candidates generated, no
-        further timestamps expanded); the stop is recorded on
-        ``ctx.stats`` as ``budget_exhausted`` + ``limit_hit``.
-        """
-        self.prepare()
-        # Set once by compile(): a lock-free read sees None or the plan.
-        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
-        try:
-            if compiled is not None:
-                compiled.entry(ctx, sink)
-            else:
-                self._run_sink(ctx, sink)
-        except StopEnumeration:
-            ctx.stats.budget_exhausted = True
-            if not ctx.stats.deadline_hit:
-                ctx.stats.limit_hit = True
-
     def _run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
         deadline = ctx.deadline
         partition = ctx.partition

@@ -347,15 +347,6 @@ class GraphSnapshot:
             return k
         return -1
 
-    def _in_slot(self, v: int, u: int) -> int:
-        """CSR slot of pair ``(u, v)`` in the in-plane, or -1."""
-        offsets = self._in_offsets
-        lo, hi = offsets[v], offsets[v + 1]
-        k = bisect.bisect_left(self._in_nbrs, u, lo, hi)
-        if k < hi and self._in_nbrs[k] == u:
-            return k
-        return -1
-
     def _probe(self, u: int, v: int, t: Timestamp) -> int:
         """Unchecked membership probe of ``(u, v, t)``.
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import IO, Any
 
 from ..errors import ServiceError
-from .server import TCSMService
+from .server import TCSMService, parse_request_line
 
 __all__ = [
     "AsyncFrontConfig",
@@ -374,27 +374,12 @@ async def serve_stdio_async(
             line = raw.strip()
             if not line:
                 continue
-            request: dict[str, Any] | None
-            try:
-                if len(line) > max_bytes:
-                    raise ValueError(
-                        f"request line exceeds max_request_bytes "
-                        f"({len(line)} > {max_bytes})"
-                    )
-                parsed = json.loads(line)
-                if not isinstance(parsed, dict):
-                    raise ValueError("request must be a JSON object")
-                request = parsed
-            except ValueError as exc:
-                request = None
+            request, ok = parse_request_line(line, max_bytes)
+            if not ok:
+                # *request* is the error envelope.
                 failed: asyncio.Future[dict[str, Any]]
                 failed = loop.create_future()
-                failed.set_result(
-                    {
-                        "status": "error",
-                        "error": f"invalid request line: {exc}",
-                    }
-                )
+                failed.set_result(request)
                 await pending.put(failed)
                 continue
             if request.get("op") == "shutdown":

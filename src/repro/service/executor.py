@@ -59,14 +59,13 @@ from typing import Any, NamedTuple
 from ..core import (
     Match,
     Matcher,
-    RunContext,
     SearchStats,
     create_matcher,
+    run_prepared,
     supports_partition,
 )
-from ..core.engine import invoke_run_sink
-from ..core.sinks import build_sink, match_sort_key
-from ..errors import AlgorithmError, WorkerCrashedError
+from ..core.sinks import match_sort_key
+from ..errors import WorkerCrashedError
 from ..graphs import (
     GraphSnapshot,
     QueryGraph,
@@ -143,29 +142,6 @@ class ProcessSpec:
     order_by: str = "any"
     mode: str = "enumerate"
     options: dict[str, Any] = field(default_factory=dict)
-
-
-def _run_slice(
-    matcher: Matcher,
-    ctx: RunContext,
-    mode: str,
-    order_by: str,
-    limit: int | None,
-    collect: bool,
-) -> tuple[tuple[Match, ...], bool]:
-    """Run *matcher* under *ctx* into a fresh sink built from (*mode*,
-    *order_by*, *limit*, *collect*).
-
-    The one run step of both paths (in-process, process worker).  The
-    slice's stats land on ``ctx.stats``; returns its matches and whether
-    the limit shaped them.
-    """
-    sink = build_sink(
-        mode=mode, order_by=order_by, limit=limit, collect=collect
-    )
-    invoke_run_sink(matcher, ctx, sink)
-    truncated = ctx.stats.limit_hit or bool(getattr(sink, "overflowed", False))
-    return tuple(sink.finish()), truncated
 
 
 class _WorkerPlans:
@@ -258,37 +234,27 @@ def _run_task(
     compile_floor = snapshot_compile_count()
     plans.sweep()
     matcher, hit = plans.matcher_for(spec)
-    if partition is not None and not supports_partition(matcher):
-        raise AlgorithmError(
-            f"matcher {matcher.name!r} does not support partitioned "
-            "execution"
-        )
     tracer: TraceSink = Tracer() if traced else NULL_TRACER
-    ctx = RunContext(
-        # Exact top-k needs the full enumeration (see run_matcher).
-        limit=None if spec.order_by == "earliest" else spec.limit,
-        deadline=(
-            None if spec.time_budget is None else started + spec.time_budget
-        ),
-        partition=partition,
-        tracer=tracer,
-    )
     index, count = partition or (0, 1)
     with tracer.span(
         f"partition:{index}/{count}", algorithm=matcher.name
     ) as span:
-        matches, _ = _run_slice(
+        run = run_prepared(
             matcher,
-            ctx,
-            spec.mode,
-            spec.order_by,
-            spec.limit,
-            spec.collect_matches,
+            mode=spec.mode,
+            order_by=spec.order_by,
+            limit=spec.limit,
+            collect=spec.collect_matches,
+            deadline=(
+                None if spec.time_budget is None else started + spec.time_budget
+            ),
+            partition=partition,
+            tracer=tracer,
         )
-        span.annotate(matches=ctx.stats.matches)
+        span.annotate(matches=run.stats.matches)
     return _SliceResult(
-        matches=matches,
-        stats=ctx.stats,
+        matches=tuple(run.matches),
+        stats=run.stats,
         started=started,
         pid=os.getpid(),
         plan_hit=hit,
@@ -398,31 +364,29 @@ class QueryExecutor:
 
         The matcher must already be prepared (the plan cache guarantees
         this); per-run state is local to each run, so concurrent callers
-        share the one matcher object safely.  The run enumerates into a
-        sink built from (*mode*, *order_by*, *limit*).
+        share the one matcher object safely.  The run is the engine's
+        one run step (:func:`~repro.core.run_prepared`); it is never
+        queued, so ``queue_seconds`` is 0.
         """
-        enqueued = time.perf_counter()
-        ordered = order_by == "earliest"
-        ctx = RunContext(
-            # Exact top-k needs the full enumeration; a context limit
-            # would stop pull-based matchers at the first k.
-            limit=None if ordered else limit,
-            deadline=deadline,
-            tracer=tracer if tracer is not None else NULL_TRACER,
-        )
         started = time.perf_counter()
-        matches, truncated = _run_slice(
-            matcher, ctx, mode, order_by, limit, collect_matches
+        run = run_prepared(
+            matcher,
+            mode=mode,
+            order_by=order_by,
+            limit=limit,
+            collect=collect_matches,
+            deadline=deadline,
+            tracer=tracer,
         )
         finished = time.perf_counter()
         return ExecutionOutcome(
-            matches=matches,
-            stats=ctx.stats,
+            matches=tuple(run.matches),
+            stats=run.stats,
             partitions=1,
-            queue_seconds=max(0.0, started - enqueued),
+            queue_seconds=0.0,
             match_seconds=finished - started,
-            truncated_by_limit=truncated,
-            ordered=ordered,
+            truncated_by_limit=run.truncated_by_limit,
+            ordered=order_by == "earliest",
         )
 
     # ------------------------------------------------------------------
@@ -477,10 +441,13 @@ class QueryExecutor:
                     epoch, spans = part.trace
                     tracer.adopt(spans, epoch, lane=("worker", part.pid))
         first_start = min(part.started for part in parts)
+        # Only collected matches keep a top-k heap per partition; a
+        # count stops each partition at the limit, as order "any" does.
+        heaps = spec.mode == "enumerate" and spec.collect_matches
         matches_merged, stats_merged, truncated = _merge_partitions(
             [(part.matches, part.stats) for part in parts],
             spec.limit,
-            spec.order_by,
+            spec.order_by if heaps else "any",
         )
         return ExecutionOutcome(
             matches=matches_merged,

@@ -33,6 +33,7 @@ from ..core import (
     SearchStats,
     create_matcher,
     find_matches,
+    merge_prepare_stats,
 )
 from ..errors import (
     AdmissionError,
@@ -77,7 +78,13 @@ from .plans import (
 from .registry import GraphHandle, GraphRegistry
 from .tracing import TraceSampler, TraceStore
 
-__all__ = ["ServiceConfig", "ServiceResult", "TCSMService", "serve_stdio"]
+__all__ = [
+    "ServiceConfig",
+    "ServiceResult",
+    "TCSMService",
+    "parse_request_line",
+    "serve_stdio",
+]
 
 #: Sentinel distinguishing "no budget given" from an explicit ``None``.
 _UNSET_BUDGET = object()
@@ -611,19 +618,12 @@ class TCSMService:
                     matches=outcome.stats.matches,
                     partitions=outcome.partitions,
                 )
-            # Merge prepare-time filter counters exactly once per query
-            # (not per partition or per worker, which would multiply them).
-            prepare_stats = getattr(plan.matcher, "prepare_stats", None)
-            if isinstance(prepare_stats, SearchStats):
-                outcome.stats.merge(prepare_stats)
+            merge_prepare_stats(plan.matcher, outcome.stats)
 
             trace_id: str | None = None
             if isinstance(tr, Tracer):
                 trace_id = self._retain_trace(tr, handle, algo, pattern_hash)
             timed_out = outcome.stats.deadline_hit
-            truncated_by_limit = outcome.truncated_by_limit or (
-                outcome.stats.budget_exhausted and not timed_out
-            )
             result = ServiceResult(
                 graph=handle.name,
                 graph_version=handle.version,
@@ -635,8 +635,8 @@ class TCSMService:
                     else outcome.stats.matches
                 ),
                 timed_out=timed_out,
-                truncated=truncated_by_limit,
-                truncated_by_limit=truncated_by_limit,
+                truncated=outcome.truncated_by_limit,
+                truncated_by_limit=outcome.truncated_by_limit,
                 truncated_by_deadline=timed_out,
                 ordered=outcome.ordered,
                 codegen=compiled,
@@ -1013,6 +1013,28 @@ class TCSMService:
         self.close()
 
 
+def parse_request_line(line: str, max_bytes: int) -> tuple[dict[str, Any], bool]:
+    """Parse one stripped JSONL request line.
+
+    Returns ``(request, True)`` for a JSON object of at most *max_bytes*
+    characters, else ``(error envelope, False)``: the response a
+    malformed or oversized line gets instead of a crash.  Both stdio
+    loops (this module's and the async front door's) parse through it.
+    """
+    try:
+        if len(line) > max_bytes:
+            raise ValueError(
+                f"request line exceeds max_request_bytes "
+                f"({len(line)} > {max_bytes})"
+            )
+        request = json.loads(line)
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
+    except ValueError as exc:
+        return {"status": "error", "error": f"invalid request line: {exc}"}, False
+    return request, True
+
+
 def serve_stdio(
     service: TCSMService,
     in_stream: IO[str],
@@ -1031,26 +1053,11 @@ def serve_stdio(
         line = line.strip()
         if not line:
             continue
-        try:
-            if len(line) > max_bytes:
-                raise ValueError(
-                    f"request line exceeds max_request_bytes "
-                    f"({len(line)} > {max_bytes})"
-                )
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-        except ValueError as exc:
-            response: dict[str, Any] = {
-                "status": "error",
-                "error": f"invalid request line: {exc}",
-            }
-            request = None
-        else:
-            response = service.submit(request)
+        payload, ok = parse_request_line(line, max_bytes)
+        response = service.submit(payload) if ok else payload
         out_stream.write(json.dumps(response) + "\n")
         out_stream.flush()
         served += 1
-        if request is not None and request.get("op") == "shutdown":
+        if ok and payload.get("op") == "shutdown":
             break
     return served

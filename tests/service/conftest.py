@@ -1,18 +1,25 @@
 """Shared fixtures for the service-subsystem tests."""
 
+import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from repro.core import RunContext
+from repro.core import run_prepared
 from repro.datasets import (
     load_dataset,
     paper_constraints,
     paper_query,
     toy_instance,
 )
-from repro.graphs import SharedSnapshot
+from repro.graphs import (
+    QueryGraph,
+    SharedSnapshot,
+    TemporalConstraints,
+    TemporalGraph,
+    ensure_snapshot,
+)
 from repro.service import ProcessSpec
 from repro.service import executor as executor_module
 
@@ -26,6 +33,23 @@ def toy():
 def cm_graph():
     """A small CollegeMsg stand-in for serving tests."""
     return load_dataset("CM", scale=0.02, seed=1)
+
+
+@pytest.fixture(scope="session")
+def dense():
+    """A two-label random graph dense enough for a meaningful top-k."""
+    rng = random.Random(11)
+    n, degree, times_per_pair = 40, 6, 4
+    labels = ["A" if i % 2 == 0 else "B" for i in range(n)]
+    graph = TemporalGraph(labels)
+    for u in range(n):
+        targets = rng.sample([v for v in range(n) if v != u], degree)
+        for v in targets:
+            for _ in range(times_per_pair):
+                graph.add_edge(u, v, rng.randrange(0, 1000))
+    query = QueryGraph(["A", "B", "A"], [(0, 1), (1, 2)])
+    constraints = TemporalConstraints([(0, 1, 300)], num_edges=2)
+    return ensure_snapshot(graph), query, constraints
 
 
 @pytest.fixture(scope="session")
@@ -54,18 +78,16 @@ def toy_spec(toy):
 def run_partitions(matcher, count, *, limit=None, deadline=None):
     """Run *matcher* as *count* core-level partitions and merge them.
 
-    Each slice runs under ``RunContext.with_partition`` through the
-    executor's one run step, and the slices merge exactly as a process
-    pool query's do; returns ``(matches, stats, truncated)``.
+    Each slice runs through the engine's one run step, and the slices
+    merge exactly as a process pool query's do; returns
+    ``(matches, stats, truncated)``.
     """
-    base = RunContext(limit=limit, deadline=deadline)
     parts = []
     for index in range(count):
-        ctx = base.with_partition(index, count)
-        matches, _ = executor_module._run_slice(
-            matcher, ctx, "enumerate", "any", limit, True
+        run = run_prepared(
+            matcher, limit=limit, deadline=deadline, partition=(index, count)
         )
-        parts.append((matches, ctx.stats))
+        parts.append((tuple(run.matches), run.stats))
     return executor_module._merge_partitions(parts, limit)
 
 

@@ -15,38 +15,13 @@ Two families of guarantees ride on the sink refactor:
   partitions; the thread pool runs one partition.
 """
 
-import random
-
 import pytest
 
 from repro.core import find_matches, match_sort_key
-from repro.graphs import (
-    QueryGraph,
-    TemporalConstraints,
-    TemporalGraph,
-    ensure_snapshot,
-)
 from repro.service import ServiceConfig, TCSMService
 
 TCSM_ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
 TOP_K = 7
-
-
-@pytest.fixture(scope="module")
-def dense():
-    """A two-label random graph dense enough for a meaningful top-k."""
-    rng = random.Random(11)
-    n, degree, times_per_pair = 40, 6, 4
-    labels = ["A" if i % 2 == 0 else "B" for i in range(n)]
-    graph = TemporalGraph(labels)
-    for u in range(n):
-        targets = rng.sample([v for v in range(n) if v != u], degree)
-        for v in targets:
-            for _ in range(times_per_pair):
-                graph.add_edge(u, v, rng.randrange(0, 1000))
-    query = QueryGraph(["A", "B", "A"], [(0, 1), (1, 2)])
-    constraints = TemporalConstraints([(0, 1, 300)], num_edges=2)
-    return ensure_snapshot(graph), query, constraints
 
 
 @pytest.fixture(scope="module")

@@ -560,6 +560,35 @@ class TestR009:
         )
         assert rule_ids(findings) == ["R009"]
 
+    def test_unbudgeted_run_prepared_flagged(self, tmp_path: Path) -> None:
+        findings = lint_snippet(
+            tmp_path,
+            """
+            from repro.core import run_prepared
+
+            def execute(matcher):
+                return run_prepared(matcher, limit=5)
+            """,
+            relpath=SERVICE,
+            select=["R009"],
+        )
+        assert rule_ids(findings) == ["R009"]
+        assert "run_prepared()" in findings[0].message
+
+    def test_run_prepared_with_deadline_passes(self, tmp_path: Path) -> None:
+        findings = lint_snippet(
+            tmp_path,
+            """
+            from repro.core import run_prepared
+
+            def execute(matcher, deadline):
+                return run_prepared(matcher, limit=5, deadline=deadline)
+            """,
+            relpath=SERVICE,
+            select=["R009"],
+        )
+        assert findings == []
+
     def test_deadline_keyword_passes(self, tmp_path: Path) -> None:
         findings = lint_snippet(
             tmp_path,

@@ -3,8 +3,9 @@
 The service admits queries under a per-query budget and degrades
 gracefully by returning deadline-tagged partial results; that contract
 only holds if every path from the service into the engine forwards the
-budget.  A ``matcher.run(...)``, ``run_matcher(...)`` or
-``find_matches(...)`` call inside :mod:`repro.service` that omits both
+budget.  A ``matcher.run(...)``, ``run_matcher(...)``,
+``run_prepared(...)`` (the engine's run step) or ``find_matches(...)``
+call inside :mod:`repro.service` that omits both
 ``deadline`` and ``time_budget`` starts an uninterruptible search — one
 pathological query then wedges a pool worker for good, defeating
 admission control.  Passing an explicit ``deadline=None`` (an unbounded
@@ -23,7 +24,7 @@ from ..registry import Rule, register_rule
 __all__ = ["ServiceBudgetRule"]
 
 #: Call names that start a matcher search when reached from the service.
-_RUN_CALLS = {"run", "run_matcher", "find_matches"}
+_RUN_CALLS = {"run", "run_matcher", "run_prepared", "find_matches"}
 #: Keywords that thread the budget protocol into the search.
 _BUDGET_KEYWORDS = {"deadline", "time_budget"}
 

@@ -59,8 +59,10 @@ real source lines and a dropped plan takes its source with it.
 from __future__ import annotations
 
 import bisect
+import itertools
 import linecache
 import math
+import threading
 import time
 import weakref
 from collections.abc import Callable, Hashable, Iterator, Sequence
@@ -612,7 +614,7 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
     w.close()
     w.close()  # def _enumerate
 
-    return _finish(matcher.name, w.source(), ns, m, n)
+    return _finish(matcher.name, w.source(), ns)
 
 
 # ----------------------------------------------------------------------
@@ -877,7 +879,7 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.close()
     w.close()  # def _enumerate
 
-    return _finish(matcher.name, w.source(), ns, m, n)
+    return _finish(matcher.name, w.source(), ns)
 
 
 # ----------------------------------------------------------------------
@@ -885,10 +887,25 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
 # ----------------------------------------------------------------------
 
 
-def _finish(
-    algorithm: str, source: str, ns: dict[str, Any], m: int, n: int
-) -> CompiledPlan:
-    filename = f"<repro-codegen:{algorithm}:{m}e{n}v:{id(ns):x}>"
+#: Filename slots of live compiled plans.  CPython keeps every distinct
+#: filename it has compiled code under for the life of the process, so a
+#: fresh name per compile grows a long-lived service without bound.  A
+#: plan takes a free slot and its finalizer returns it: live plans never
+#: share a name, and the names ever used are bounded by the peak number
+#: of live plans.
+_SLOT_NUMBERS = itertools.count()
+_FREE_SLOTS: list[int] = []
+_SLOT_LOCK = threading.Lock()
+
+
+def _take_slot() -> int:
+    with _SLOT_LOCK:
+        return _FREE_SLOTS.pop() if _FREE_SLOTS else next(_SLOT_NUMBERS)
+
+
+def _finish(algorithm: str, source: str, ns: dict[str, Any]) -> CompiledPlan:
+    slot = _take_slot()
+    filename = f"<repro-codegen:{slot}>"
     code = compile(source, filename, "exec")
     exec(code, ns)  # noqa: S102 - confined to this module by reprolint R020
     # Popped so the namespace does not hold its own entry function: with
@@ -900,7 +917,7 @@ def _finish(
     linecache.cache[filename] = lines  # type: ignore[assignment]
     # The source lines live as long as the entry function: a long-lived
     # service compiles without bound, and linecache is process-global.
-    weakref.finalize(entry, _forget_source, filename, lines)
+    weakref.finalize(entry, _release_slot, slot, filename)
     plan = CompiledPlan(algorithm=algorithm, source=source, entry=entry)
     listener = _LISTENER
     if listener is not None:
@@ -908,14 +925,11 @@ def _finish(
     return plan
 
 
-def _forget_source(filename: str, lines: tuple[Any, ...]) -> None:
-    """Drop a dead plan's source from linecache.
-
-    Only if the entry is still *lines*: the filename embeds ``id(ns)``,
-    which a later compile may reuse once this plan's namespace is gone.
-    """
-    if linecache.cache.get(filename) is lines:
-        linecache.cache.pop(filename, None)
+def _release_slot(slot: int, filename: str) -> None:
+    """Drop a dead plan's source from linecache and free its slot."""
+    linecache.cache.pop(filename, None)
+    with _SLOT_LOCK:
+        _FREE_SLOTS.append(slot)
 
 
 def compile_enumerator(matcher: Any) -> CompiledPlan | None:

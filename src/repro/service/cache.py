@@ -7,8 +7,11 @@ Keys embed the graph version, so replacing a graph never serves stale
 answers; timed-out results are never admitted because which prefix they
 contain depends on machine speed, not on the query.
 
-The cache is value-agnostic (a generic LRU): the service stores its
-immutable ``ServiceResult`` objects here.
+The cache is value-agnostic (a generic LRU): the service stores each
+answer here once, in the form a hit returns it (see
+:class:`repro.service.server.TCSMService`).  :class:`LRUCache`, the
+same map without the graph-version invalidation, also bounds the
+service's pattern memo.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from typing import Generic, NamedTuple, TypeVar
 
 from ..obs import assert_lock_held
 
-__all__ = ["ResultCache", "ResultKey"]
+__all__ = ["LRUCache", "ResultCache", "ResultKey"]
 
+_KeyT = TypeVar("_KeyT")
 _ValueT = TypeVar("_ValueT")
 
 
@@ -46,19 +50,19 @@ class ResultKey(NamedTuple):
     match_options: str
 
 
-class ResultCache(Generic[_ValueT]):
-    """Thread-safe LRU mapping of :class:`ResultKey` to cached answers."""
+class LRUCache(Generic[_KeyT, _ValueT]):
+    """Thread-safe LRU map with a fixed capacity."""
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity < 1:
             raise ValueError(
-                f"result cache capacity must be >= 1, not {capacity}"
+                f"cache capacity must be >= 1, not {capacity}"
             )
         self.capacity = capacity
-        self._entries: OrderedDict[ResultKey, _ValueT] = OrderedDict()
+        self._entries: OrderedDict[_KeyT, _ValueT] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, key: ResultKey) -> _ValueT | None:
+    def get(self, key: _KeyT) -> _ValueT | None:
         """The cached value for *key*, refreshed as most recently used."""
         with self._lock:
             value = self._entries.get(key)
@@ -66,7 +70,7 @@ class ResultCache(Generic[_ValueT]):
                 self._entries.move_to_end(key)
             return value
 
-    def put(self, key: ResultKey, value: _ValueT) -> None:
+    def put(self, key: _KeyT, value: _ValueT) -> None:
         """Insert (or refresh) *key*, evicting the LRU entry when full."""
         with self._lock:
             self._entries[key] = value
@@ -75,9 +79,21 @@ class ResultCache(Generic[_ValueT]):
 
     def _trim_locked(self) -> None:
         """Evict LRU entries past capacity; caller must hold ``_lock``."""
-        assert_lock_held(self._lock, "ResultCache._lock")
+        assert_lock_held(self._lock, "LRUCache._lock")
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+class ResultCache(LRUCache[ResultKey, _ValueT]):
+    """Thread-safe LRU mapping of :class:`ResultKey` to cached answers."""
 
     def invalidate_graph(
         self, graph_name: str, keep_version: int | None = None
@@ -97,11 +113,3 @@ class ResultCache(Generic[_ValueT]):
             for key in stale:
                 del self._entries[key]
             return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -19,6 +19,7 @@ only to reclaim their memory eagerly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import threading
@@ -38,7 +39,13 @@ __all__ = [
     "match_options_fingerprint",
     "options_fingerprint",
     "pattern_fingerprint",
+    "pattern_key",
 ]
+
+#: Canonical JSON (sorted keys, no whitespace) of raw pattern data.
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), check_circular=False
+)
 
 
 def pattern_fingerprint(
@@ -64,13 +71,30 @@ def pattern_fingerprint(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def pattern_key(data: object) -> str | None:
+    """Canonical JSON of a request's raw pattern data (``None`` if not JSON).
+
+    Cheaper than parsing and fingerprinting, and equal exactly when
+    the data's JSON is, so the service uses it to look up a request
+    pattern it has parsed before.  Key order does not change it, but
+    other spellings of one pattern (a gap of ``7`` vs ``7.0``) get
+    different keys; only :func:`pattern_fingerprint` equates those.
+    """
+    try:
+        return _CANONICAL.encode(data)
+    except (TypeError, RecursionError):
+        return None
+
+
+@functools.lru_cache(maxsize=256)
 def match_options_fingerprint(options: MatchOptions) -> str:
     """Stable hex digest of the result-shaping :class:`MatchOptions` fields.
 
     Delegates to :meth:`MatchOptions.canonical_hash`, so the service's
     cache keys and the core options type can never disagree about what
     identifies an answer (the time budget and tracing are excluded there
-    by design).
+    by design).  Memoized per options value: the service keys every
+    query's result on it.
     """
     return options.canonical_hash()
 

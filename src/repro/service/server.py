@@ -24,7 +24,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import IO, Any
+from typing import IO, Any, NamedTuple, cast
 
 from ..core import (
     CountEstimate,
@@ -64,7 +64,7 @@ from ..streaming import (
     Subscription,
     SubscriptionOptions,
 )
-from .cache import ResultCache, ResultKey
+from .cache import LRUCache, ResultCache, ResultKey
 from .executor import ProcessSpec, QueryExecutor
 from .metrics import MetricsRegistry
 from .plans import (
@@ -74,6 +74,7 @@ from .plans import (
     match_options_fingerprint,
     options_fingerprint,
     pattern_fingerprint,
+    pattern_key,
 )
 from .registry import GraphHandle, GraphRegistry
 from .tracing import TraceSampler, TraceStore
@@ -202,6 +203,44 @@ class ServiceResult:
         return payload
 
 
+class _CachedAnswer(NamedTuple):
+    """A result-cache entry, in the form a hit returns it.
+
+    ``result`` is tagged ``result_cache="hit"`` with ``queue_seconds``
+    0; ``reply`` is its JSONL payload, built once by the entry's first
+    JSONL hit (``None`` before it), so entries nobody hits over JSONL
+    hold no second copy of their matches.
+    """
+
+    result: ServiceResult
+    reply: dict[str, Any] | None
+
+
+class _Pattern:
+    """One query's pattern: its fingerprint now, its parsed form on need.
+
+    Only building a plan, shipping a process spec or estimating reads
+    the parsed form; a JSONL pattern is parsed then, at most once.
+    """
+
+    __slots__ = ("fingerprint", "_raw", "_parsed")
+
+    def __init__(
+        self,
+        fingerprint: str,
+        raw: Any = None,
+        parsed: tuple[QueryGraph, TemporalConstraints] | None = None,
+    ) -> None:
+        self.fingerprint = fingerprint
+        self._raw = raw
+        self._parsed = parsed
+
+    def parsed(self) -> tuple[QueryGraph, TemporalConstraints]:
+        if self._parsed is None:
+            self._parsed = pattern_from_dict(self._raw)
+        return self._parsed
+
+
 class TCSMService:
     """A long-lived, concurrent TCSM query service over registered graphs."""
 
@@ -214,7 +253,12 @@ class TCSMService:
         self.metrics = metrics or MetricsRegistry()
         self.graphs = GraphRegistry(export_shared=self.config.pool == "process")
         self.plans = PlanCache(capacity=self.config.plan_cache_size)
-        self.results: ResultCache[ServiceResult] = ResultCache(
+        self.results: ResultCache[_CachedAnswer] = ResultCache(
+            capacity=self.config.result_cache_size
+        )
+        #: Canonical JSON of a JSONL request's pattern -> its
+        #: ``pattern_fingerprint``; filled only by successful parses.
+        self._patterns: LRUCache[str, str] = LRUCache(
             capacity=self.config.result_cache_size
         )
         self.executor = QueryExecutor(
@@ -466,6 +510,52 @@ class TCSMService:
         execution, and come back with a ``trace_id`` resolvable through
         the trace store / ``trace`` op.
         """
+        pattern = _Pattern(
+            pattern_fingerprint(query, constraints), parsed=(query, constraints)
+        )
+        result, _ = self._serve(
+            graph_name,
+            pattern,
+            reply=False,
+            algorithm=algorithm,
+            limit=limit,
+            time_budget=time_budget,
+            workers=workers,
+            collect_matches=collect_matches,
+            use_result_cache=use_result_cache,
+            options=options,
+            plan=plan,
+            order_by=order_by,
+            mode=mode,
+            trace=trace,
+        )
+        return result
+
+    def _serve(
+        self,
+        graph_name: str,
+        pattern: _Pattern,
+        *,
+        reply: bool,
+        algorithm: str | None,
+        limit: int | None,
+        time_budget: Any,
+        workers: int | None,
+        collect_matches: bool,
+        use_result_cache: bool,
+        options: dict[str, Any] | None,
+        plan: str | None,
+        order_by: str | None,
+        mode: str | None,
+        trace: bool,
+    ) -> tuple[ServiceResult, dict[str, Any] | None]:
+        """The query path :meth:`query` and the JSONL ``query`` op share.
+
+        Returns the result and, when *reply* is set, its JSONL payload.
+        A result-cache hit returns the entry as it was stored: the result
+        already tagged as a hit, and the payload its first JSONL hit
+        built (callers must not mutate it).
+        """
         algo = (algorithm or self.config.default_algorithm).lower()
         budget: float | None = (
             self.config.default_time_budget
@@ -482,28 +572,20 @@ class TCSMService:
         answer_mode = (mode or "enumerate").lower()
         if answer_mode == "count":
             collect_matches = False
+        include_matches = collect_matches and answer_mode == "enumerate"
         self._admit()
         try:
             handle = self.graphs.get(graph_name)
             traced = trace or self._sampler.should_sample()
             tr: TraceSink = Tracer() if traced else NULL_TRACER
-            pattern_hash = pattern_fingerprint(query, constraints)
             if answer_mode == "estimate":
                 # Estimation short-circuits the whole enumeration stack:
                 # no plan, no fan-out, and — critically — no result-cache
                 # read or write, so approximate counts never masquerade
                 # as exact entries.
-                result = self._estimate(
-                    handle,
-                    query,
-                    constraints,
-                    options,
-                    tr,
-                    pattern_hash,
-                    budget,
-                )
+                result = self._estimate(handle, pattern, options, tr, budget)
                 self._meter(result.algorithm, result, result_hit=False)
-                return result
+                return result, result.to_dict(include_matches) if reply else None
             options_hash = options_fingerprint(options)
             match_opts = MatchOptions(
                 limit=limit,
@@ -515,7 +597,7 @@ class TCSMService:
                 graph_name=handle.name,
                 graph_version=handle.version,
                 graph_fingerprint=handle.snapshot.fingerprint,
-                pattern=pattern_hash,
+                pattern=pattern.fingerprint,
                 algorithm=algo,
                 options=options_hash,
                 match_options=match_options_fingerprint(match_opts),
@@ -523,17 +605,23 @@ class TCSMService:
             if use_result_cache and not traced:
                 cached = self.results.get(result_key)
                 if cached is not None:
-                    self._meter(algo, cached, result_hit=True)
-                    return replace(
-                        cached, result_cache="hit", queue_seconds=0.0
-                    )
+                    self._meter(algo, cached.result, result_hit=True)
+                    if not reply:
+                        return cached.result, None
+                    if cached.reply is None:
+                        # The entry's first JSONL hit builds its reply.
+                        cached = cached._replace(
+                            reply=cached.result.to_dict(include_matches)
+                        )
+                        self.results.put(result_key, cached)
+                    return cached.result, cached.reply
                 self.metrics.inc("result_cache_misses")
 
             plan_key = PlanKey(
                 graph_name=handle.name,
                 graph_version=handle.version,
                 graph_fingerprint=handle.snapshot.fingerprint,
-                pattern=pattern_hash,
+                pattern=pattern.fingerprint,
                 algorithm=algo,
                 options=options_hash,
             )
@@ -542,6 +630,7 @@ class TCSMService:
                 # Plans are prepared against the handle's frozen CSR
                 # snapshot — the registry compiled it exactly once at
                 # registration, so prepare() never recompiles here.
+                query, constraints = pattern.parsed()
                 matcher = create_matcher(
                     algo, query, constraints, handle.snapshot, **options
                 )
@@ -576,6 +665,7 @@ class TCSMService:
                     # their own prepared copy of this plan under its
                     # key.  The addref/close pair keeps a just-replaced
                     # segment linked until this fan-out completes.
+                    query, constraints = pattern.parsed()
                     shared.addref()
                     try:
                         spec = ProcessSpec(
@@ -622,7 +712,9 @@ class TCSMService:
 
             trace_id: str | None = None
             if isinstance(tr, Tracer):
-                trace_id = self._retain_trace(tr, handle, algo, pattern_hash)
+                trace_id = self._retain_trace(
+                    tr, handle, algo, pattern.fingerprint
+                )
             timed_out = outcome.stats.deadline_hit
             result = ServiceResult(
                 graph=handle.name,
@@ -653,9 +745,10 @@ class TCSMService:
                 worker_plan_hits=outcome.worker_plan_hits,
             )
             if use_result_cache and not timed_out and not traced:
-                self.results.put(result_key, result)
+                hit = replace(result, result_cache="hit", queue_seconds=0.0)
+                self.results.put(result_key, _CachedAnswer(hit, None))
             self._meter(algo, result, result_hit=False)
-            return result
+            return result, result.to_dict(include_matches) if reply else None
         finally:
             self._release()
 
@@ -680,11 +773,9 @@ class TCSMService:
     def _estimate(
         self,
         handle: GraphHandle,
-        query: QueryGraph,
-        constraints: TemporalConstraints,
+        pattern: _Pattern,
         options: dict[str, Any],
         tr: TraceSink,
-        pattern_hash: str,
         budget: float | None,
     ) -> ServiceResult:
         """Answer a ``mode="estimate"`` query via HT sampling.
@@ -699,6 +790,7 @@ class TCSMService:
         opts.pop("plan", None)
         probes = int(opts.pop("probes", 200))
         seed = int(opts.pop("seed", 0))
+        query, constraints = pattern.parsed()
         engine_result = find_matches(  # reprolint: disable=R009 -- budget rides in MatchOptions(time_budget=...)
             query,
             constraints,
@@ -711,7 +803,7 @@ class TCSMService:
         trace_id: str | None = None
         if isinstance(tr, Tracer):
             trace_id = self._retain_trace(
-                tr, handle, engine_result.algorithm, pattern_hash
+                tr, handle, engine_result.algorithm, pattern.fingerprint
             )
         return ServiceResult(
             graph=handle.name,
@@ -843,7 +935,7 @@ class TCSMService:
             return {**base, "status": "rejected", "error": str(exc)}
         except ReproError as exc:
             return {**base, "status": "error", "error": str(exc)}
-        except (TypeError, ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError, OverflowError) as exc:
             return {
                 **base,
                 "status": "error",
@@ -894,13 +986,33 @@ class TCSMService:
             return {}
         raise ValueError(f"unknown op {op!r}")
 
-    def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
-        if "pattern" in request:
-            query, constraints = pattern_from_dict(request["pattern"])
-        elif "pattern_path" in request:
+    def _request_pattern(self, request: dict[str, Any]) -> _Pattern:
+        """A query request's pattern, fingerprinted without a parse when
+        the same pattern data was parsed before."""
+        if "pattern" not in request:
+            if "pattern_path" not in request:
+                raise ValueError(
+                    "query request needs 'pattern' or 'pattern_path'"
+                )
             query, constraints = load_pattern(str(request["pattern_path"]))
-        else:
-            raise ValueError("query request needs 'pattern' or 'pattern_path'")
+            return _Pattern(
+                pattern_fingerprint(query, constraints),
+                parsed=(query, constraints),
+            )
+        raw = request["pattern"]
+        key = pattern_key(raw)
+        if key is not None:
+            fingerprint = self._patterns.get(key)
+            if fingerprint is not None:
+                return _Pattern(fingerprint, raw=raw)
+        parsed = pattern_from_dict(raw)
+        fingerprint = pattern_fingerprint(*parsed)
+        if key is not None:
+            self._patterns.put(key, fingerprint)
+        return _Pattern(fingerprint, parsed=parsed)
+
+    def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
+        pattern = self._request_pattern(request)
         count_only = bool(request.get("count_only", False))
         budget: Any = request.get("time_budget", _UNSET_BUDGET)
         if budget is not _UNSET_BUDGET and budget is not None:
@@ -911,6 +1023,9 @@ class TCSMService:
         workers = request.get("workers")
         if workers is not None:
             workers = int(workers)
+        algorithm = request.get("algorithm")
+        if algorithm is not None:
+            algorithm = str(algorithm)
         plan = request.get("plan")
         if plan is not None:
             plan = str(plan)
@@ -927,25 +1042,23 @@ class TCSMService:
                 options["probes"] = int(request["probes"])
             if "seed" in request:
                 options["seed"] = int(request["seed"])
-        result = self.query(
+        _, payload = self._serve(
             str(request["graph"]),
-            query,
-            constraints,
-            algorithm=request.get("algorithm"),
+            pattern,
+            reply=True,
+            algorithm=algorithm,
             limit=limit,
             time_budget=budget,
             workers=workers,
             collect_matches=not count_only,
+            use_result_cache=True,
             options=options,
             plan=plan,
             order_by=order_by,
             mode=mode,
             trace=bool(request.get("trace", False)),
         )
-        include_matches = (
-            not count_only and (mode or "enumerate").lower() == "enumerate"
-        )
-        return result.to_dict(include_matches=include_matches)
+        return cast("dict[str, Any]", payload)
 
     def _handle_subscribe(self, request: dict[str, Any]) -> dict[str, Any]:
         if "pattern" in request:

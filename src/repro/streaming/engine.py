@@ -258,8 +258,20 @@ class StreamingEngine:
         try:
             for item in edges:
                 total += 1
-                u, v, t = int(item[0]), int(item[1]), int(item[2])
-                label = item[3] if len(item) > 3 else None
+                try:
+                    u, v, t = int(item[0]), int(item[1]), int(item[2])
+                    label = item[3] if len(item) > 3 else None
+                except (
+                    TypeError,
+                    ValueError,
+                    IndexError,
+                    KeyError,
+                    OverflowError,
+                ):
+                    raise GraphError(
+                        f"malformed edge {item!r}: expected (u, v, t) or "
+                        "(u, v, t, label)"
+                    ) from None
                 edge_start = time.perf_counter()
                 if not graph.append(u, v, t, label=label):
                     duplicates += 1

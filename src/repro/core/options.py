@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -28,7 +29,21 @@ from .partition import check_partition
 from .planner import validate_plan
 from .stats import SearchStats
 
-__all__ = ["MatchOptions", "RunContext"]
+__all__ = ["MatchOptions", "RunContext", "check_time_budget"]
+
+
+def check_time_budget(budget: object, name: str = "time_budget") -> None:
+    """Reject a NaN time budget with an :class:`AlgorithmError`.
+
+    ``None`` and ``inf`` mean unbounded and a budget <= 0 is already
+    expired, on every executor; NaN compares false with every clock
+    reading, so one executor would never time out and another would
+    start expired.
+    """
+    if isinstance(budget, float) and math.isnan(budget):
+        raise AlgorithmError(
+            f"{name} must be a number of seconds or null, not NaN"
+        )
 
 
 @dataclass(frozen=True)
@@ -40,7 +55,8 @@ class MatchOptions:
     limit:
         Stop after this many matches (``None`` = unbounded).
     time_budget:
-        Wall-clock seconds for the matching phase (``None`` = unbounded).
+        Wall-clock seconds for the matching phase (``None`` or ``inf`` =
+        unbounded, ``<= 0`` = already expired; NaN is rejected).
     tighten:
         Replace the constraint set by its STN closure before matching.
     collect_matches:
@@ -101,6 +117,7 @@ class MatchOptions:
     def __post_init__(self) -> None:
         if self.limit is not None and self.limit < 0:
             raise AlgorithmError(f"limit must be >= 0, not {self.limit}")
+        check_time_budget(self.time_budget)
         if self.order_by not in ("any", "earliest"):
             raise AlgorithmError(
                 f'order_by must be "any" or "earliest", not {self.order_by!r}'

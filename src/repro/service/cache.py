@@ -1,31 +1,47 @@
-"""Result cache: complete query answers, keyed by graph version.
+"""The service's one LRU map, and the result cache built on it.
 
-Matching is deterministic given ``(graph snapshot, pattern, algorithm,
-limit)``, so a *complete* result — one that was not cut short by a
-wall-clock deadline — can be replayed verbatim for an identical request.
-Keys embed the graph version, so replacing a graph never serves stale
+:class:`LRUCache` is the only bounded map in the service layer: the
+result cache, the pattern memo, the plan cache
+(:class:`~repro.service.PlanCache`), the trace store
+(:class:`~repro.service.TraceStore`) and each process worker's plan
+cache all keep their entries in one, so the capacity check, the
+most-recently-used refresh and eviction are written once, here.
+
+The result cache holds complete query answers.  Matching is
+deterministic given ``(graph snapshot, pattern, algorithm, limit)``, so
+a *complete* result — one that was not cut short by a wall-clock
+deadline — can be replayed verbatim for an identical request.  Keys
+embed the graph version, so replacing a graph never serves stale
 answers; timed-out results are never admitted because which prefix they
-contain depends on machine speed, not on the query.
-
-The cache is value-agnostic (a generic LRU): the service stores each
-answer here once, in the form a hit returns it (see
-:class:`repro.service.server.TCSMService`).  :class:`LRUCache`, the
-same map without the graph-version invalidation, also bounds the
-service's pattern memo.
+contain depends on machine speed, not on the query.  The cache is
+value-agnostic: the service stores each answer here once, in the form a
+hit returns it (see :class:`repro.service.server.TCSMService`).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Generic, NamedTuple, TypeVar
-
-from ..obs import assert_lock_held
+from collections.abc import Callable, Hashable
+from typing import Generic, NamedTuple, Protocol, TypeVar
 
 __all__ = ["LRUCache", "ResultCache", "ResultKey"]
 
-_KeyT = TypeVar("_KeyT")
+_KeyT = TypeVar("_KeyT", bound=Hashable)
 _ValueT = TypeVar("_ValueT")
+
+
+class _GraphScoped(Protocol):
+    """A cache key that names the graph version it was computed from."""
+
+    @property
+    def graph_name(self) -> str: ...
+
+    @property
+    def graph_version(self) -> int: ...
+
+
+_ScopedKeyT = TypeVar("_ScopedKeyT", bound=_GraphScoped)
 
 
 class ResultKey(NamedTuple):
@@ -75,13 +91,31 @@ class LRUCache(Generic[_KeyT, _ValueT]):
         with self._lock:
             self._entries[key] = value
             self._entries.move_to_end(key)
-            self._trim_locked()
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
 
-    def _trim_locked(self) -> None:
-        """Evict LRU entries past capacity; caller must hold ``_lock``."""
-        assert_lock_held(self._lock, "LRUCache._lock")
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+    def evict(self, stale: Callable[[_KeyT], bool]) -> int:
+        """Drop every entry whose key is *stale*; returns how many."""
+        with self._lock:
+            keys = [key for key in self._entries if stale(key)]
+            for key in keys:
+                del self._entries[key]
+            return len(keys)
+
+    def invalidate_graph(
+        self: LRUCache[_ScopedKeyT, _ValueT],
+        graph_name: str,
+        keep_version: int | None = None,
+    ) -> int:
+        """Drop entries for *graph_name* (other than *keep_version*).
+
+        Returns the number of evicted entries.  Version-keying already
+        prevents stale serves; this reclaims their memory eagerly.
+        """
+        return self.evict(
+            lambda key: key.graph_name == graph_name
+            and key.graph_version != keep_version
+        )
 
     def clear(self) -> None:
         with self._lock:
@@ -92,24 +126,5 @@ class LRUCache(Generic[_KeyT, _ValueT]):
             return len(self._entries)
 
 
-class ResultCache(LRUCache[ResultKey, _ValueT]):
-    """Thread-safe LRU mapping of :class:`ResultKey` to cached answers."""
-
-    def invalidate_graph(
-        self, graph_name: str, keep_version: int | None = None
-    ) -> int:
-        """Drop results for *graph_name* (other than *keep_version*).
-
-        Returns the number of evicted entries.  Version-keying already
-        prevents stale serves; this reclaims their memory eagerly.
-        """
-        with self._lock:
-            stale = [
-                key
-                for key in self._entries
-                if key.graph_name == graph_name
-                and key.graph_version != keep_version
-            ]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
+#: The result cache: complete answers keyed by :class:`ResultKey`.
+ResultCache = LRUCache[ResultKey, _ValueT]

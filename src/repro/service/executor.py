@@ -49,7 +49,6 @@ import multiprocessing
 import os
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import Hashable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -80,6 +79,7 @@ from ..graphs.shm import (
     retired_attachments,
 )
 from ..obs import NULL_TRACER, Span, TraceSink, Tracer, sanitize_enabled
+from .cache import LRUCache
 
 __all__ = ["ExecutionOutcome", "ProcessSpec", "QueryExecutor"]
 
@@ -149,19 +149,20 @@ class _WorkerPlans:
 
     Keyed by (segment name, plan key): a hit reuses the matcher its
     first task prepared; a miss prepares one against the attached graph.
-    A worker runs one task at a time, so the cache needs no lock.
+    A worker runs one task at a time, so the cache's lock is never
+    contended.
     """
 
     def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._plans: OrderedDict[tuple[str, Hashable], Matcher] = OrderedDict()
+        self._plans: LRUCache[tuple[str, Hashable], Matcher] = LRUCache(
+            capacity
+        )
 
     def matcher_for(self, spec: ProcessSpec) -> tuple[Matcher, bool]:
         """The prepared matcher for *spec*, and whether it was cached."""
         key = (spec.graph.name, spec.plan_key)
         matcher = self._plans.get(key)
         if matcher is not None:
-            self._plans.move_to_end(key)
             return matcher, True
         graph: GraphSnapshot = spec.graph.snapshot()
         if sanitize_enabled():
@@ -170,9 +171,7 @@ class _WorkerPlans:
             spec.algorithm, spec.query, spec.constraints, graph, **spec.options
         )
         matcher.prepare()
-        self._plans[key] = matcher
-        while len(self._plans) > self.capacity:
-            self._plans.popitem(last=False)
+        self._plans.put(key, matcher)
         return matcher, False
 
     def sweep(self) -> None:
@@ -180,8 +179,7 @@ class _WorkerPlans:
         retired = retired_attachments()
         if not retired:
             return
-        for key in [key for key in self._plans if key[0] in retired]:
-            del self._plans[key]
+        self._plans.evict(lambda key: key[0] in retired)
         gc.collect()  # evicted matchers hold views into the mapping
         for name in retired:
             detach_shared_snapshot(name)

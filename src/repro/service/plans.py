@@ -12,9 +12,10 @@ to a *prepared* matcher.  Matchers keep all per-run state local to
 prepared matcher can serve many concurrent runs — including the
 partitioned fan-out of a single query — without copying.
 
-Eviction is LRU; replacing a graph bumps its version, so stale plans age
-out of the LRU naturally and :meth:`PlanCache.invalidate_graph` exists
-only to reclaim their memory eagerly.
+Eviction is the service's one LRU (:class:`~repro.service.cache.LRUCache`);
+replacing a graph bumps its version, so stale plans age out of the LRU
+naturally and :meth:`PlanCache.invalidate_graph` exists only to reclaim
+their memory eagerly.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ import functools
 import hashlib
 import json
 import threading
-from collections import OrderedDict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..core import Matcher, MatchOptions
 from ..graphs import QueryGraph, TemporalConstraints, pattern_to_dict
-from ..obs import assert_lock_held
+from .cache import LRUCache
 
 __all__ = [
     "CachedPlan",
@@ -135,7 +135,7 @@ class CachedPlan:
     build_seconds: float
 
 
-class PlanCache:
+class PlanCache(LRUCache[PlanKey, CachedPlan]):
     """Thread-safe LRU cache of prepared matchers.
 
     Concurrent requests for the *same* key build once (per-key build
@@ -143,20 +143,8 @@ class PlanCache:
     """
 
     def __init__(self, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError(f"plan cache capacity must be >= 1, not {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[PlanKey, CachedPlan] = OrderedDict()
+        super().__init__(capacity)
         self._building: dict[PlanKey, threading.Lock] = {}
-        self._lock = threading.Lock()
-
-    def get(self, key: PlanKey) -> CachedPlan | None:
-        """The cached plan for *key*, refreshed as most recently used."""
-        with self._lock:
-            plan = self._entries.get(key)
-            if plan is not None:
-                self._entries.move_to_end(key)
-            return plan
 
     def get_or_build(
         self, key: PlanKey, build: Callable[[], CachedPlan]
@@ -167,24 +155,20 @@ class PlanCache:
         from the cache.  *build* runs outside the cache-wide lock so a
         slow ``prepare()`` never blocks unrelated lookups.
         """
+        plan = self.get(key)
+        if plan is not None:
+            return plan, True
         with self._lock:
-            plan = self._entries.get(key)
-            if plan is not None:
-                self._entries.move_to_end(key)
-                return plan, True
             key_lock = self._building.setdefault(key, threading.Lock())
         try:
             with key_lock:
-                with self._lock:
-                    plan = self._entries.get(key)
-                    if plan is not None:
-                        self._entries.move_to_end(key)
-                        return plan, True
+                # A build that finished since the miss above has put
+                # its plan before releasing (or dropping) its lock.
+                plan = self.get(key)
+                if plan is not None:
+                    return plan, True
                 plan = build()
-                with self._lock:
-                    self._entries[key] = plan
-                    self._entries.move_to_end(key)
-                    self._trim_locked()
+                self.put(key, plan)
                 return plan, False
         finally:
             # Evict the per-key build lock unconditionally — also when
@@ -194,12 +178,6 @@ class PlanCache:
             with self._lock:
                 if self._building.get(key) is key_lock:
                     del self._building[key]
-
-    def _trim_locked(self) -> None:
-        """Evict LRU entries past capacity; caller must hold ``_lock``."""
-        assert_lock_held(self._lock, "PlanCache._lock")
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
     @property
     def pending_builds(self) -> int:
@@ -211,29 +189,3 @@ class PlanCache:
         """
         with self._lock:
             return len(self._building)
-
-    def invalidate_graph(
-        self, graph_name: str, keep_version: int | None = None
-    ) -> int:
-        """Drop plans for *graph_name* (other than *keep_version*).
-
-        Returns the number of evicted plans.
-        """
-        with self._lock:
-            stale = [
-                key
-                for key in self._entries
-                if key.graph_name == graph_name
-                and key.graph_version != keep_version
-            ]
-            for key in stale:
-                del self._entries[key]
-            return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -1,8 +1,8 @@
 """Graph registry: named, versioned, long-lived graph snapshots.
 
 The amortization premise of the service is that a data graph is loaded
-*once* and served *many* times.  The registry holds immutable
-:class:`~repro.graphs.TemporalGraph` snapshots under stable names; every
+*once* and served *many* times.  The registry holds compiled
+:class:`~repro.graphs.GraphSnapshot` images under stable names; every
 (re)registration of a name bumps a monotonically increasing version that
 never resets, even across a drop — cache keys embed ``(name, version)``,
 so replacing a graph implicitly invalidates every plan and result cached
@@ -38,20 +38,20 @@ __all__ = ["GraphHandle", "GraphRegistry"]
 
 @dataclass(frozen=True)
 class GraphHandle:
-    """One registered graph: ``(name, version, graph, snapshot[, shared])``.
+    """One registered graph: ``(name, version, snapshot[, shared])``.
 
     ``snapshot`` is the graph's frozen CSR compilation, produced exactly
     once per ``(graph, version)`` at registration time; queries, plan
-    preparation, and the process-pool executor all consume the snapshot
-    (compact to pickle, safe to share lock-free across threads), never
-    the mutable builder graph.  ``shared`` is the snapshot's
-    shared-memory export when the registry was built with
-    ``export_shared=True`` (``None`` otherwise).
+    preparation, the process-pool executor and :meth:`describe` all
+    read the snapshot (compact to pickle, safe to share lock-free
+    across threads).  The handle keeps no reference to the mutable
+    builder graph, so the registry holds one copy of each graph.
+    ``shared`` is the snapshot's shared-memory export when the registry
+    was built with ``export_shared=True`` (``None`` otherwise).
     """
 
     name: str
     version: int
-    graph: TemporalGraph
     snapshot: GraphSnapshot
     shared: SharedSnapshot | None = None
 
@@ -60,9 +60,9 @@ class GraphHandle:
         payload: dict[str, object] = {
             "name": self.name,
             "version": self.version,
-            "num_vertices": self.graph.num_vertices,
-            "num_temporal_edges": self.graph.num_temporal_edges,
-            "num_static_edges": self.graph.num_static_edges,
+            "num_vertices": self.snapshot.num_vertices,
+            "num_temporal_edges": self.snapshot.num_temporal_edges,
+            "num_static_edges": self.snapshot.num_static_edges,
             "fingerprint": self.snapshot.fingerprint,
         }
         if self.shared is not None:
@@ -111,7 +111,6 @@ class GraphRegistry:
             handle = GraphHandle(
                 name=name,
                 version=version,
-                graph=graph,
                 snapshot=snapshot,
                 shared=shared,
             )

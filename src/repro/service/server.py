@@ -35,6 +35,7 @@ from ..core import (
     find_matches,
     merge_prepare_stats,
 )
+from ..core.options import check_time_budget
 from ..errors import (
     AdmissionError,
     ReproError,
@@ -115,6 +116,9 @@ class ServiceConfig:
     #: error response instead of being parsed (protocol back-pressure
     #: against unbounded payloads).
     max_request_bytes: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        check_time_budget(self.default_time_budget, "default_time_budget")
 
 
 @dataclass(frozen=True)
@@ -562,6 +566,7 @@ class TCSMService:
             if time_budget is _UNSET_BUDGET
             else time_budget
         )
+        check_time_budget(budget)
         options = dict(options) if options else {}
         if plan is not None:
             options["plan"] = plan
@@ -1013,7 +1018,7 @@ class TCSMService:
 
     def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
         pattern = self._request_pattern(request)
-        count_only = bool(request.get("count_only", False))
+        count_only = _flag(request, "count_only")
         budget: Any = request.get("time_budget", _UNSET_BUDGET)
         if budget is not _UNSET_BUDGET and budget is not None:
             budget = float(budget)
@@ -1056,7 +1061,7 @@ class TCSMService:
             plan=plan,
             order_by=order_by,
             mode=mode,
-            trace=bool(request.get("trace", False)),
+            trace=_flag(request, "trace"),
         )
         return cast("dict[str, Any]", payload)
 
@@ -1093,7 +1098,7 @@ class TCSMService:
         report, trace_id = self.stream_ingest(
             str(request["graph"]),
             edges,
-            trace=bool(request.get("trace", False)),
+            trace=_flag(request, "trace"),
         )
         payload: dict[str, Any] = {"report": report.to_dict()}
         if trace_id is not None:
@@ -1124,6 +1129,14 @@ class TCSMService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _flag(request: dict[str, Any], name: str) -> bool:
+    """A boolean request field: a JSON boolean, or absent or null (false)."""
+    value = request.get(name)
+    if value is None or isinstance(value, bool):
+        return value is True
+    raise ValueError(f"{name!r} must be a JSON boolean, not {value!r}")
 
 
 def parse_request_line(line: str, max_bytes: int) -> tuple[dict[str, Any], bool]:

@@ -7,9 +7,10 @@ exceeds ``floor((n - 1) * rate)``, which yields precisely ``rate`` of
 queries in the long run, spreads samples evenly, and makes tests
 reproducible without seeding.
 
-Exported traces are retained in a bounded LRU :class:`TraceStore` keyed
-by trace id, served back through the ``trace`` JSONL op.  Storing the
-*exported* payloads (Chrome JSON + text tree) rather than live tracers
+Exported traces are retained in :class:`TraceStore`, the service's LRU
+map (:class:`~repro.service.cache.LRUCache`) keyed by trace id, and
+served back through the ``trace`` JSONL op.  Storing the *exported*
+payloads (Chrome JSON + text tree) rather than live tracers
 keeps retained traces immutable and bounded in size.
 """
 
@@ -17,10 +18,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict
 from typing import Any
 
-from ..obs import assert_lock_held
+from .cache import LRUCache
 
 __all__ = ["TraceSampler", "TraceStore"]
 
@@ -54,18 +54,12 @@ class TraceSampler:
         return math.floor(n * self.rate) > math.floor((n - 1) * self.rate)
 
 
-class TraceStore:
+class TraceStore(LRUCache[str, dict[str, Any]]):
     """Thread-safe bounded LRU of exported trace payloads by trace id."""
 
     def __init__(self, capacity: int = 32) -> None:
-        if capacity < 1:
-            raise ValueError(
-                f"trace store capacity must be >= 1, not {capacity}"
-            )
-        self.capacity = capacity
-        self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
+        super().__init__(capacity)
         self._counter = 0
-        self._lock = threading.Lock()
 
     def next_trace_id(self) -> str:
         """A fresh process-unique trace id (monotonic, human-sortable)."""
@@ -73,32 +67,7 @@ class TraceStore:
             self._counter += 1
             return f"trace-{self._counter:06d}"
 
-    def put(self, trace_id: str, payload: dict[str, Any]) -> None:
-        """Retain *payload* under *trace_id*, evicting the LRU entry."""
-        with self._lock:
-            self._entries[trace_id] = payload
-            self._entries.move_to_end(trace_id)
-            self._trim_locked()
-
-    def _trim_locked(self) -> None:
-        """Evict LRU entries past capacity; caller must hold ``_lock``."""
-        assert_lock_held(self._lock, "TraceStore._lock")
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def get(self, trace_id: str) -> dict[str, Any] | None:
-        """The stored payload, refreshed as most recently used."""
-        with self._lock:
-            payload = self._entries.get(trace_id)
-            if payload is not None:
-                self._entries.move_to_end(trace_id)
-            return payload
-
     def ids(self) -> list[str]:
         """Retained trace ids, least recently used first."""
         with self._lock:
             return list(self._entries)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

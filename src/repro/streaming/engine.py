@@ -101,8 +101,14 @@ __all__ = ["IngestReport", "StreamReplayMatcher", "StreamingEngine"]
 #: The engine lock's name in sanitizer errors.
 _LOCK_NAME = "StreamingEngine._lock"
 
-#: An edge to ingest: ``(u, v, t)`` or ``(u, v, t, label)``.
+#: An edge to ingest: ``(u, v, t)`` or ``(u, v, t, label)``, with
+#: ``u``, ``v`` and ``t`` ints (not bools).
 EdgeInput = Sequence[Any]
+
+
+def _is_int(value: object) -> bool:
+    """Whether *value* is an int edge field (a bool is not)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -218,7 +224,9 @@ class StreamingEngine:
     ) -> IngestReport:
         """Append *edges* and deliver the matches each one completes.
 
-        Each element is ``(u, v, t)`` or ``(u, v, t, label)``.  Edges are
+        Each element is ``(u, v, t)`` or ``(u, v, t, label)``, with
+        ``u``, ``v`` and ``t`` ints; any other field type (a float, a
+        bool, a string) makes the edge malformed.  Edges are
         processed strictly in the given order, each visible to the
         searches of the ones after it and not before; duplicates
         (already in the graph) are counted but trigger no searches.
@@ -226,10 +234,11 @@ class StreamingEngine:
         segment-merge spans to it (the engine's own tracer is restored
         afterwards).
 
-        A batch is not atomic: when an edge fails (out-of-range vertex,
-        self loop, label conflict) the edges before it stay applied and
-        counted, and the raised :class:`~repro.errors.GraphError` says
-        how many of them there were.
+        A batch is not atomic: when an edge fails (malformed,
+        out-of-range vertex, self loop, label conflict) the edges before
+        it stay applied and counted, and the raised
+        :class:`~repro.errors.GraphError` says how many of them there
+        were.
         """
         with self._lock:
             previous = self.tracer
@@ -259,18 +268,16 @@ class StreamingEngine:
             for item in edges:
                 total += 1
                 try:
-                    u, v, t = int(item[0]), int(item[1]), int(item[2])
+                    u, v, t = item[0], item[1], item[2]
                     label = item[3] if len(item) > 3 else None
-                except (
-                    TypeError,
-                    ValueError,
-                    IndexError,
-                    KeyError,
-                    OverflowError,
-                ):
+                    # Fields are ints as given: coercing would read
+                    # 9.7 as 9 and True as 1.
+                    if not (_is_int(u) and _is_int(v) and _is_int(t)):
+                        raise TypeError
+                except (TypeError, IndexError, KeyError):
                     raise GraphError(
                         f"malformed edge {item!r}: expected (u, v, t) or "
-                        "(u, v, t, label)"
+                        "(u, v, t, label) with int u, v and t"
                     ) from None
                 edge_start = time.perf_counter()
                 if not graph.append(u, v, t, label=label):

@@ -89,7 +89,8 @@ class SubscriptionOptions:
             raise StreamingError(
                 f"lateness must be >= 0, got {self.lateness}"
             )
-        if self.search_budget is not None and self.search_budget <= 0:
+        # Written so that NaN, which compares false, fails it too.
+        if self.search_budget is not None and not self.search_budget > 0:
             raise StreamingError(
                 f"search_budget must be positive, got {self.search_budget}"
             )

@@ -255,6 +255,27 @@ class TestFailedBatch:
         assert row["matches_emitted"] == 1
         assert len(engine.poll("s")) == 1
 
+    @pytest.mark.parametrize(
+        "bad",
+        [(0, 1, 9.7), (0, 1, 9.0), (0, 1, True), (0, 1, "9"), (True, 1, 9),
+         (0, None, 9), (0, 1)],
+    )
+    def test_non_int_fields_are_malformed(self, bad):
+        """u, v and t are taken as given: 9.7 is not t=9, True not t=1."""
+        engine = make_engine()
+        engine.subscribe(QUERY, CONSTRAINTS, sub_id="s")
+        engine.ingest([(0, 1, 9)])
+        applied = (
+            r"malformed edge .* \(edge 2 of the batch; the 1 new edges "
+            "before it were applied\\)"
+        )
+        with pytest.raises(GraphError, match=applied):
+            engine.ingest([(0, 1, 10), bad])
+        snap = engine.metrics_snapshot()
+        assert snap["edges_ingested"] == 2
+        assert snap["duplicates"] == 0
+        assert snap["watermark"] == 10
+
     def test_expiry_runs_when_a_batch_fails(self):
         engine = make_engine()
         engine.subscribe(QUERY, CONSTRAINTS, sub_id="s")

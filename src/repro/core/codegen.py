@@ -1,7 +1,8 @@
-"""Per-plan specialized enumerator compilation (``MatchOptions(codegen=True)``).
+"""Generated enumerators: per plan (``MatchOptions(codegen=True)``), and
+V2V's per query shape.
 
-The interpreted matchers walk generic TCQ/TCQ+ tables on every DFS step:
-each layer re-reads the matching order, re-discovers which endpoints are
+A generic enumerator walks the TCQ/TCQ+ tables on every DFS step: each
+layer re-reads the matching order, re-discovers which endpoints are
 already bound, loops over the constraint tuples, and consults the window
 plan through two levels of helper calls.  All of that is *static* for a
 prepared plan — the order, the per-position bound/unbound split, the
@@ -30,17 +31,25 @@ matcher, one specialized Python enumeration function in which:
 * planes, slot indexes and label constants are closed over as
   entry-function locals, so the hot loop never touches a module dict;
 * all ``SearchStats`` counters accumulate in local integers flushed in a
-  ``finally`` block — bit-identical totals to the interpreted path, even
+  ``finally`` block — bit-identical totals to the uncompiled path, even
   when a satisfied sink raises :class:`StopEnumeration` mid-search.
+
+V2V's search (Algorithm 2) is written only here, by one writer with two
+modes (:func:`_compile_v2v`).  *Plan mode* is the per-plan compile
+above.  *Shape mode* emits the same search for every plan with the same
+vertex and edge counts, reading the per-plan values from the plan's
+:class:`V2VTables` instead of inlining them; :func:`v2v_shape_enumerator`
+compiles it once per shape per process, and a V2V plan runs it until
+``compile()`` gives it a plan-mode enumerator.  A shape compile is not a
+plan compile: the listener below never sees it.
 
 Matches are pushed through the existing :class:`ResultSink` protocol, so
 limit / top-k / count modes work unchanged, and every counter the
-interpreted matchers maintain is preserved exactly (the equivalence grid
+uncompiled matchers maintain is preserved exactly (the equivalence grid
 in ``tests/core/test_codegen_equivalence.py`` pins match multisets *and*
-pruning totals).  Shapes the generator does not support (currently:
-edgeless V2V queries) fall back to the interpreted path silently —
-``compile_enumerator`` returns ``None`` and the matcher keeps its
-generic loop.
+pruning totals).  Shapes the per-plan generator does not support
+(currently: edgeless V2V queries) keep the uncompiled path silently —
+``compile_enumerator`` returns ``None``.
 
 ``compile``/``exec`` of generated source is confined to this module by
 reprolint rule R020.  To inspect what was generated, register a debug
@@ -53,7 +62,9 @@ listener::
 or read ``matcher.compiled_source`` after ``prepare()``.  Generated
 sources are also registered with :mod:`linecache` for as long as their
 entry function lives, so tracebacks out of a compiled enumerator show
-real source lines and a dropped plan takes its source with it.
+real source lines and a dropped plan takes its source with it (a shape
+enumerator, which lives as long as the process, keeps its source as
+long).
 """
 
 from __future__ import annotations
@@ -67,11 +78,11 @@ import time
 import weakref
 from collections.abc import Callable, Hashable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, cast, overload
+from typing import TYPE_CHECKING, Any, NamedTuple, cast, overload
 
-from ..graphs import TemporalEdge
+from ..graphs import Constraint, TemporalEdge
 
-from .candidate_space import CLOSE, IN, OUT, SEED, pair_readers
+from .candidate_space import CLOSE, IN, OUT, SEED, NeighbourCandidates
 from .match import Match
 from .options import RunContext
 from .partition import partition_slice
@@ -82,12 +93,13 @@ from .windows import constraint_slices, propagate_run_windows, windowed_times
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .e2e import E2EMatcher
-    from .v2v import V2VMatcher
 
 __all__ = [
     "CompiledPlan",
+    "V2VTables",
     "compile_enumerator",
     "set_codegen_listener",
+    "v2v_shape_enumerator",
 ]
 
 #: Signature of the generated entry point.
@@ -215,8 +227,12 @@ def _flush_v2v(
 
 
 def _num(value: float) -> str:
-    """Inline a finite numeric constant into generated source."""
-    return repr(value)
+    """Inline a numeric constant into generated source.
+
+    An unbounded constraint gap is ``math.inf``, whose ``repr`` is not a
+    Python name.
+    """
+    return repr(value) if math.isfinite(value) else f"float({repr(value)!r})"
 
 
 def _deadline_check(w: _Writer) -> None:
@@ -423,7 +439,7 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
             later = "t" if c.later == e else f"et[{c.later}]"
             earlier = "t" if c.earlier == e else f"et[{c.earlier}]"
             w.line(f"d = {later} - {earlier}")
-            w.open(f"if d < 0 or d > {c.gap}:")
+            w.open(f"if d < 0 or d > {_num(c.gap)}:")
             w.line("tmp_p += 1")
             w.line(fail)
             w.line("continue")
@@ -618,30 +634,57 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
 
 
 # ----------------------------------------------------------------------
-# V2V generation (Algorithm 2 specialized per position)
+# V2V generation (Algorithm 2): one writer, per plan or per query shape
 # ----------------------------------------------------------------------
 
 
-def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
-    query = matcher.query
-    tcq = matcher.tcq
-    candidates = matcher.candidates
-    lists = matcher.candidate_lists
-    assert tcq is not None and candidates is not None and lists is not None
-    m = query.num_edges
-    n = query.num_vertices
-    if m == 0 or n == 0:
-        return None  # degenerate shapes keep the interpreted path
-    graph = matcher._view
-    edge_labels = query.edge_labels
-    edge_endpoints = query.edges
-    has_pair, pair_run = pair_readers(graph)
+class V2VTables(NamedTuple):
+    """A prepared V2V plan, as its enumerators read it.
 
+    Per matching position: the query vertex, its prec (None at a seed),
+    the vertex's NLF candidate set, the prec's candidate list (None at a
+    seed), the FV structure checks ``(w, need (u, w), need (w, u))`` and
+    the constraints that close there.  Per query edge: ``(source,
+    target, label or None)``.  Then the snapshot's unchecked pair
+    readers, its per-label run getter, the joint timestamp solver and
+    the STN distance matrix.
+    """
+
+    order: tuple[int, ...]
+    prec: tuple[int | None, ...]
+    seeds: tuple[frozenset[int], ...]
+    lists: tuple[NeighbourCandidates | None, ...]
+    structure: tuple[tuple[tuple[int, bool, bool], ...], ...]
+    closing: tuple[tuple[Constraint, ...], ...]
+    edges: tuple[tuple[int, int, Hashable], ...]
+    has_pair: Callable[[int, int], bool]
+    pair_run: Callable[[int, int], Sequence[int]]
+    label_run: Callable[[tuple[int, int, Hashable], Sequence[int]], Sequence[int]]
+    solve: Callable[[Sequence[Sequence[int]]], Iterator[tuple[int, ...]]]
+    dist: list[list[float]]
+
+
+#: Signature of a shape-mode V2V enumerator: a plan entry plus the tables.
+ShapeEntry = Callable[[RunContext, ResultSink, V2VTables], None]
+
+
+def _compile_v2v(
+    n: int, m: int, plan: V2VTables | None = None
+) -> tuple[str, dict[str, Any]]:
+    """Write a V2V enumerator for *plan*, or for every plan of its shape.
+
+    Both modes emit the same DFS, one nested function per position, and
+    the same candidate body, leaf, counters and flush.  *Plan mode*
+    inlines the plan's vertices, precs, checks and edge labels as
+    constants and reads its tables through a default argument.  *Shape
+    mode* (``plan=None``) reads each of those values from the tables the
+    entry takes as its third argument: seed versus extension and labeled
+    versus unlabeled run become run-time branches, and the FV checks and
+    closing constraints short loops.  Returns the source and the
+    namespace to execute it in.
+    """
     ns: dict[str, Any] = {
         "_PART_SLICE": partition_slice,
-        "_HP": has_pair,
-        "_RUN": pair_run,
-        "_LTG": graph.label_runs.get,
         "_MONO": time.monotonic,
         "_STOP": StopEnumeration,
         "_MATCH": Match,
@@ -652,20 +695,47 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
         "_WC": windows_compatible,
         "_PROP": propagate_run_windows,
         "_WT": windowed_times,
-        "_SOLVE": matcher._solver.assignments,
-        "_DIST": matcher._dist,
     }
-    for pos, u in enumerate(tcq.order):
-        if lists[pos] is None:
-            ns[f"_CANDS_{u}"] = candidates[u]
-        else:
-            ns[f"_LISTS_{pos}"] = lists[pos]
-    for e in range(m):
-        if edge_labels[e] is not None:
-            ns[f"_EL_{e}"] = edge_labels[e]
+
+    def vertex(pos: int) -> str:
+        """The query vertex matched at *pos*."""
+        return f"u{pos}" if plan is None else str(plan.order[pos])
+
+    def edge(e: int) -> tuple[str, str, str | None]:
+        """Query edge *e*'s endpoints and the name holding its label
+        (None: an edge plan mode knows to be unlabeled)."""
+        if plan is None:
+            return f"ea{e}", f"eb{e}", f"el{e}"
+        a, b, lab = plan.edges[e]
+        return str(a), str(b), None if lab is None else f"el{e}"
+
+    def is_seed(pos: int) -> bool:
+        """Is *pos* a seed in every plan this enumerator serves?  (The
+        root always is; in shape mode a later seed is a run-time branch.)"""
+        return pos == 0 or (plan is not None and plan.prec[pos] is None)
+
+    def run_of(a: str, b: str, lab: str | None) -> str:
+        """The run matching query vertices *a* and *b* gives a query edge
+        labeled *lab*."""
+        a, b = f"vm[{a}]", f"vm[{b}]"
+        pair = f"run({a}, {b})"
+        if lab is None:
+            return pair
+        by_label = f"ltg(({a}, {b}, {lab}), ())"
+        if plan is not None:
+            return by_label
+        return f"{pair} if {lab} is None else {by_label}"
 
     w = _Writer()
-    w.open("def _enumerate(ctx, sink):")
+    if plan is None:
+        w.open("def _enumerate(ctx, sink, tables):")
+    else:
+        ns["_PLAN"] = plan
+        w.open("def _enumerate(ctx, sink, tables=_PLAN):")
+    w.line(
+        "(order, precs, seeds, lists, structure, closing, edges,"
+        " hp, run, ltg, solve, dist) = tables"
+    )
     w.line("stats = ctx.stats")
     w.line("deadline = ctx.deadline")
     w.line("accept = sink.accept")
@@ -678,25 +748,28 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("Mk = _MATCH")
     w.line("TE = _TE")
     w.line("tnew = _TNEW")
-    # Unchecked pair readers over the snapshot's out-plane.
-    w.line("hp = _HP")
-    w.line("run = _RUN")
-    if query.has_edge_labels:
-        w.line("ltg = _LTG")
     w.line("wc = _WC")
     w.line("cs = _CS")
     w.line("prop = _PROP")
     w.line("wt = _WT")
-    w.line("dist = _DIST")
-    w.line("solve = _SOLVE")
-    for pos, u in enumerate(tcq.order):
-        if lists[pos] is None:
-            w.line(f"cands{u} = _CANDS_{u}")
-        else:
-            w.line(f"lists{pos} = _LISTS_{pos}")
+    # Per-plan values the nested functions read, hoisted into entry
+    # locals: only those plan mode does not inline.
+    for pos in range(n):
+        if plan is None:
+            w.line(f"u{pos} = order[{pos}]")
+            w.line(f"fv{pos} = structure[{pos}]")
+            w.line(f"ck{pos} = closing[{pos}]")
+        if plan is None or is_seed(pos):
+            w.line(f"s{pos} = seeds[{pos}]")
+        if not is_seed(pos):
+            if plan is None:
+                w.line(f"p{pos} = precs[{pos}]")
+            w.line(f"l{pos} = lists[{pos}]")
     for e in range(m):
-        if edge_labels[e] is not None:
-            w.line(f"el{e} = _EL_{e}")
+        if plan is None:
+            w.line(f"ea{e}, eb{e}, el{e} = edges[{e}]")
+        elif edge(e)[2] is not None:
+            w.line(f"el{e} = edges[{e}][2]")
     w.line(f"vm = [0] * {n}")
     w.line("used = set()")
     w.line("used_add = used.add")
@@ -720,32 +793,25 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line(f"fails = [0] * {n + 2}")
     # Per layer, the base members the candidate lists skipped.
     w.line(f"skp = [0] * {n + 2}")
-    root_vertex = tcq.order[0]
+    # Position 0 is always a seed: its candidates are the root's NLF set,
+    # or a partition's slice of it.
     w.open("if ctx.partition is not None:")
-    w.line(f"root_seed = _PART_SLICE(cands{root_vertex}, ctx.partition)")
+    w.line("root_seed = _PART_SLICE(s0, ctx.partition)")
     w.close()
     w.open("else:")
-    w.line(f"root_seed = cands{root_vertex}")
+    w.line("root_seed = s0")
     w.close()
 
     nonlocal_decl = "nonlocal " + ", ".join(counters)
-
-    def emit_run(name: str, e: int, a: str, b: str) -> None:
-        """Bind *name* to the run of data pair ``(a, b)`` for query edge *e*
-        (the per-label run for a labeled edge)."""
-        if edge_labels[e] is not None:
-            w.line(f"{name} = ltg(({a}, {b}, el{e}), ())")
-        else:
-            w.line(f"{name} = run({a}, {b})")
 
     # Leaf: joint timestamp enumeration over the complete embedding.
     w.open("def leaf():")
     w.line("nonlocal match_n, join_c, join_p")
     _deadline_check(w)
-    for e, (eu, ev) in enumerate(edge_endpoints):
-        emit_run(f"r{e}", e, f"vm[{eu}]", f"vm[{ev}]")
+    for e in range(m):
+        w.line(f"r{e} = {run_of(*edge(e))}")
     run_names = ", ".join(f"r{e}" for e in range(m))
-    total_len = " + ".join(f"len(r{e})" for e in range(m))
+    total_len = " + ".join(f"len(r{e})" for e in range(m)) or "0"
     w.line(f"wins = prop([{run_names}], dist)")
     w.open("if wins is None:")
     w.line(f"stats.timestamps_skipped += {total_len}")
@@ -766,12 +832,12 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("match_n += 1")
     # Matches and their edges are named tuples built through
     # tuple.__new__ directly, skipping their Python-level __new__.
-    edges = ", ".join(
-        f"tnew(TE, (fm[{eu}], fm[{ev}], times[{e}]))"
-        for e, (eu, ev) in enumerate(edge_endpoints)
-    )
+    edge_tuples = []
+    for e in range(m):
+        a, b, _ = edge(e)
+        edge_tuples.append(f"tnew(TE, (fm[{a}], fm[{b}], times[{e}]))")
     etrailing = "," if m == 1 else ""
-    w.line(f"accept(tnew(Mk, (({edges}{etrailing}), fm)))")
+    w.line(f"accept(tnew(Mk, (({', '.join(edge_tuples)}{etrailing}), fm)))")
     w.close()
     w.open("if not produced:")
     w.line("join_p += 1")
@@ -779,23 +845,48 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.close()
     w.close()  # def leaf
 
-    for pos, u in enumerate(tcq.order):
-        u_prec = tcq.prec[pos]
+    for pos in range(n):
+        fail = f"fails[{pos + 1}] += 1"
+
+        def reject(counter: str, escape: str) -> None:
+            """Count a pruned candidate and leave its checks by *escape*."""
+            w.line(f"{counter} += 1")
+            w.line(fail)
+            w.line(escape)
+
+        def window_check(gap: str, escape: str) -> None:
+            """The existential window check of one closing constraint,
+            over the runs bound to ``e_ts`` and ``l_ts``."""
+            w.line(f"e_ts, l_ts = cs(e_ts, l_ts, {gap}, stats)")
+            w.open(f"if not wc(e_ts, l_ts, {gap}):")
+            reject("tmp_p", escape)
+            w.close()
+
         w.open(f"def d{pos}():")
         w.line(nonlocal_decl)
         _deadline_check(w)
         w.line("nodes_n += 1")
         w.line("produced = False")
-        fail = f"fails[{pos + 1}] += 1"
-        if u_prec is None:
+        seed = is_seed(pos)
+        if seed:
             # A seed iterates its own candidate set: nothing to skip.
-            w.open(f"for v in {'root_seed' if pos == 0 else f'cands{u}'}:")
+            w.open(f"for v in {'root_seed' if pos == 0 else f's{pos}'}:")
             _deadline_check(w)
         else:
             # The prec's candidate list: survivors in base order, their
             # base indices and the base length.  The index gaps are the
             # skipped non-candidates.
-            w.line(f"sv, ix, size = lists{pos}[vm[{u_prec}]]")
+            if plan is None:
+                w.open(f"if p{pos} is None:")
+                w.line(f"sv = s{pos}")
+                w.line("size = len(sv)")
+                w.line("ix = range(size)")
+                w.close()
+                w.open("else:")
+                w.line(f"sv, ix, size = l{pos}[vm[p{pos}]]")
+                w.close()
+            else:
+                w.line(f"sv, ix, size = l{pos}[vm[{plan.prec[pos]}]]")
             w.line("nxt = 0")
             w.open("for i, v in zip(ix, sv):")
             _deadline_check(w)
@@ -806,47 +897,57 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
         w.line("cand_n += 1")
         w.line("inj_c += 1")
         w.open("if v in used:")
-        w.line("inj_p += 1")
-        w.line(fail)
-        w.line("continue")
+        reject("inj_p", "continue")
         w.close()
         w.line("val_n += 1")
         w.line("str_c += 1")
-        for wv, need_uw, need_wu in matcher._fv_checks[pos]:
-            if need_uw:
-                w.open(f"if not hp(v, vm[{wv}]):")
-                w.line("str_p += 1")
-                w.line(fail)
-                w.line("continue")
-                w.close()
-            if need_wu:
-                w.open(f"if not hp(vm[{wv}], v):")
-                w.line("str_p += 1")
-                w.line(fail)
-                w.line("continue")
-                w.close()
-        w.line(f"vm[{u}] = v")
-        w.line("tmp_c += 1")
-        for c in tcq.check_at[pos]:
-            eu, ev = edge_endpoints[c.earlier]
-            lu, lv = edge_endpoints[c.later]
-            emit_run("e_ts", c.earlier, f"vm[{eu}]", f"vm[{ev}]")
-            emit_run("l_ts", c.later, f"vm[{lu}]", f"vm[{lv}]")
-            w.line(f"e_ts, l_ts = cs(e_ts, l_ts, {c.gap}, stats)")
-            w.open(f"if not wc(e_ts, l_ts, {c.gap}):")
-            w.line("tmp_p += 1")
-            w.line(fail)
-            w.line("continue")
+        # A shape's checks are loops that break on a failure, each
+        # followed by the rest of the body in its ``else``.
+        loops = 0
+        if plan is None:
+            w.open(f"for fw, fo, fi in fv{pos}:")
+            w.line("dw = vm[fw]")
+            w.open("if fo and not hp(v, dw) or fi and not hp(dw, v):")
+            reject("str_p", "break")
             w.close()
+            w.close()
+            w.open("else:")
+            loops += 1
+        else:
+            for wv, need_uw, need_wu in plan.structure[pos]:
+                if need_uw:
+                    w.open(f"if not hp(v, vm[{wv}]):")
+                    reject("str_p", "continue")
+                    w.close()
+                if need_wu:
+                    w.open(f"if not hp(vm[{wv}], v):")
+                    reject("str_p", "continue")
+                    w.close()
+        w.line(f"vm[{vertex(pos)}] = v")
+        w.line("tmp_c += 1")
+        if plan is None:
+            w.open(f"for ce, cl, gap in ck{pos}:")
+            w.line("a, b, x = edges[ce]")
+            w.line(f"e_ts = {run_of('a', 'b', 'x')}")
+            w.line("a, b, x = edges[cl]")
+            w.line(f"l_ts = {run_of('a', 'b', 'x')}")
+            window_check("gap", "break")
+            w.close()
+            w.open("else:")
+            loops += 1
+        else:
+            for c in plan.closing[pos]:
+                for name, e in (("e_ts", c.earlier), ("l_ts", c.later)):
+                    w.line(f"{name} = {run_of(*edge(e))}")
+                window_check(_num(c.gap), "continue")
         w.line("produced = True")
         w.line("used_add(v)")
-        if pos + 1 == n:
-            w.line("leaf()")
-        else:
-            w.line(f"d{pos + 1}()")
+        w.line("leaf()" if pos + 1 == n else f"d{pos + 1}()")
         w.line("used_discard(v)")
+        for _ in range(loops):
+            w.close()
         w.close()  # for v
-        if u_prec is not None:
+        if not seed:
             w.line(f"skp[{pos + 1}] += size - nxt")
         w.open("if not produced:")
         w.line(fail)
@@ -868,8 +969,8 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("b_str.pruned += str_p")
     w.line("b_tmp.considered += tmp_c")
     w.line("b_tmp.pruned += tmp_p")
-    # The interpreted loop opens this bucket at the first leaf, so a
-    # search that never reaches one must not create it either.
+    # The bucket opens at the first leaf, so a search that never
+    # reaches one must not create it.
     w.open("if join_c:")
     w.line('b_join = stats.filter("timestamp-join")')
     w.line("b_join.considered += join_c")
@@ -878,8 +979,37 @@ def _compile_v2v(matcher: "V2VMatcher") -> CompiledPlan | None:
     w.line("_FLUSH(stats, fails, skp)")
     w.close()
     w.close()  # def _enumerate
+    return w.source(), ns
 
-    return _finish(matcher.name, w.source(), ns)
+
+#: Shape-mode V2V enumerators by query shape ``(n, m)``.  Entries live as
+#: long as the process, so the cache is bounded by the shapes it meets.
+#: No lock: two threads racing to compile one shape both compile, and
+#: ``setdefault`` publishes one (a lock held across a process pool's
+#: ``fork()`` could deadlock the child).
+_SHAPES: dict[tuple[int, int], ShapeEntry] = {}  # reprolint: disable=R016 -- grow-only, published by setdefault
+
+
+def v2v_shape_enumerator(n: int, m: int) -> ShapeEntry:
+    """The V2V enumerator of every plan with *n* vertices and *m* edges.
+
+    ``entry(ctx, sink, tables)`` has the contract of a compiled plan's
+    entry, reading the plan from its :class:`V2VTables`.  Compiled on
+    the shape's first request and kept for the life of the process,
+    with its source in :mod:`linecache` under
+    ``<repro-shape:v2v/{n}/{m}>``.  It is not a plan compile: the
+    codegen listener never sees it.
+    """
+    entry = _SHAPES.get((n, m))
+    if entry is not None:
+        return entry
+    source, ns = _compile_v2v(n, m)
+    filename = f"<repro-shape:v2v/{n}/{m}>"
+    exec(compile(source, filename, "exec"), ns)  # noqa: S102 - confined by reprolint R020
+    linecache.cache[filename] = (  # type: ignore[assignment]
+        len(source), None, _SourceLines(source), filename
+    )
+    return _SHAPES.setdefault((n, m), cast(ShapeEntry, ns.pop("_enumerate")))
 
 
 # ----------------------------------------------------------------------
@@ -943,8 +1073,12 @@ def compile_enumerator(matcher: Any) -> CompiledPlan | None:
     """
     if getattr(matcher, "tcq_plus", None) is not None:
         return _compile_e2e(cast("E2EMatcher", matcher))
-    if getattr(matcher, "tcq", None) is not None:
-        return _compile_v2v(cast("V2VMatcher", matcher))
+    tables = getattr(matcher, "tables", None)
+    if isinstance(tables, V2VTables):
+        m = len(tables.edges)
+        if not m:
+            return None  # edgeless queries keep the shape enumerator
+        return _finish(matcher.name, *_compile_v2v(len(tables.order), m, tables))
     return None
 
 

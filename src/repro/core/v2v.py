@@ -9,21 +9,22 @@ matched.  Once all vertices are embedded, the per-edge timestamp choices
 that jointly satisfy the constraint set are enumerated — the "edge
 permutation" step that makes V2V pay on temporally dense instances.
 
-Both enumerators (this interpreted DFS and the generated one in
-:mod:`repro.core.codegen`) draw a position's candidates from one per-plan
-list per bound prec vertex (:mod:`repro.core.candidate_space`): the
-neighbours that pass the NLF intersection, in neighbour order, so no
-non-candidate is scanned, and the skipped ones are credited to the
-counters in bulk.  Pairs and their timestamp runs are read off the
-snapshot's planes, and the joint timestamp solver is planned once in
-``prepare`` (:class:`~repro.core.timestamps.TimestampPlan`).
+The search itself is generated by :mod:`repro.core.codegen`, which
+writes it once in two modes: a *shape* enumerator shared by every plan
+of the query's vertex and edge counts, which reads the plan from the
+:class:`~repro.core.codegen.V2VTables` built here and runs cold plans
+and process workers, and a *plan* enumerator with those tables inlined,
+which ``compile()`` builds for reused plans.  Both draw a position's
+candidates from one per-plan list per bound prec vertex
+(:mod:`repro.core.candidate_space`): the neighbours that pass the NLF
+intersection, in neighbour order, so no non-candidate is scanned, and
+the skipped ones are credited to the counters in bulk.  Pairs and their
+timestamp runs are read off the snapshot's planes, and the joint
+timestamp solver is planned once in ``prepare``
+(:class:`~repro.core.timestamps.TimestampPlan`).
 """
 
 from __future__ import annotations
-
-import time
-from collections.abc import Iterable, Sequence
-from typing import cast
 
 from ..graphs import GraphView, QueryGraph, TemporalConstraints
 from ..obs import TraceSink
@@ -33,21 +34,14 @@ from .candidate_space import (
     pair_readers,
     vertex_candidate_lists,
 )
-from .codegen import _flush_v2v
+from .codegen import ShapeEntry, V2VTables, v2v_shape_enumerator
 from .filters import initial_vertex_candidates
-from .match import Match
 from .options import RunContext
-from .partition import partition_slice
 from .planner import plan_costs, validate_plan
 from .sink_matcher import SinkMatcherBase
-from .sinks import ResultSink, StopEnumeration
+from .sinks import ResultSink
 from .tcq import TCQ, build_tcq
-from .timestamps import TimestampPlan, windows_compatible
-from .windows import (
-    constraint_slices,
-    propagate_run_windows,
-    windowed_times,
-)
+from .timestamps import TimestampPlan
 
 __all__ = ["V2VMatcher"]
 
@@ -81,7 +75,7 @@ class V2VMatcher(SinkMatcherBase):
         function for the concrete (query shape, matching order, STN
         closure) via :mod:`repro.core.codegen` and ``run_sink``
         dispatches to it; match multisets and every ``SearchStats``
-        counter are pinned bit-identical to the interpreted loop.
+        counter are pinned bit-identical to the shape enumerator.
     """
 
     name = "tcsm-v2v"
@@ -103,15 +97,15 @@ class V2VMatcher(SinkMatcherBase):
         self.intersect_candidates = intersect_candidates
         self.use_windows = use_windows
         self.plan = validate_plan(plan)
-        #: STN distance matrix for the window kernel (set by ``prepare``).
-        self._dist: list[list[float]] = []
         self.candidates: list[frozenset[int]] | None = None
         self.tcq: TCQ | None = None
         #: Per position, the prec's candidate neighbours (None at a seed;
         #: set by ``prepare``, filled lazily while enumerating).
         self.candidate_lists: tuple[NeighbourCandidates | None, ...] | None = None
-        #: The joint timestamp solver's plan (set by ``prepare``).
-        self._solver: TimestampPlan
+        #: The plan as the enumerators read it (set by ``prepare``).
+        self.tables: V2VTables
+        #: The shape enumerator cold runs use (set by ``prepare``).
+        self._shape: ShapeEntry
 
     # ------------------------------------------------------------------
     # preparation (Algorithm 2 lines 1-4); timed separately by the engine
@@ -135,12 +129,7 @@ class V2VMatcher(SinkMatcherBase):
             plan=self.plan,
             costs=plan_costs(self._view) if self.plan == "cost" else None,
         )
-        self._dist = self.constraints.distance_matrix()
-        # The joint solver's tables depend on the constraints alone: one
-        # plan serves every leaf, reusing the distance matrix above.
-        self._solver = TimestampPlan(
-            self.constraints, self.use_windows, dist=self._dist
-        )
+        dist = self.constraints.distance_matrix()
         # Per position: the candidate neighbours of the prec's match, and
         # the forward-vertex structural checks.
         query = self.query
@@ -153,200 +142,43 @@ class V2VMatcher(SinkMatcherBase):
             self.candidates,
             self.intersect_candidates,
         )
-        self._fv_checks: list[tuple[tuple[int, bool, bool], ...]] = []
-        for pos, u in enumerate(tcq.order):
-            checks: list[tuple[int, bool, bool]] = []
-            for w in tcq.forward[pos]:
-                checks.append(
+        has_pair, pair_run = pair_readers(self._view)
+        self.tables = V2VTables(
+            order=tcq.order,
+            prec=tcq.prec,
+            seeds=tuple(self.candidates[u] for u in tcq.order),
+            lists=self.candidate_lists,
+            structure=tuple(
+                tuple(
                     (w, query.has_edge(u, w), query.has_edge(w, u))
+                    for w in tcq.forward[pos]
                 )
-            self._fv_checks.append(tuple(checks))
+                for pos, u in enumerate(tcq.order)
+            ),
+            closing=tcq.check_at,
+            edges=tuple(
+                (a, b, label)
+                for (a, b), label in zip(query.edges, query.edge_labels)
+            ),
+            has_pair=has_pair,
+            pair_run=pair_run,
+            label_run=self._view.label_runs.get,
+            # The joint solver's tables depend on the constraints alone:
+            # one plan serves every leaf, reusing the distance matrix.
+            solve=TimestampPlan(
+                self.constraints, self.use_windows, dist=dist
+            ).assignments,
+            dist=dist,
+        )
+        # Resolved here, not at the first run, so a process pool's
+        # workers inherit the compiled shape from the parent.
+        self._shape = v2v_shape_enumerator(
+            query.num_vertices, query.num_edges
+        )
 
     # ------------------------------------------------------------------
     # matching (Algorithm 2 lines 5-27)
     # ------------------------------------------------------------------
     def _run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
-        deadline = ctx.deadline
-        partition = ctx.partition
-        search_stats = ctx.stats
-        # prepare() populated these; the casts rebind them non-Optional
-        # because narrowing does not propagate into the closures below.
-        tcq = cast(TCQ, self.tcq)
-        candidates = cast("list[frozenset[int]]", self.candidates)
-        lists = cast("tuple[NeighbourCandidates, ...]", self.candidate_lists)
-        fv_checks = self._fv_checks
-        query = self.query
-        graph = self._view
-        n = query.num_vertices
-        vertex_map: list[int | None] = [None] * n
-        # Read-only view of vertex_map: every position read below is bound,
-        # since the TCQ order matches prec/forward vertices first.
-        bound = cast("list[int]", vertex_map)
-        used: set[int] = set()
-        root_candidates: list[int] | None = None
-        if partition is not None:
-            root_candidates = partition_slice(candidates[tcq.order[0]], partition)
-        # Per-filter pruning counters, fetched once so the hot loop only
-        # touches ints.  Chained on the same candidate stream, so each
-        # filter's ``considered`` equals the previous one's ``survivors``.
-        intersect_counters = search_stats.filter("intersect")
-        inj_counters = search_stats.filter("injectivity")
-        structure_counters = search_stats.filter("structure")
-        temporal_counters = search_stats.filter("temporal")
-        # Per layer: failed enumerations, and the base members the
-        # candidate lists skipped (non-candidates, each one generated and
-        # then pruned by the intersect); folded into the stats once.
-        fails = [0] * (n + 2)
-        skipped = [0] * (n + 2)
-        edge_endpoints = query.edges
-        edge_labels = query.edge_labels
-        solve = self._solver.assignments
-        dist = self._dist
-        has_pair, pair_run = pair_readers(graph)
-        label_run = graph.label_runs.get
-
-        def edge_run(e: int, a: int, b: int) -> Sequence[int]:
-            """Timestamps of data pair ``(a, b)`` admissible for query edge
-            *e* (honours the edge-label generalisation)."""
-            label = edge_labels[e]
-            if label is None:
-                return pair_run(a, b)
-            return label_run((a, b, label), ())
-
-        def temporal_ok(pos: int) -> bool:
-            """Existential window check for constraints closing at *pos*.
-
-            Each run is first bisected to the slice the *other* run's
-            endpoints allow — the pair check then touches only mutually
-            feasible timestamps.
-            """
-            for c in tcq.check_at[pos]:
-                eu, ev = edge_endpoints[c.earlier]
-                lu, lv = edge_endpoints[c.later]
-                earlier_times, later_times = constraint_slices(
-                    edge_run(c.earlier, bound[eu], bound[ev]),
-                    edge_run(c.later, bound[lu], bound[lv]),
-                    c.gap,
-                    search_stats,
-                )
-                if not windows_compatible(earlier_times, later_times, c.gap):
-                    return False
-            return True
-
-        def structure_ok(pos: int, v: int) -> bool:
-            for w, need_uw, need_wu in fv_checks[pos]:
-                dw = bound[w]
-                if need_uw and not has_pair(v, dw):
-                    return False
-                if need_wu and not has_pair(dw, v):
-                    return False
-            return True
-
-        def leaf() -> None:
-            """Joint timestamp enumeration for a complete vertex embedding.
-
-            One interval-propagation pass over the run endpoints
-            (:func:`propagate_run_windows`) shrinks every run to its
-            STN-feasible slice before the joint solver expands anything
-            — or proves no assignment exists without expanding at all.
-            """
-            runs = [
-                edge_run(e, bound[a], bound[b])
-                for e, (a, b) in enumerate(edge_endpoints)
-            ]
-            join_counters = search_stats.filter("timestamp-join")
-            join_counters.considered += 1
-            windows = propagate_run_windows(runs, dist)
-            if windows is None:
-                for run in runs:
-                    search_stats.timestamps_skipped += len(run)
-                join_counters.pruned += 1
-                fails[n] += 1
-                return
-            options = [
-                windowed_times(run, window, search_stats)
-                for run, window in zip(runs, windows)
-            ]
-            final_map = tuple(bound)
-            produced = False
-            for times in solve(options):
-                produced = True
-                search_stats.matches += 1
-                sink.accept(Match.from_vertex_map(query, final_map, times))
-            if not produced:
-                join_counters.pruned += 1
-                fails[n] += 1
-
-        def dfs(pos: int) -> None:
-            if deadline is not None and time.monotonic() > deadline:
-                search_stats.budget_exhausted = True
-                search_stats.deadline_hit = True
-                raise StopEnumeration
-            if pos == n:
-                leaf()
-                return
-            search_stats.nodes_expanded += 1
-            u = tcq.order[pos]
-            u_prec = tcq.prec[pos]
-            # (index in the base, candidate) pairs, and the base length.
-            indexed: Iterable[tuple[int, int]]
-            if u_prec is None:
-                # A seed iterates its own candidate set: nothing to prune.
-                # Only the root (pos 0) may be partitioned; later component
-                # seeds must stay exhaustive or matches would be lost.
-                seeds: Sequence[int] | frozenset[int] = candidates[u]
-                if pos == 0 and root_candidates is not None:
-                    seeds = root_candidates
-                indexed = enumerate(seeds)
-                size = len(seeds)
-            else:
-                survivors, indices, size = lists[pos][bound[u_prec]]
-                indexed = zip(indices, survivors)
-            checks = fv_checks[pos]
-            closing = tcq.check_at[pos]
-            expected = 0
-            produced = False
-            for i, v in indexed:
-                if deadline is not None and time.monotonic() > deadline:
-                    search_stats.budget_exhausted = True
-                    search_stats.deadline_hit = True
-                    raise StopEnumeration
-                skipped[pos + 1] += i - expected
-                expected = i + 1
-                search_stats.candidates_generated += 1
-                intersect_counters.considered += 1
-                inj_counters.considered += 1
-                if v in used:
-                    inj_counters.pruned += 1
-                    fails[pos + 1] += 1
-                    continue
-                search_stats.validations += 1
-                structure_counters.considered += 1
-                if checks and not structure_ok(pos, v):
-                    structure_counters.pruned += 1
-                    fails[pos + 1] += 1
-                    continue
-                vertex_map[u] = v
-                temporal_counters.considered += 1
-                if closing and not temporal_ok(pos):
-                    temporal_counters.pruned += 1
-                    vertex_map[u] = None
-                    fails[pos + 1] += 1
-                    continue
-                produced = True
-                used.add(v)
-                dfs(pos + 1)
-                used.discard(v)
-                vertex_map[u] = None
-            skipped[pos + 1] += size - expected
-            if not produced:
-                fails[pos + 1] += 1
-
-        try:
-            dfs(0)
-        finally:
-            _flush_v2v(search_stats, fails, skipped)
-            # dfs is recursive, so its closure holds its own cell: clear
-            # it, or the run's sink, stats and candidate lists wait for
-            # the cyclic collector.
-            del dfs
+        """Run the shape enumerator over this plan's tables."""
+        self._shape(ctx, sink, self.tables)

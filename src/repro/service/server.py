@@ -21,6 +21,7 @@ trivially testable — see ``repro serve`` / ``repro submit`` in the CLI.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -286,10 +287,10 @@ class TCSMService:
     # graph lifecycle
     # ------------------------------------------------------------------
     def load_graph(self, name: str, graph: TemporalGraph) -> GraphHandle:
-        """Register (or replace) *name*, invalidating caches of old versions."""
+        """Register (or replace) *name*, invalidating the caches and the
+        streams of its old versions."""
         handle = self.graphs.register(name, graph)
-        self.plans.invalidate_graph(name, keep_version=handle.version)
-        self.results.invalidate_graph(name, keep_version=handle.version)
+        self._forget_graph(name, keep_version=handle.version)
         self.metrics.inc("graphs_loaded")
         return handle
 
@@ -307,8 +308,14 @@ class TCSMService:
         (and their undelivered emissions) are discarded.
         """
         self.graphs.drop(name)
-        self.plans.invalidate_graph(name)
-        self.results.invalidate_graph(name)
+        self._forget_graph(name)
+
+    def _forget_graph(self, name: str, keep_version: int | None = None) -> None:
+        """Evict *name*'s cache entries (but *keep_version*'s) and tear
+        down its streaming engine with its subscriptions: a stream over a
+        replaced graph would keep matching the old one."""
+        self.plans.invalidate_graph(name, keep_version=keep_version)
+        self.results.invalidate_graph(name, keep_version=keep_version)
         with self._streams_lock:
             if self._streams.pop(name, None) is not None:
                 for sub_id, owner in list(self._stream_subs.items()):
@@ -955,8 +962,7 @@ class TCSMService:
             handle = self.load_graph_file(
                 str(request["name"]),
                 str(request["path"]),
-                num_labels=int(request.get("num_labels", 8)),
-                seed=int(request.get("seed", 0)),
+                **_numbers(request, num_labels=int, seed=int),
             )
             return {"graph": handle.describe()}
         if op == "drop_graph":
@@ -1019,15 +1025,11 @@ class TCSMService:
     def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
         pattern = self._request_pattern(request)
         count_only = _flag(request, "count_only")
-        budget: Any = request.get("time_budget", _UNSET_BUDGET)
-        if budget is not _UNSET_BUDGET and budget is not None:
-            budget = float(budget)
-        limit = request.get("limit")
-        if limit is not None:
-            limit = int(limit)
-        workers = request.get("workers")
-        if workers is not None:
-            workers = int(workers)
+        budget: Any = _UNSET_BUDGET
+        if "time_budget" in request:
+            budget = _number(request, "time_budget", float)
+        limit = _number(request, "limit", int)
+        workers = _number(request, "workers", int)
         algorithm = request.get("algorithm")
         if algorithm is not None:
             algorithm = str(algorithm)
@@ -1042,11 +1044,7 @@ class TCSMService:
             mode = str(mode)
         options: dict[str, Any] | None = None
         if (mode or "enumerate").lower() == "estimate":
-            options = {}
-            if "probes" in request:
-                options["probes"] = int(request["probes"])
-            if "seed" in request:
-                options["seed"] = int(request["seed"])
+            options = _numbers(request, probes=int, seed=int)
         _, payload = self._serve(
             str(request["graph"]),
             pattern,
@@ -1074,19 +1072,17 @@ class TCSMService:
             raise ValueError(
                 "subscribe request needs 'pattern' or 'pattern_path'"
             )
-        option_kwargs: dict[str, Any] = {}
-        if "queue_capacity" in request:
-            option_kwargs["queue_capacity"] = int(request["queue_capacity"])
-        if "lateness" in request:
-            option_kwargs["lateness"] = int(request["lateness"])
-        if "search_budget" in request:
-            option_kwargs["search_budget"] = float(request["search_budget"])
+        options = SubscriptionOptions(
+            **_numbers(
+                request, queue_capacity=int, lateness=int, search_budget=float
+            )
+        )
         sub_id = request.get("subscription_id")
         sub = self.stream_subscribe(
             str(request["graph"]),
             query,
             constraints,
-            SubscriptionOptions(**option_kwargs),
+            options,
             sub_id=None if sub_id is None else str(sub_id),
         )
         return {"subscription": sub.describe()}
@@ -1106,10 +1102,8 @@ class TCSMService:
         return payload
 
     def _handle_poll(self, request: dict[str, Any]) -> dict[str, Any]:
-        max_items = request.get("max")
         emissions = self.stream_poll(
-            str(request["subscription_id"]),
-            None if max_items is None else int(max_items),
+            str(request["subscription_id"]), _number(request, "max", int)
         )
         return {
             "emissions": [emission.to_dict() for emission in emissions],
@@ -1137,6 +1131,37 @@ def _flag(request: dict[str, Any], name: str) -> bool:
     if value is None or isinstance(value, bool):
         return value is True
     raise ValueError(f"{name!r} must be a JSON boolean, not {value!r}")
+
+
+def _number(
+    request: dict[str, Any], name: str, kind: type[int] | type[float]
+) -> Any:
+    """A numeric request field, or None when it is absent or null.
+
+    An ``int`` field must be a JSON integer, a ``float`` (seconds) field
+    any JSON number; a boolean is neither, and nothing is rounded.
+    """
+    value = request.get(name)
+    if value is None:
+        return None
+    allowed = int if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "integer" if kind is int else "number"
+        # An infinite count stays an OverflowError: no integer holds it.
+        inf = isinstance(value, float) and math.isinf(value)
+        error = OverflowError if inf else ValueError
+        raise error(f"{name!r} must be a JSON {what}, not {value!r}")
+    return kind(value)
+
+
+def _numbers(
+    request: dict[str, Any], **fields: type[int] | type[float]
+) -> dict[str, Any]:
+    """The given numeric fields of *request* that are present and not
+    null, typed by :func:`_number`: keyword arguments whose absence
+    keeps the callee's default."""
+    found = {name: _number(request, name, kind) for name, kind in fields.items()}
+    return {name: value for name, value in found.items() if value is not None}
 
 
 def parse_request_line(line: str, max_bytes: int) -> tuple[dict[str, Any], bool]:

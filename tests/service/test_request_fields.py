@@ -7,6 +7,9 @@ rejected at every entry, with the same answer on both pools.
   unbounded and a negative budget still means already expired.
 * A boolean request field is a JSON boolean, or absent or null; the
   string ``"false"`` is not false.
+* A count (``limit``, ``workers``, ``max``, ...) is a JSON integer and a
+  budget in seconds a JSON number, or absent or null; ``1.9``, ``true``
+  and ``"1"`` are errors, not a limit of 1.
 """
 
 import io
@@ -142,3 +145,86 @@ class TestBooleanFields:
         traced = service.submit(_query(pattern, trace=True))
         assert "trace_id" in traced
         assert "matches" not in traced
+
+
+class TestNumericFields:
+    """A count is a JSON integer and a budget a JSON number; neither is
+    a boolean or a string, and nothing is rounded."""
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("limit", [1.9, 1.0, True, "1"]),
+            ("workers", [1.5, False, "2"]),
+            ("time_budget", [True, "1", [1]]),
+        ],
+    )
+    def test_query_field_must_be_typed(self, service, pattern, field, values):
+        for value in values:
+            reply = service.submit(_query(pattern, **{field: value}))
+            _assert_bad_request(reply, field)
+
+    @pytest.mark.parametrize("field", ["probes", "seed"])
+    def test_estimate_field_must_be_an_integer(self, service, pattern, field):
+        for value in (2.5, True, "7"):
+            reply = service.submit(
+                _query(pattern, mode="estimate", **{field: value})
+            )
+            _assert_bad_request(reply, field)
+        reply = service.submit(_query(pattern, mode="estimate", **{field: 7}))
+        assert reply["status"] == "ok", reply
+
+    def test_integers_null_and_absent_keep_their_meaning(self, service,
+                                                         pattern):
+        full = service.submit(_query(pattern))
+        assert full["match_count"] > 1
+        one = service.submit(_query(pattern, limit=1, time_budget=30))
+        assert (one["match_count"], one["truncated_by_limit"]) == (1, True)
+        for extra in ({"limit": None}, {"time_budget": None}, {"workers": None}):
+            reply = service.submit(_query(pattern, **extra))
+            assert reply["status"] == "ok", reply
+            assert reply["match_count"] == full["match_count"]
+            assert reply["truncated_by_limit"] is False
+
+    def test_stream_fields_must_be_typed(self, service, pattern):
+        subscribe = {
+            "op": "subscribe",
+            "graph": "cm",
+            "pattern": pattern_to_dict(*pattern),
+        }
+        for field, value in (
+            ("queue_capacity", 2.7),
+            ("queue_capacity", True),
+            ("lateness", 1.5),
+            ("search_budget", "1"),
+            ("search_budget", False),
+        ):
+            reply = service.submit({**subscribe, field: value})
+            _assert_bad_request(reply, field)
+        ok = service.submit(
+            {**subscribe, "queue_capacity": 4, "lateness": None,
+             "search_budget": 1}
+        )
+        assert ok["status"] == "ok", ok
+        sub_id = ok["subscription"]["id"]
+        for value in (True, 1.5, "1"):
+            reply = service.submit(
+                {"op": "poll", "subscription_id": sub_id, "max": value}
+            )
+            _assert_bad_request(reply, "max")
+        polled = service.submit(
+            {"op": "poll", "subscription_id": sub_id, "max": 1}
+        )
+        assert polled["status"] == "ok", polled
+
+    def test_load_graph_fields_must_be_integers(self, service, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_text("0 1 5\n1 2 9\n")
+        load = {"op": "load_graph", "name": "tiny", "path": str(path)}
+        for field, value in (("num_labels", 2.5), ("seed", True)):
+            reply = service.submit({**load, field: value})
+            _assert_bad_request(reply, field)
+        assert service.submit({"op": "graphs"})["graphs"][-1]["name"] == "cm"
+        loaded = service.submit({**load, "num_labels": 2, "seed": None})
+        assert loaded["status"] == "ok", loaded
+        assert loaded["graph"]["name"] == "tiny"

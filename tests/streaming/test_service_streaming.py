@@ -19,7 +19,12 @@ from repro.errors import (
     UnknownGraphError,
     UnknownSubscriptionError,
 )
-from repro.graphs import pattern_to_dict
+from repro.graphs import (
+    QueryGraph,
+    TemporalConstraints,
+    TemporalGraph,
+    pattern_to_dict,
+)
 from repro.service import ServiceConfig, TCSMService, serve_stdio
 from repro.streaming import SubscriptionOptions
 
@@ -133,6 +138,26 @@ class TestPythonApi:
         service.drop_graph("g")
         with pytest.raises(UnknownSubscriptionError):
             service.stream_poll(sub.id)
+
+    def test_replacing_a_graph_closes_its_streams(self):
+        query = QueryGraph(["A", "B"], [(0, 1)])
+        constraints = TemporalConstraints([], num_edges=1)
+        old = TemporalGraph(["A", "B", "A", "B"])
+        old.add_edge(2, 3, 1)
+        with TCSMService(ServiceConfig(max_workers=2)) as service:
+            service.load_graph("g", old)
+            stale = service.stream_subscribe("g", query, constraints)
+            report, _ = service.stream_ingest("g", [(0, 1, 5)])
+            assert report.emitted == 1
+            # Vertex 0 is now a B: an A->B edge can no longer start there.
+            service.load_graph("g", TemporalGraph(["B", "A"]))
+            with pytest.raises(UnknownSubscriptionError):
+                service.stream_poll(stale.id)
+            fresh = service.stream_subscribe("g", query, constraints)
+            report, _ = service.stream_ingest("g", [(0, 1, 7), (1, 0, 8)])
+            assert (report.new_edges, report.emitted) == (2, 1)
+            (emission,) = service.stream_poll(fresh.id)
+            assert emission.match.vertex_map == (1, 0)
 
     def test_options_forwarded(self, service, instance):
         query, constraints, graph = instance

@@ -93,8 +93,8 @@ class AdmissionError(ServiceError):
 class WorkerCrashedError(ServiceError):
     """A process-pool worker died while the query was in flight.
 
-    The executor discards the broken pool; the next process-pool query
-    starts a fresh one, so a retry is safe.
+    The executor kills that query's workers; the next process-pool query
+    forks replacements, so a retry is safe.
     """
 
 

@@ -1,6 +1,6 @@
 """Query execution: one partition in-process, or a partitioned process pool.
 
-Two pool flavours, per the ``concurrent.futures`` split:
+Two pool flavours:
 
 ``thread`` (default)
     Every query runs as one partition on the thread that called the
@@ -15,25 +15,29 @@ Two pool flavours, per the ``concurrent.futures`` split:
 ``process`` (opt-in)
     One query fans out as ``count`` partitions of the root candidate
     space (see :mod:`repro.core.partition`), one per worker of a
-    persistent process pool, started (forked) on the first process
-    query and joined by :meth:`QueryExecutor.close`.  Each worker
-    enumerates its slice with its own :class:`SearchStats`; the executor
-    concatenates matches in partition order and merges the stats.
-    Because partitions are disjoint and jointly exhaustive, the merged
-    match multiset is *identical* to a single-partition run — the
-    determinism guard in the test suite pins this.  Each task names the
-    graph by its shared-memory segment
-    (:class:`~repro.graphs.SharedSnapshot`), so workers attach to the one
-    graph image — zero buffer copies, zero recompiles — and each worker
-    keeps an LRU of prepared matchers keyed by the query's plan key, so
-    a repeated plan skips ``prepare()`` in the worker just as the plan
-    cache skips it in-process.  Worker plans stay interpreted: a plan
-    reused in the pool would pay its compile once per worker.  Before
-    each task a worker drops the plans and mappings of graphs the
-    parent has since replaced or dropped.  A worker that
-    dies mid-query fails that query with
-    :class:`~repro.errors.WorkerCrashedError`; the broken pool is
-    discarded and the next process query starts a fresh one.  A traced
+    persistent pool of forked processes, started on the first process
+    query and joined by :meth:`QueryExecutor.close`.  Each worker owns
+    one duplex pipe to the parent: the parent sends it one task, the
+    worker sends back one reply, and nothing else sits between them.
+    A query takes all of its workers at once (first come, first
+    served), so two concurrent queries never each hold half of what
+    the other waits for.  Each worker enumerates its slice with its own
+    :class:`SearchStats`; the executor concatenates matches in
+    partition order and merges the stats.  Because partitions are
+    disjoint and jointly exhaustive, the merged match multiset is
+    *identical* to a single-partition run — the determinism guard in
+    the test suite pins this.  Each task names the graph by its
+    shared-memory segment (:class:`~repro.graphs.SharedSnapshot`), so
+    workers attach to the one graph image — zero buffer copies, zero
+    recompiles — and each worker keeps an LRU of prepared matchers keyed
+    by the query's plan key, so a repeated plan skips ``prepare()`` in
+    the worker just as the plan cache skips it in-process.  Worker plans
+    stay interpreted: a plan reused in the pool would pay its compile
+    once per worker.  Before each task a worker drops the plans and
+    mappings of graphs the parent has since replaced or dropped.  A
+    worker that dies mid-query fails that query with
+    :class:`~repro.errors.WorkerCrashedError`; that query's workers are
+    killed and the next process query forks replacements.  A traced
     query's workers record their partition's spans and ship them back,
     and the parent grafts them under its ``enumerate`` span.
 
@@ -47,11 +51,12 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import pickle
 import threading
 import time
+import traceback
+from collections import deque
 from collections.abc import Hashable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
@@ -78,7 +83,14 @@ from ..graphs.shm import (
     release_inherited_segments,
     retired_attachments,
 )
-from ..obs import NULL_TRACER, Span, TraceSink, Tracer, sanitize_enabled
+from ..obs import (
+    NULL_TRACER,
+    Span,
+    TraceSink,
+    Tracer,
+    assert_lock_held,
+    sanitize_enabled,
+)
 from .cache import LRUCache
 
 __all__ = ["ExecutionOutcome", "ProcessSpec", "QueryExecutor"]
@@ -185,13 +197,13 @@ class _WorkerPlans:
             detach_shared_snapshot(name)
 
 
-#: This process's plan cache when it is a pool worker (set once by the
-#: pool initializer; None in every other process).
+#: This process's plan cache when it is a pool worker (set once when the
+#: worker starts; None in every other process).
 _WORKER_PLANS: _WorkerPlans | None = None
 
 
 def _start_worker(capacity: int) -> None:
-    """Pool initializer: drop inherited graph mappings, start the cache."""
+    """Worker start-up: drop inherited graph mappings, start the cache."""
     global _WORKER_PLANS
     release_inherited_segments()
     _WORKER_PLANS = _WorkerPlans(capacity)
@@ -266,6 +278,131 @@ def _run_task(
     )
 
 
+#: A task on a worker's pipe: the pickled :class:`ProcessSpec` (pickled
+#: once per query), the partition, and whether the task is traced.
+_Task = tuple[bytes, tuple[int, int] | None, bool]
+
+#: A worker's reply: ``(True, _SliceResult)``, or ``(False, (exception,
+#: the worker's formatted traceback or None))``.
+_Reply = tuple[bool, Any]
+
+
+class _RemoteTraceback(Exception):
+    """A pool worker's traceback, chained as the cause of the exception
+    the worker raised (pickling drops the exception's own traceback)."""
+
+    def __str__(self) -> str:
+        return str(self.args[0])
+
+
+def _slice_of(reply: _Reply) -> _SliceResult:
+    """The slice *reply* carries; re-raises the worker's exception."""
+    ok, value = reply
+    if not ok:
+        exc, remote = value
+        if remote is None:
+            raise exc
+        raise exc from _RemoteTraceback(remote)
+    result: _SliceResult = value
+    return result
+
+
+#: How long a parent waits on a silent pipe before it checks that the
+#: worker still lives.  A worker's death normally shows at once as end
+#: of file; this bounds the wait when another process forked in the
+#: meantime holds a copy of the worker's end.
+_LIVENESS_SECONDS = 0.5
+
+
+def _serve(conn: Any, parent_end: Any, capacity: int) -> None:
+    """A pool worker's loop: receive a task, run it, send one reply.
+
+    The reply is a :data:`_Reply`; ``None`` or a closed pipe ends the
+    loop.  The worker closes its inherited copy of the parent's end
+    first, so the parent's exit shows here as end of file.
+    """
+    parent_end.close()
+    _start_worker(capacity)
+    while True:
+        try:
+            task: _Task | None = conn.recv()
+        except (EOFError, OSError):
+            return
+        if task is None:
+            return
+        blob, partition, traced = task
+        reply: _Reply
+        try:
+            reply = (True, _run_task(pickle.loads(blob), partition, traced))
+        except Exception as exc:  # the parent re-raises it
+            reply = (False, (exc, traceback.format_exc()))
+        try:
+            conn.send(reply)
+        except Exception as exc:  # the reply would not pickle
+            error = RuntimeError(f"unsendable worker reply: {exc!r}")
+            conn.send((False, (error, traceback.format_exc())))
+
+
+class _Worker:
+    """One forked pool worker and the parent's end of its duplex pipe.
+
+    The pipe carries one task and then its one reply at a time, so a
+    worker goes back to the idle set only once its reply has been read.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        context = _pool_context()
+        self.conn, child_end = context.Pipe()
+        self.process = context.Process(
+            target=_serve,
+            args=(child_end, self.conn, capacity),
+            name="repro-pool-worker",
+            daemon=True,
+        )
+        self.process.start()
+        child_end.close()
+
+    def receive(self) -> _Reply:
+        """The worker's reply; :class:`EOFError` when the worker died."""
+        while not self.conn.poll(_LIVENESS_SECONDS):
+            if not self.process.is_alive():
+                raise EOFError(
+                    f"worker {self.process.pid} exited "
+                    f"(code {self.process.exitcode})"
+                )
+        try:
+            reply: _Reply = self.conn.recv()
+        except (EOFError, OSError):
+            raise
+        except Exception as exc:  # read whole, but would not unpickle
+            return False, (exc, None)
+        return reply
+
+    def run(
+        self,
+        spec: ProcessSpec,
+        partition: tuple[int, int] | None = None,
+        traced: bool = False,
+    ) -> _SliceResult:
+        """Run one task on this worker and return its slice."""
+        blob = pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
+        self.conn.send((blob, partition, traced))
+        return _slice_of(self.receive())
+
+    def stop(self, graceful: bool = True) -> None:
+        """End the worker and join it: ask it to exit when *graceful*,
+        kill it when not (or when it does not exit in time)."""
+        if graceful:
+            try:
+                self.conn.send(None)
+            except OSError:
+                pass  # already gone
+            self.process.join(timeout=_LIVENESS_SECONDS)
+        self.process.kill()  # a no-op on an exited worker
+        self.process.join()
+        self.conn.close()
+
+
 def _merge_partitions(
     parts: list[tuple[tuple[Match, ...], SearchStats]],
     limit: int | None,
@@ -327,9 +464,14 @@ class QueryExecutor:
         self.max_workers = max_workers
         self.pool = pool
         self.worker_plans = worker_plans
-        self._processes: ProcessPoolExecutor | None = None
+        #: Every live worker (None until the first process query forks
+        #: the pool, and after close); ``_idle`` holds those free to take.
+        self._processes: list[_Worker] | None = None
+        self._idle: list[_Worker] = []
+        #: Queries waiting to take workers, served first come first.
+        self._waiting: deque[object] = deque()
         self._closed = False
-        self._processes_lock = threading.Lock()
+        self._processes_lock = threading.Condition(threading.Lock())
 
     # ------------------------------------------------------------------
     # sizing
@@ -408,30 +550,39 @@ class QueryExecutor:
         With *tracer*, each worker records its partition's spans and
         they are grafted under the calling thread's innermost open span.
 
+        *workers* above ``max_workers`` is capped there: a query never
+        waits for more workers than the pool has.  A worker's ordinary
+        exception is re-raised here once every partition has replied,
+        and the workers stay in the pool.
+
         Raises :class:`~repro.errors.WorkerCrashedError` when a worker
-        dies mid-query; the broken pool is discarded, so the next call
-        starts a fresh one.
+        dies mid-query; that query's workers are killed, and the next
+        call forks replacements.
         """
-        count = self.max_workers if workers is None else workers
+        requested = self.max_workers if workers is None else workers
+        count = max(1, min(requested, self.max_workers))
         enqueued = time.monotonic()
-        pool = self._process_pool()
+        blob = pickle.dumps(spec, pickle.HIGHEST_PROTOCOL)
+        taken = self._checkout(count)
         try:
-            futures = [
-                pool.submit(
-                    _run_task,
-                    spec,
-                    (index, count) if count > 1 else None,
-                    tracer is not None,
-                )
-                for index in range(count)
-            ]
-            parts = [future.result() for future in futures]
-        except BrokenProcessPool as exc:
-            self._discard(pool)
+            for index, worker in enumerate(taken):
+                partition = (index, count) if count > 1 else None
+                worker.conn.send((blob, partition, tracer is not None))
+            replies = [worker.receive() for worker in taken]
+        except (EOFError, OSError) as exc:
+            if self._discard(taken):
+                raise WorkerCrashedError(
+                    "the executor was closed during the query"
+                ) from exc
             raise WorkerCrashedError(
-                f"a process-pool worker died ({exc}); the pool restarts "
-                "on the next query"
+                f"a process-pool worker died ({exc}); a fresh worker "
+                "replaces it on the next query"
             ) from exc
+        except BaseException:
+            self._discard(taken)  # replies may be left unread
+            raise
+        self._release(taken)
+        parts = [_slice_of(reply) for reply in replies]
         finished = time.monotonic()
         if tracer is not None:
             for part in parts:
@@ -461,37 +612,93 @@ class QueryExecutor:
             worker_pids=tuple(part.pid for part in parts),
         )
 
-    def _process_pool(self) -> ProcessPoolExecutor:
-        """The persistent process pool, created on first use."""
-        with self._processes_lock:
-            if self._closed:
-                raise RuntimeError("cannot run a query on a closed executor")
-            if self._processes is None:
-                self._processes = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=_pool_context(),
-                    initializer=_start_worker,
-                    initargs=(self.worker_plans,),
-                )
-            return self._processes
+    def _checkout(self, count: int) -> list[_Worker]:
+        """Take *count* idle workers at once, forking the pool (or the
+        replacements of crashed workers) first.
 
-    def _discard(self, pool: ProcessPoolExecutor) -> None:
-        """Forget the broken *pool* (unless already replaced) and reap it."""
+        Taking them all at once means no query holds some workers while
+        it waits for more, and queries wait in arrival order, so a large
+        fan-out is not starved by smaller ones.
+        """
+        turn = object()
         with self._processes_lock:
-            if self._processes is pool:
-                self._processes = None
-        pool.shutdown(wait=True, cancel_futures=True)
+            self._waiting.append(turn)
+            try:
+                while True:
+                    if self._closed:
+                        raise RuntimeError(
+                            "cannot run a query on a closed executor"
+                        )
+                    if self._waiting[0] is turn:
+                        self._fill_locked()
+                        if len(self._idle) >= count:
+                            break
+                    self._processes_lock.wait()
+                taken, self._idle = self._idle[:count], self._idle[count:]
+                return taken
+            finally:
+                self._waiting.remove(turn)
+                self._processes_lock.notify_all()
+
+    def _fill_locked(self) -> None:
+        """Fork workers until the pool holds ``max_workers``."""
+        assert_lock_held(self._processes_lock, "QueryExecutor._processes_lock")
+        if self._processes is None:
+            self._processes = []
+        while len(self._processes) < self.max_workers:
+            worker = _Worker(self.worker_plans)
+            self._processes.append(worker)
+            self._idle.append(worker)
+
+    def _release(self, workers: list[_Worker]) -> None:
+        """Return *workers*, their replies read, to the idle set (or stop
+        them, when the executor closed meanwhile)."""
+        with self._processes_lock:
+            closed = self._closed
+            if not closed:
+                self._idle.extend(workers)
+                self._processes_lock.notify_all()
+        if closed:
+            for worker in workers:
+                worker.stop()
+
+    def _discard(self, workers: list[_Worker]) -> bool:
+        """Kill and join *workers*, whose pipes may hold unread replies;
+        the next checkout forks replacements.  Returns whether the
+        executor was closed."""
+        with self._processes_lock:
+            closed = self._closed
+            if self._processes is not None:
+                self._processes = [
+                    w for w in self._processes if w not in workers
+                ]
+            self._processes_lock.notify_all()
+        for worker in workers:
+            worker.stop(graceful=False)
+        return closed
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut the process pool down, joining every worker (idempotent)."""
+        """Shut the process pool down, joining every worker (idempotent).
+
+        Idle workers are asked to exit; workers still running a query
+        are killed, and that query fails with
+        :class:`~repro.errors.WorkerCrashedError`.
+        """
         with self._processes_lock:
-            pool, self._processes = self._processes, None
+            workers, self._processes = self._processes or [], None
+            idle, self._idle = self._idle, []
             self._closed = True
-        if pool is not None:
-            pool.shutdown(wait=True)
+            self._processes_lock.notify_all()
+        busy = [worker for worker in workers if worker not in idle]
+        for worker in busy:
+            worker.process.kill()
+        for worker in idle:
+            worker.stop()
+        for worker in busy:
+            worker.process.join()
 
     def __enter__(self) -> "QueryExecutor":
         return self

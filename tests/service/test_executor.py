@@ -168,10 +168,15 @@ class TestTracedExecution:
         assert outcome.stats.matches > 0  # NULL_TRACER path still works
 
     def test_untraced_process_task_carries_no_spans(self, toy_spec):
-        with QueryExecutor(max_workers=2, pool="process") as executor:
-            pool = executor._process_pool()
-            part = pool.submit(executor_module._run_task, toy_spec, (0, 2))
-            assert part.result().trace is None
+        worker = executor_module._Worker(capacity=4)
+        try:
+            part = worker.run(toy_spec, (0, 2))
+            traced = worker.run(toy_spec, (0, 2), traced=True)
+        finally:
+            worker.stop()
+        assert part.trace is None
+        assert traced.trace is not None  # the same task, traced, has spans
+        assert part.stats.matches == traced.stats.matches
 
 
 class TestDeadlineConsistency:

@@ -62,11 +62,9 @@ Its structural and temporal checks read pairs through
 from __future__ import annotations
 
 import bisect
-from collections.abc import Callable, Hashable, Iterable, Sequence
+from collections.abc import Callable, Hashable, Sequence
 
 from ..graphs import GraphSnapshot, QueryGraph
-
-from .partition import partition_slice
 
 __all__ = [
     "CLOSE",
@@ -195,19 +193,13 @@ class CandidateSpace:
         self.slots = tuple(slots)
         self._pairs = [pair_candidates[e] for e in order]
 
-    def seeds(
-        self, pos: int, partition: tuple[int, int] | None = None
-    ) -> Iterable[Pair]:
+    def seeds(self, pos: int) -> frozenset[Pair]:
         """Candidate pairs of seed position *pos*, in LDF's set order.
 
-        With a *partition*, the slice of them it owns (see
-        :mod:`repro.core.partition`); only the root position may be
-        partitioned.
+        The enumerators slice the root's pairs for a partition (see
+        :mod:`repro.core.partition`); only the root may be partitioned.
         """
-        pairs = self._pairs[pos]
-        if partition is None:
-            return pairs
-        return partition_slice(pairs, partition)
+        return self._pairs[pos]
 
 
 #: One V2V list: (survivors, their indices in the base, base length).

@@ -1,25 +1,37 @@
-"""Generated enumerators: per plan (``MatchOptions(codegen=True)``), and
-V2V's per query shape.
+"""Generated enumerators: the only code that runs the paper's searches.
 
-A generic enumerator walks the TCQ/TCQ+ tables on every DFS step: each
-layer re-reads the matching order, re-discovers which endpoints are
-already bound, loops over the constraint tuples, and consults the window
-plan through two levels of helper calls.  All of that is *static* for a
-prepared plan — the order, the per-position bound/unbound split, the
-constraint gaps and the STN-closure window coefficients are fixed the
-moment ``prepare()`` finishes.  This module generates, per prepared
-matcher, one specialized Python enumeration function in which:
+V2V (Algorithm 2), E2E (Algorithm 4) and EVE (Algorithm 5) are each
+written once, here, by one writer with two modes (:func:`_compile_v2v`,
+:func:`_compile_e2e`).  A prepared plan's values (its matching order,
+each position's bound/unbound split, the constraint gaps, the
+STN-closure window coefficients, the candidate indexes) sit in the
+plan's tables (:class:`V2VTables`, :class:`E2ETables`).
 
-* the DFS is unrolled into one nested function per matching position;
+*Shape mode* emits the search for every plan of one shape, reading
+those values from the tables passed as the entry's third argument:
+:func:`shape_enumerator` compiles it once per shape per process, and a
+plan runs it until ``compile()`` gives it a plan-mode enumerator.  A
+V2V shape is the query's vertex and edge counts; an E2E or EVE shape is
+its edge count alone, each position's kind (seed / extend-out /
+extend-in / closing edge) being a run-time branch.  A shape compile is
+not a plan compile: the listener below never sees it.
+
+*Plan mode* (``MatchOptions(codegen=True)``, or a service plan on its
+first reuse) emits the same search with the tables inlined, so in it:
+
+* the DFS is unrolled into one nested function per matching position
+  (in shape mode too);
 * each position's candidate source is the single branch its statically
-  known bound-endpoint pattern selects (seed / extend-out / extend-in /
-  closing edge) — the other three branches are gone, as are the
-  ``is None`` boundness probes;
+  known bound-endpoint pattern selects — the other three branches are
+  gone, as are the run-time kind and label tests;
 * temporal-constraint checks are unrolled with the gap inlined as a
   constant and the current timestamp substituted symbolically;
 * STN-closure window bounds are inlined as constants and the feasible
   ``[lo, hi]`` slice of each sorted timestamp run is taken by direct
-  bisection on the snapshot's memoryview runs;
+  bisection on the snapshot's memoryview runs.
+
+In both modes:
+
 * E2E/EVE positions iterate the candidate-space slot index
   (:mod:`repro.core.candidate_space`): a slot id reads the neighbour and
   its timestamp run straight off the snapshot's flat CSR planes, with no
@@ -31,24 +43,15 @@ matcher, one specialized Python enumeration function in which:
 * planes, slot indexes and label constants are closed over as
   entry-function locals, so the hot loop never touches a module dict;
 * all ``SearchStats`` counters accumulate in local integers flushed in a
-  ``finally`` block — bit-identical totals to the uncompiled path, even
-  when a satisfied sink raises :class:`StopEnumeration` mid-search.
-
-V2V's search (Algorithm 2) is written only here, by one writer with two
-modes (:func:`_compile_v2v`).  *Plan mode* is the per-plan compile
-above.  *Shape mode* emits the same search for every plan with the same
-vertex and edge counts, reading the per-plan values from the plan's
-:class:`V2VTables` instead of inlining them; :func:`v2v_shape_enumerator`
-compiles it once per shape per process, and a V2V plan runs it until
-``compile()`` gives it a plan-mode enumerator.  A shape compile is not a
-plan compile: the listener below never sees it.
+  ``finally`` block — bit-identical totals in both modes, even when a
+  satisfied sink raises :class:`StopEnumeration` mid-search.
 
 Matches are pushed through the existing :class:`ResultSink` protocol, so
-limit / top-k / count modes work unchanged, and every counter the
-uncompiled matchers maintain is preserved exactly (the equivalence grid
-in ``tests/core/test_codegen_equivalence.py`` pins match multisets *and*
-pruning totals).  Shapes the per-plan generator does not support
-(currently: edgeless V2V queries) keep the uncompiled path silently —
+limit / top-k / count modes work unchanged, and plan mode keeps every
+counter of shape mode exactly (the equivalence grid in
+``tests/core/test_codegen_equivalence.py`` pins match multisets *and*
+pruning totals).  A query plan mode does not support (currently: an
+edgeless V2V query) keeps its shape enumerator silently —
 ``compile_enumerator`` returns ``None``.
 
 ``compile``/``exec`` of generated source is confined to this module by
@@ -76,9 +79,9 @@ import math
 import threading
 import time
 import weakref
-from collections.abc import Callable, Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple, cast, overload
+from typing import Any, NamedTuple, cast, overload
 
 from ..graphs import Constraint, TemporalEdge
 
@@ -89,17 +92,20 @@ from .partition import partition_slice
 from .sinks import ResultSink, StopEnumeration
 from .stats import SearchStats
 from .timestamps import windows_compatible
-from .windows import constraint_slices, propagate_run_windows, windowed_times
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .e2e import E2EMatcher
+from .windows import (
+    WindowBounds,
+    constraint_slices,
+    propagate_run_windows,
+    windowed_times,
+)
 
 __all__ = [
     "CompiledPlan",
+    "E2ETables",
     "V2VTables",
     "compile_enumerator",
     "set_codegen_listener",
-    "v2v_shape_enumerator",
+    "shape_enumerator",
 ]
 
 #: Signature of the generated entry point.
@@ -127,9 +133,9 @@ def set_codegen_listener(listener: DebugListener | None) -> None:
 class CompiledPlan:
     """One specialized enumerator: the generated source and its entry.
 
-    ``entry(ctx, sink)`` has exactly the contract of the interpreted
-    ``Matcher._run_sink`` — it closes over the prepared matcher's
-    snapshot accessors and candidate sets, pushes matches into *sink*,
+    ``entry(ctx, sink)`` has exactly the contract of the matcher's
+    ``_run_sink`` — it reads the prepared plan's tables through a
+    default argument, pushes matches into *sink*,
     lets a satisfied sink's :class:`StopEnumeration` propagate, and
     leaves bit-identical counters on ``ctx.stats``.
     """
@@ -194,9 +200,9 @@ def _flush_fails(stats: SearchStats, fails: Sequence[int]) -> None:
     """Merge layer-indexed local failure counts into *stats*.
 
     Ascending layer order makes ``first_fail_layer`` the smallest layer
-    with a nonzero count — the same value the interpreted path's
-    incremental ``record_fail`` calls produce, independent of the order
-    failures occurred in.
+    with a nonzero count — the same value incremental
+    :meth:`SearchStats.record_fail` calls produce, independent of the
+    order failures occurred in.
     """
     for layer in range(1, len(fails)):
         count = fails[layer]
@@ -243,78 +249,67 @@ def _deadline_check(w: _Writer) -> None:
     w.close()
 
 
-def _emit_window(
-    w: _Writer, entries: Sequence[tuple[int, float, float]]
-) -> None:
-    """Inline ``feasible_window`` for one position's constant bounds."""
-    w.line("lo = NINF")
-    w.line("hi = PINF")
-    for other, hi_add, lo_sub in entries:
-        w.line(f"t_o = et[{other}]")
-        if hi_add < math.inf:
-            w.line(f"b = t_o + {_num(hi_add)}")
-            w.open("if b < hi:")
-            w.line("hi = b")
-            w.close()
-        if lo_sub < math.inf:
-            w.line(f"b = t_o - {_num(lo_sub)}")
-            w.open("if b > lo:")
-            w.line("lo = b")
-            w.close()
-
-
 # ----------------------------------------------------------------------
-# E2E / EVE generation (Algorithm 4 / 5 specialized per position)
+# E2E / EVE generation (Algorithms 4 / 5): one writer, per plan or per
+# query shape
 # ----------------------------------------------------------------------
 
 
-def _vmatch_label_consts(
-    matcher: "E2EMatcher", ns: dict[str, Any]
-) -> dict[tuple[int, int], tuple[tuple[int, list[str]], ...]]:
-    """Per (pos): for each vmatch entry, (query vertex, label alias names).
+class E2ETables(NamedTuple):
+    """A prepared E2E/EVE plan, as its enumerators read it.
 
-    Label objects are arbitrary hashables, so they travel through the
-    exec namespace rather than being ``repr``-inlined.
+    Per matching position: the query edge it binds, its kind (``SEED``,
+    ``OUT``, ``IN`` or ``CLOSE``; see :mod:`repro.core.candidate_space`),
+    its slot index (None at a seed), its seed pairs (None unless a
+    seed), its window bounds, the constraints checked there and, for
+    EVE, its Vmatch look-ahead: per newly bound endpoint whose BN needs
+    labels, ``(is the edge's target, labels)`` (``vmatch`` is None for
+    E2E).  Per query edge: ``(source, target, label or None)``.  Then
+    the query's vertex count and the snapshot's flat planes, per-label
+    run getter and label signatures.
     """
-    plan: dict[tuple[int, int], tuple[tuple[int, list[str]], ...]] = {}
-    if not matcher.vertex_prematching:
-        return plan
-    for pos, entries in enumerate(matcher._vmatch_plan):
-        rendered: list[tuple[int, list[str]]] = []
-        for i, (u, labels) in enumerate(entries):
-            names: list[str] = []
-            for k, label in enumerate(sorted(labels, key=repr)):
-                name = f"_WL_{pos}_{i}_{k}"
-                ns[name] = label
-                names.append(name)
-            rendered.append((u, names))
-        plan[(pos, 0)] = tuple(rendered)
-    return plan
+
+    order: tuple[int, ...]
+    kinds: tuple[str, ...]
+    slots: tuple[Mapping[int, Any] | None, ...]
+    seeds: tuple[frozenset[tuple[int, int]] | None, ...]
+    windows: tuple[WindowBounds, ...]
+    checks: tuple[tuple[Constraint, ...], ...]
+    vmatch: tuple[tuple[tuple[bool, tuple[Hashable, ...]], ...], ...] | None
+    edges: tuple[tuple[int, int, Hashable], ...]
+    num_vertices: int
+    out_offsets: Sequence[int]
+    out_nbrs: Sequence[int]
+    out_ts_offsets: Sequence[int]
+    out_times: Sequence[int]
+    in_nbrs: Sequence[int]
+    in_ts_offsets: Sequence[int]
+    in_times: Sequence[int]
+    label_run: Callable[[tuple[int, int, Hashable], Sequence[int]], Sequence[int]]
+    label_signature: Callable[[int], Mapping[Hashable, int]]
 
 
-def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
-    query = matcher.query
-    tcq = matcher.tcq_plus
-    space = matcher.candidate_space
-    assert tcq is not None and space is not None
-    m = query.num_edges
-    n = query.num_vertices
-    graph = matcher._view
-    window_plan = matcher._window_plan
-    edge_labels = query.edge_labels
-    kinds = space.kinds
+def _compile_e2e(
+    m: int, eve: bool, plan: E2ETables | None = None
+) -> tuple[str, dict[str, Any]]:
+    """Write an E2E (with *eve*, EVE) enumerator for *plan*, or for every
+    plan with *m* query edges.
 
+    Both modes emit the same DFS, one nested function per position, and
+    the same candidate sources, time loop, candidate body, leaf,
+    counters and flush.  *Plan mode* emits each position's one candidate
+    source and inlines its query edge, endpoints, window bounds,
+    constraint gaps and Vmatch labels as constants, reading its tables
+    through a default argument.  *Shape mode* (``plan=None``) reads
+    each of those from the tables the entry takes as its third argument:
+    a later position's kind becomes a run-time branch over the four
+    sources, an edge label a run-time choice between the plane and the
+    per-label index, and the window bounds, constraint checks and
+    Vmatch look-ahead short loops.  Returns the source and the namespace
+    to execute it in.
+    """
     ns: dict[str, Any] = {
-        "_SEEDS": space.seeds,
-        "_ONB": graph.out_nbrs,
-        "_OTOFF": graph.out_ts_offsets,
-        "_OTM": graph.out_times,
-        "_INB": graph.in_nbrs,
-        "_ITOFF": graph.in_ts_offsets,
-        "_ITM": graph.in_times,
-        "_OOFF": graph.out_offsets,
-        "_LTG": graph.label_runs.get,
-        "_SIG": graph.label_signature,
+        "_PART_SLICE": partition_slice,
         "_BL": bisect.bisect_left,
         "_BR": bisect.bisect_right,
         "_MONO": time.monotonic,
@@ -326,24 +321,44 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
         "_PINF": math.inf,
         "_FLUSH_FAILS": _flush_fails,
     }
-    for pos, kind in enumerate(kinds):
-        if kind != SEED:
-            ns[f"_SLOTS_{pos}"] = space.slots[pos]
-        elif pos:
-            ns[f"_PAIRS_{pos}"] = space.seeds(pos)
-    for e in range(m):
-        if edge_labels[e] is not None:
-            ns[f"_EL_{e}"] = edge_labels[e]
-    vmatch_consts = _vmatch_label_consts(matcher, ns)
+
+    def edge_at(pos: int) -> str:
+        """The query edge bound at *pos*."""
+        return f"e{pos}" if plan is None else str(plan.order[pos])
+
+    def ends(pos: int) -> tuple[str, str]:
+        """The query endpoints of the edge bound at *pos*."""
+        if plan is None:
+            return f"qa{pos}", f"qb{pos}"
+        a, b, _ = plan.edges[plan.order[pos]]
+        return str(a), str(b)
+
+    def labelled(pos: int) -> bool:
+        """May the edge bound at *pos* carry a label?"""
+        return plan is None or plan.edges[plan.order[pos]][2] is not None
+
+    def windowed(pos: int) -> bool:
+        """May an earlier position bound the timestamp at *pos*?"""
+        return pos > 0 and (plan is None or bool(plan.windows[pos]))
 
     w = _Writer()
-    w.open("def _enumerate(ctx, sink):")
+    if plan is None:
+        w.open("def _enumerate(ctx, sink, tables):")
+    else:
+        ns["_PLAN"] = plan
+        w.open("def _enumerate(ctx, sink, tables=_PLAN):")
+    # The snapshot's flat planes: slot k names a neighbour (o/inb[k]) and
+    # the run o/itm[o/itoff[k] : o/itoff[k + 1]].
+    w.line(
+        "(order, kinds, slots, seeds, windows, checks, vmatch, edges, n,"
+        " ooff, onb, otoff, otm, inb, itoff, itm, ltg, sig) = tables"
+    )
     w.line("stats = ctx.stats")
     w.line("deadline = ctx.deadline")
     w.line("accept = sink.accept")
     w.line('b_inj = stats.filter("injectivity")')
     w.line('b_tmp = stats.filter("temporal")')
-    if matcher.vertex_prematching:
+    if eve:
         w.line('b_vm = stats.filter("vmatch")')
     # Hoist every namespace constant into entry locals: the nested DFS
     # functions reach them through fast closure cells, not dict lookups.
@@ -358,34 +373,35 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
     w.line("PINF = _PINF")
     w.line("bl = _BL")
     w.line("br = _BR")
-    # The snapshot's flat planes: slot k names a neighbour (o/inb[k]) and
-    # the run o/itm[o/itoff[k] : o/itoff[k + 1]].
-    w.line("onb = _ONB")
-    w.line("otoff = _OTOFF")
-    w.line("otm = _OTM")
-    if IN in kinds:
-        w.line("inb = _INB")
-        w.line("itoff = _ITOFF")
-        w.line("itm = _ITM")
-    w.line("ooff = _OOFF")
-    if query.has_edge_labels:
-        w.line("ltg = _LTG")
-    if matcher.vertex_prematching:
-        w.line("sig = _SIG")
-    for pos, kind in enumerate(kinds):
-        if kind != SEED:
-            w.line(f"slots{pos} = _SLOTS_{pos}")
-        elif pos:
-            w.line(f"pairs{pos} = _PAIRS_{pos}")
-    for e in range(m):
-        if edge_labels[e] is not None:
-            w.line(f"el{e} = _EL_{e}")
-    for (pos, _), entries in vmatch_consts.items():
-        for i, (_, names) in enumerate(entries):
-            for k, name in enumerate(names):
-                w.line(f"wl{pos}_{i}_{k} = {name}")
+    # Per-plan values the nested functions read, hoisted into entry
+    # locals: only those plan mode does not inline.
+    for pos in range(m):
+        if plan is None:
+            w.line(f"e{pos} = order[{pos}]")
+            w.line(f"qa{pos}, qb{pos}, el{pos} = edges[e{pos}]")
+            if pos:
+                w.line(f"kd{pos} = kinds[{pos}]")
+                w.line(f"w{pos} = windows[{pos}]")
+            w.line(f"c{pos} = checks[{pos}]")
+            if eve:
+                w.line(f"vl{pos} = vmatch[{pos}]")
+        elif labelled(pos):
+            w.line(f"el{pos} = edges[{plan.order[pos]}][2]")
+        if pos and (plan is None or plan.kinds[pos] != SEED):
+            w.line(f"slots{pos} = slots[{pos}]")
+        if pos and (plan is None or plan.kinds[pos] == SEED):
+            w.line(f"pairs{pos} = seeds[{pos}]")
+        if plan is not None and plan.vmatch is not None:
+            # Label objects are arbitrary hashables, so they travel
+            # through the tables rather than being ``repr``-inlined.
+            for i, (_, labels) in enumerate(plan.vmatch[pos]):
+                for j in range(len(labels)):
+                    w.line(f"wl{pos}_{i}_{j} = vmatch[{pos}][{i}][1][{j}]")
+    if plan is None:
+        for e in range(m):
+            w.line(f"ea{e}, eb{e}, _ = edges[{e}]")
     w.line(f"et = [0] * {m}")
-    w.line(f"vm = [0] * {n}")
+    w.line("vm = [0] * n")
     w.line("used = set()")
     w.line("used_add = used.add")
     w.line("used_discard = used.discard")
@@ -401,166 +417,230 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
         "tmp_c",
         "tmp_p",
     ]
-    if matcher.vertex_prematching:
+    if eve:
         counters += ["vm_c", "vm_p"]
     for name in counters:
         w.line(f"{name} = 0")
     w.line(f"fails = [0] * {m + 2}")
-    w.line("root_seed = _SEEDS(0, ctx.partition)")
+    # Position 0 is always a seed: its candidates are LDF's pairs, or a
+    # partition's slice of them.
+    w.open("if ctx.partition is not None:")
+    w.line("root_seed = _PART_SLICE(seeds[0], ctx.partition)")
+    w.close()
+    w.open("else:")
+    w.line("root_seed = seeds[0]")
+    w.close()
 
     nonlocal_decl = "nonlocal " + ", ".join(counters)
 
-    def emit_candidate_body(
-        pos: int,
-        e: int,
-        u_expr: str,
-        v_expr: str,
-        seed: bool,
-        new_a: bool,
-        new_b: bool,
-        qa: int,
-        qb: int,
-    ) -> None:
-        """The per-timestamp candidate validation + bind + recurse block."""
-        fail = f"fails[{pos + 1}] += 1"
-        _deadline_check(w)
-        w.line("cand_n += 1")
-        w.line("val_n += 1")
-        w.line("inj_c += 1")
-        if seed:
-            w.open(f"if {u_expr} == {v_expr}:")
-            w.line("inj_p += 1")
-            w.line(fail)
-            w.line("continue")
+    def emit_window(pos: int) -> None:
+        """``feasible_window`` over the bound edge times, into lo/hi."""
+        w.line("lo = NINF")
+        w.line("hi = PINF")
+        if plan is None:
+            # An unbounded side is ``inf`` and never tightens.
+            w.open(f"for o, hi_add, lo_sub in w{pos}:")
+            w.line("t_o = et[o]")
+            w.line("b = t_o + hi_add")
+            w.open("if b < hi:")
+            w.line("hi = b")
             w.close()
-        w.line(f"et[{e}] = t")
-        w.line("tmp_c += 1")
-        for c in tcq.check_at[pos]:
-            later = "t" if c.later == e else f"et[{c.later}]"
-            earlier = "t" if c.earlier == e else f"et[{c.earlier}]"
-            w.line(f"d = {later} - {earlier}")
-            w.open(f"if d < 0 or d > {_num(c.gap)}:")
-            w.line("tmp_p += 1")
-            w.line(fail)
-            w.line("continue")
+            w.line("b = t_o - lo_sub")
+            w.open("if b > lo:")
+            w.line("lo = b")
             w.close()
-        if matcher.vertex_prematching:
-            w.line("vm_c += 1")
-            if vmatch_checked(pos):
-                w.open("if vfail:")
-                w.line("vm_p += 1")
-                w.line(fail)
-                w.line("continue")
+            w.close()
+            return
+        for other, hi_add, lo_sub in plan.windows[pos]:
+            w.line(f"t_o = et[{other}]")
+            if hi_add < math.inf:
+                w.line(f"b = t_o + {_num(hi_add)}")
+                w.open("if b < hi:")
+                w.line("hi = b")
                 w.close()
-        if new_a:
-            w.line(f"vm[{qa}] = {u_expr}")
-            w.line(f"used_add({u_expr})")
-        if new_b:
-            w.line(f"vm[{qb}] = {v_expr}")
-            w.line(f"used_add({v_expr})")
-        w.line("produced = True")
-        if pos + 1 == m:
-            _deadline_check(w)
-            w.line("match_n += 1")
-            edges = ", ".join(
-                f"tnew(TE, (vm[{ea}], vm[{eb}], et[{idx}]))"
-                for idx, (ea, eb) in enumerate(query.edges)
-            )
-            verts = ", ".join(f"vm[{u}]" for u in range(n))
-            trailing = "," if m == 1 else ""
-            vtrailing = "," if n == 1 else ""
-            w.line(
-                f"accept(tnew(Mk, (({edges}{trailing}), ({verts}{vtrailing}))))"
-            )
-        else:
-            w.line(f"d{pos + 1}()")
-        if new_a:
-            w.line(f"used_discard({u_expr})")
-        if new_b:
-            w.line(f"used_discard({v_expr})")
+            if lo_sub < math.inf:
+                w.line(f"b = t_o - {_num(lo_sub)}")
+                w.open("if b > lo:")
+                w.line("lo = b")
+                w.close()
 
-    def vmatch_checked(pos: int) -> bool:
-        """Does Vmatch at *pos* test any label?"""
-        return any(names for _, names in vmatch_consts.get((pos, 0), ()))
-
-    def emit_vmatch(pos: int, qa: int, u_expr: str, v_expr: str) -> None:
+    def emit_vmatch(pos: int, u: str, v: str) -> None:
         """Vmatch for one candidate pair, hoisted out of its timestamp loop.
 
         The look-ahead depends on the pair's data vertices only, so it
         is evaluated once per pair into ``vfail``; every timestamp that
         reaches it still counts once, so the counters do not change.
         """
-        first = True
-        for i, (u, names) in enumerate(vmatch_consts.get((pos, 0), ())):
-            if not names:
-                continue
-            if not first:
+        if plan is None:
+            w.line("vfail = False")
+            w.open(f"for on_b, labels in vl{pos}:")
+            w.line(f"nc = sig({v} if on_b else {u})")
+            w.open("for lab in labels:")
+            w.open("if lab not in nc:")
+            w.line("vfail = True")
+            w.line("break")
+            w.close()
+            w.close()
+            w.open("if vfail:")
+            w.line("break")
+            w.close()
+            w.close()
+            return
+        assert plan.vmatch is not None
+        for i, (on_b, labels) in enumerate(plan.vmatch[pos]):
+            if i:
                 w.open("if not vfail:")
-            arg = u_expr if u == qa else v_expr
-            w.line(f"nc = sig({arg})")
+            w.line(f"nc = sig({v if on_b else u})")
             cond = " or ".join(
-                f"wl{pos}_{i}_{k} not in nc" for k in range(len(names))
+                f"wl{pos}_{i}_{j} not in nc" for j in range(len(labels))
             )
             w.line(f"vfail = {cond}")
-            if not first:
+            if i:
                 w.close()
-            first = False
+
+    def emit_leaf() -> None:
+        """Count and emit the complete match."""
+        _deadline_check(w)
+        w.line("match_n += 1")
+        if plan is None:
+            pairs = [(f"ea{e}", f"eb{e}") for e in range(m)]
+            verts = "tuple(vm)"
+        else:
+            pairs = [(str(a), str(b)) for a, b, _ in plan.edges]
+            n = plan.num_vertices
+            verts = "(" + ", ".join(f"vm[{u}]" for u in range(n))
+            verts += ",)" if n == 1 else ")"
+        edges = ", ".join(
+            f"tnew(TE, (vm[{a}], vm[{b}], et[{e}]))"
+            for e, (a, b) in enumerate(pairs)
+        )
+        trailing = "," if m == 1 else ""
+        w.line(f"accept(tnew(Mk, (({edges}{trailing}), {verts})))")
+
+    def emit_candidate_body(
+        pos: int, u: str, v: str, new_a: bool, new_b: bool
+    ) -> None:
+        """The per-timestamp candidate validation + bind + recurse block."""
+        fail = f"fails[{pos + 1}] += 1"
+        e = edge_at(pos)
+        qa, qb = ends(pos)
+        _deadline_check(w)
+        w.line("cand_n += 1")
+        w.line("val_n += 1")
+        # Injectivity: a newly bound data vertex must be fresh (the
+        # source checked that) and a seed's two endpoints must differ.
+        w.line("inj_c += 1")
+        if new_a and new_b:
+            w.open(f"if {u} == {v}:")
+            w.line("inj_p += 1")
+            w.line(fail)
+            w.line("continue")
+            w.close()
+        w.line(f"et[{e}] = t")
+        w.line("tmp_c += 1")
+        # A shape's checks are a loop that breaks on a failure, followed
+        # by the rest of the body in its ``else``.
+        loops = 0
+        if plan is None:
+            w.open(f"for ce, cl, gap in c{pos}:")
+            w.line("d = et[cl] - et[ce]")
+            w.open("if d < 0 or d > gap:")
+            w.line("tmp_p += 1")
+            w.line(fail)
+            w.line("break")
+            w.close()
+            w.close()
+            w.open("else:")
+            loops += 1
+        else:
+            for c in plan.checks[pos]:
+                later = "t" if c.later == plan.order[pos] else f"et[{c.later}]"
+                earlier = (
+                    "t" if c.earlier == plan.order[pos] else f"et[{c.earlier}]"
+                )
+                w.line(f"d = {later} - {earlier}")
+                w.open(f"if d < 0 or d > {_num(c.gap)}:")
+                w.line("tmp_p += 1")
+                w.line(fail)
+                w.line("continue")
+                w.close()
+        if eve:
+            w.line("vm_c += 1")
+            if plan is None or (plan.vmatch and plan.vmatch[pos]):
+                w.open("if vfail:")
+                w.line("vm_p += 1")
+                w.line(fail)
+                w.line("continue")
+                w.close()
+        if new_a:
+            w.line(f"vm[{qa}] = {u}")
+            w.line(f"used_add({u})")
+        if new_b:
+            w.line(f"vm[{qb}] = {v}")
+            w.line(f"used_add({v})")
+        w.line("produced = True")
+        if pos + 1 == m:
+            emit_leaf()
+        else:
+            w.line(f"d{pos + 1}()")
+        if new_a:
+            w.line(f"used_discard({u})")
+        if new_b:
+            w.line(f"used_discard({v})")
+        for _ in range(loops):
+            w.close()
 
     def emit_time_loop(
-        pos: int,
-        e: int,
-        u: str,
-        v: str,
-        plane: str,
-        windowed: bool,
-        new_a: bool,
-        new_b: bool,
+        pos: int, u: str, v: str, plane: str, new_a: bool, new_b: bool
     ) -> None:
-        """Slice slot k's run (or the pair's labeled run) to the window.
+        """Slice slot k's run (or the pair's labelled run) to the window.
 
         *plane* is ``"o"`` or ``"i"``: which CSR plane slot ``k`` indexes.
-        Labeled query edges take their run from the per-label index.
-        *new_a* / *new_b* say which endpoints this position binds.
+        Labelled query edges take their run from the per-label index.  A
+        seed (*new_a* and *new_b*) finds its out-slot by one bisect of
+        its source's run.  *new_a* / *new_b* say which endpoints this
+        position binds.
         """
-        if edge_labels[e] is None:
-            times = f"{plane}tm"
+        seed = new_a and new_b
+        if labelled(pos):
+            if plan is None:
+                w.open(f"if el{pos} is None:")
+                if seed:
+                    w.line("k = bl(onb, dv, ooff[du], ooff[du + 1])")
+                w.line(f"ts = {plane}tm")
+                w.line(f"s0 = {plane}toff[k]")
+                w.line(f"s1 = {plane}toff[k + 1]")
+                w.close()
+                w.open("else:")
+            w.line(f"ts = ltg(({u}, {v}, el{pos}), ())")
+            w.line("s0 = 0")
+            w.line("s1 = len(ts)")
+            if plan is None:
+                w.close()
+            times = "ts"
+        else:
+            if seed:
+                w.line("k = bl(onb, dv, ooff[du], ooff[du + 1])")
             w.line(f"s0 = {plane}toff[k]")
             w.line(f"s1 = {plane}toff[k + 1]")
-            start, stop = "s0", "s1"
-            stop_arg = ", s1"
-        else:
-            times = "ts"
-            w.line(f"ts = ltg(({u}, {v}, el{e}), ())")
-            start, stop = "0", "len(ts)"
-            stop_arg = ""
-        qa, qb = query.edge(e)
-        if matcher.vertex_prematching:
-            emit_vmatch(pos, qa, u, v)
-        if windowed:
-            w.line(f"i0 = bl({times}, lo, {start}{stop_arg})")
-            w.line(f"i1 = br({times}, hi, i0{stop_arg})")
+            times = f"{plane}tm"
+        if eve:
+            emit_vmatch(pos, u, v)
+        if windowed(pos):
+            w.line(f"i0 = bl({times}, lo, s0, s1)")
+            w.line(f"i1 = br({times}, hi, i0, s1)")
             w.line("exp_n += i1 - i0")
-            w.line(f"skp_n += {stop} - {start} - (i1 - i0)")
+            w.line("skp_n += s1 - s0 - (i1 - i0)")
             w.open(f"for t in {times}[i0:i1]:")
         else:
-            w.line(f"exp_n += {stop} - {start}")
-            w.open(f"for t in {times}[{start}:{stop}]:")
-        emit_candidate_body(pos, e, u, v, new_a and new_b, new_a, new_b, qa, qb)
+            w.line("exp_n += s1 - s0")
+            w.open(f"for t in {times}[s0:s1]:")
+        emit_candidate_body(pos, u, v, new_a, new_b)
         w.close()
 
-    for pos, e in enumerate(tcq.order):
-        qa, qb = query.edge(e)
-        kind = kinds[pos]
-        w.open(f"def d{pos}():")
-        w.line(nonlocal_decl)
-        _deadline_check(w)
-        w.line("nodes_n += 1")
-        w.line("produced = False")
-        entries = window_plan[pos]
-        windowed = bool(entries)
-        if windowed:
-            _emit_window(w, entries)
-            w.open("if lo <= hi:")
+    def emit_source(pos: int, kind: str) -> None:
+        """Position *pos*'s candidates when it is of *kind*."""
+        qa, qb = ends(pos)
         if kind == OUT:
             w.line(f"da = vm[{qa}]")
             w.open(f"for k in slots{pos}[da]:")
@@ -568,7 +648,7 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
             w.open("if x in used:")
             w.line("continue")
             w.close()
-            emit_time_loop(pos, e, "da", "x", "o", windowed, False, True)
+            emit_time_loop(pos, "da", "x", "o", False, True)
             w.close()
         elif kind == IN:
             w.line(f"db = vm[{qb}]")
@@ -577,32 +657,50 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
             w.open("if x in used:")
             w.line("continue")
             w.close()
-            emit_time_loop(pos, e, "x", "db", "i", windowed, True, False)
+            emit_time_loop(pos, "x", "db", "i", True, False)
             w.close()
         elif kind == CLOSE:
             w.line(f"da = vm[{qa}]")
             w.line(f"db = vm[{qb}]")
             w.line(f"k = slots{pos}[da].get(db, -1)")
             w.open("if k >= 0:")
-            emit_time_loop(pos, e, "da", "db", "o", windowed, False, False)
+            emit_time_loop(pos, "da", "db", "o", False, False)
             w.close()
         else:
             # Seed edge of a (possibly disconnected) component; only the
             # root position honours the partition slice.
-            seed_iter = "root_seed" if pos == 0 else f"pairs{pos}"
-            w.open(f"for du, dv in {seed_iter}:")
-            if pos != 0:
+            w.open(f"for du, dv in {'root_seed' if pos == 0 else f'pairs{pos}'}:")
+            if pos:
                 # At the root nothing is bound yet: the used-check is a
                 # statically dead branch and is elided.
                 w.open("if du in used or dv in used:")
                 w.line("continue")
                 w.close()
-            if edge_labels[e] is None:
-                # The seed's out-slot: one bisect of its source's run.
-                w.line("k = bl(onb, dv, ooff[du], ooff[du + 1])")
-            emit_time_loop(pos, e, "du", "dv", "o", windowed, True, True)
+            emit_time_loop(pos, "du", "dv", "o", True, True)
             w.close()
-        if windowed:
+
+    for pos in range(m):
+        w.open(f"def d{pos}():")
+        w.line(nonlocal_decl)
+        _deadline_check(w)
+        w.line("nodes_n += 1")
+        w.line("produced = False")
+        if windowed(pos):
+            emit_window(pos)
+            w.open("if lo <= hi:")
+        if plan is not None:
+            emit_source(pos, plan.kinds[pos])
+        elif pos == 0:
+            emit_source(pos, SEED)
+        else:
+            for i, kind in enumerate((OUT, IN, CLOSE)):
+                w.open(f"{'elif' if i else 'if'} kd{pos} == {kind!r}:")
+                emit_source(pos, kind)
+                w.close()
+            w.open("else:")
+            emit_source(pos, SEED)
+            w.close()
+        if windowed(pos):
             w.close()
         w.open("if not produced:")
         w.line(f"fails[{pos + 1}] += 1")
@@ -623,14 +721,13 @@ def _compile_e2e(matcher: "E2EMatcher") -> CompiledPlan:
     w.line("b_inj.pruned += inj_p")
     w.line("b_tmp.considered += tmp_c")
     w.line("b_tmp.pruned += tmp_p")
-    if matcher.vertex_prematching:
+    if eve:
         w.line("b_vm.considered += vm_c")
         w.line("b_vm.pruned += vm_p")
     w.line("_FLUSH_FAILS(stats, fails)")
     w.close()
     w.close()  # def _enumerate
-
-    return _finish(matcher.name, w.source(), ns)
+    return w.source(), ns
 
 
 # ----------------------------------------------------------------------
@@ -664,8 +761,11 @@ class V2VTables(NamedTuple):
     dist: list[list[float]]
 
 
-#: Signature of a shape-mode V2V enumerator: a plan entry plus the tables.
-ShapeEntry = Callable[[RunContext, ResultSink, V2VTables], None]
+#: A prepared plan's tables, of either family.
+Tables = V2VTables | E2ETables
+
+#: Signature of a shape enumerator: a plan entry plus the plan's tables.
+ShapeEntry = Callable[[RunContext, ResultSink, Tables], None]
 
 
 def _compile_v2v(
@@ -982,39 +1082,77 @@ def _compile_v2v(
     return w.source(), ns
 
 
-#: Shape-mode V2V enumerators by query shape ``(n, m)``.  Entries live as
-#: long as the process, so the cache is bounded by the shapes it meets.
-#: No lock: two threads racing to compile one shape both compile, and
-#: ``setdefault`` publishes one (a lock held across a process pool's
-#: ``fork()`` could deadlock the child).
-_SHAPES: dict[tuple[int, int], ShapeEntry] = {}  # reprolint: disable=R016 -- grow-only, published by setdefault
+# ----------------------------------------------------------------------
+# one path into compiled code: shape enumerators and plan compiles
+# ----------------------------------------------------------------------
 
 
-def v2v_shape_enumerator(n: int, m: int) -> ShapeEntry:
-    """The V2V enumerator of every plan with *n* vertices and *m* edges.
+#: Shape enumerators by key: ``("v2v", n, m)`` for V2V, ``("e2e", m)``
+#: and ``("eve", m)`` for E2E and EVE.  Entries live as long as the
+#: process, so the cache is bounded by the shapes it meets.  No lock: two
+#: threads racing to compile one shape both compile, and ``setdefault``
+#: publishes one (a lock held across a process pool's ``fork()`` could
+#: deadlock the child).
+_SHAPES: dict[tuple[str | int, ...], ShapeEntry] = {}  # reprolint: disable=R016 -- grow-only, published by setdefault
+
+
+def _shape_key(tables: Tables) -> tuple[str | int, ...]:
+    """What the shape enumerator of *tables*' plan is written for.
+
+    V2V unrolls its leaf over the vertices, so its key holds the vertex
+    count; E2E and EVE read it, and each position's kind, at run time.
+    """
+    if isinstance(tables, V2VTables):
+        return ("v2v", len(tables.order), len(tables.edges))
+    return ("e2e" if tables.vmatch is None else "eve", len(tables.order))
+
+
+def _write(tables: Tables, inline: bool) -> tuple[str, dict[str, Any]]:
+    """Write the enumerator of *tables*' shape, or with *inline* its plan's."""
+    if isinstance(tables, V2VTables):
+        return _compile_v2v(
+            len(tables.order), len(tables.edges), tables if inline else None
+        )
+    return _compile_e2e(
+        len(tables.order), tables.vmatch is not None, tables if inline else None
+    )
+
+
+def shape_enumerator(tables: Tables) -> ShapeEntry:
+    """The enumerator every plan of *tables*' shape shares.
 
     ``entry(ctx, sink, tables)`` has the contract of a compiled plan's
-    entry, reading the plan from its :class:`V2VTables`.  Compiled on
-    the shape's first request and kept for the life of the process,
-    with its source in :mod:`linecache` under
-    ``<repro-shape:v2v/{n}/{m}>``.  It is not a plan compile: the
-    codegen listener never sees it.
+    entry, reading the plan from its tables.  Compiled on the shape's
+    first request and kept for the life of the process, with its source
+    in :mod:`linecache` under ``<repro-shape:v2v/{n}/{m}>``,
+    ``<repro-shape:e2e/{m}>`` or ``<repro-shape:eve/{m}>``.  It is not
+    a plan compile: the codegen listener never sees it.
     """
-    entry = _SHAPES.get((n, m))
+    key = _shape_key(tables)
+    entry = _SHAPES.get(key)
     if entry is not None:
         return entry
-    source, ns = _compile_v2v(n, m)
-    filename = f"<repro-shape:v2v/{n}/{m}>"
-    exec(compile(source, filename, "exec"), ns)  # noqa: S102 - confined by reprolint R020
+    filename = "<repro-shape:" + "/".join(map(str, key)) + ">"
+    entry = cast(ShapeEntry, _load(*_write(tables, False), filename))
+    return _SHAPES.setdefault(key, entry)
+
+
+def _load(source: str, ns: dict[str, Any], filename: str) -> Callable[..., None]:
+    """Execute generated *source* as *filename*; return its entry.
+
+    The source is registered with :mod:`linecache` under *filename*, so
+    tracebacks out of the entry show generated lines.
+    """
+    exec(compile(source, filename, "exec"), ns)  # noqa: S102 - confined to this module by reprolint R020
+    # Popped so the namespace does not hold its own entry function: with
+    # no ns -> entry -> ns cycle, a dropped plan (and the candidate index
+    # its namespace closes over) is freed at once, not at the next full
+    # collection.
+    entry = cast("Callable[..., None]", ns.pop("_enumerate"))
     linecache.cache[filename] = (  # type: ignore[assignment]
         len(source), None, _SourceLines(source), filename
     )
-    return _SHAPES.setdefault((n, m), cast(ShapeEntry, ns.pop("_enumerate")))
-
-
-# ----------------------------------------------------------------------
-# shared finishing: compile, register with linecache, notify the hook
-# ----------------------------------------------------------------------
+    return entry
 
 
 #: Filename slots of live compiled plans.  CPython keeps every distinct
@@ -1036,15 +1174,7 @@ def _take_slot() -> int:
 def _finish(algorithm: str, source: str, ns: dict[str, Any]) -> CompiledPlan:
     slot = _take_slot()
     filename = f"<repro-codegen:{slot}>"
-    code = compile(source, filename, "exec")
-    exec(code, ns)  # noqa: S102 - confined to this module by reprolint R020
-    # Popped so the namespace does not hold its own entry function: with
-    # no ns -> entry -> ns cycle, a dropped plan (and the candidate index
-    # its namespace closes over) is freed at once, not at the next full
-    # collection.
-    entry = cast(EntryFunction, ns.pop("_enumerate"))
-    lines = (len(source), None, _SourceLines(source), filename)
-    linecache.cache[filename] = lines  # type: ignore[assignment]
+    entry = cast(EntryFunction, _load(source, ns, filename))
     # The source lines live as long as the entry function: a long-lived
     # service compiles without bound, and linecache is process-global.
     weakref.finalize(entry, _release_slot, slot, filename)
@@ -1065,22 +1195,15 @@ def _release_slot(slot: int, filename: str) -> None:
 def compile_enumerator(matcher: Any) -> CompiledPlan | None:
     """Compile a specialized enumerator for a *prepared* matcher.
 
-    Dispatches on the matcher's plan tables (``tcq_plus`` for the
-    edge-based family, ``tcq`` for V2V) rather than concrete classes, so
-    the matcher modules can import this one without a cycle.  Returns
-    ``None`` — interpreted fallback — for matchers this generator does
-    not support or query shapes it deliberately bails on.
+    Dispatches on the type of the matcher's plan tables
+    (:class:`E2ETables` or :class:`V2VTables`) rather than on concrete
+    classes, so the matcher modules can import this one without a
+    cycle.  Returns ``None`` (the plan keeps its shape enumerator) for
+    matchers without tables and for edgeless V2V queries.
     """
-    if getattr(matcher, "tcq_plus", None) is not None:
-        return _compile_e2e(cast("E2EMatcher", matcher))
     tables = getattr(matcher, "tables", None)
-    if isinstance(tables, V2VTables):
-        m = len(tables.edges)
-        if not m:
-            return None  # edgeless queries keep the shape enumerator
-        return _finish(matcher.name, *_compile_v2v(len(tables.order), m, tables))
+    if isinstance(tables, E2ETables) or (
+        isinstance(tables, V2VTables) and tables.edges
+    ):
+        return _finish(matcher.name, *_write(tables, True))
     return None
-
-
-#: Re-exported for the matchers' type annotations.
-Label = Hashable

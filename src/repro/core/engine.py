@@ -219,7 +219,7 @@ def supports_codegen(algorithm: str) -> bool:
 
     Registered matcher classes declare it with a ``supports_codegen``
     class attribute (the three TCSM matchers); algorithms without one —
-    the oracle, the baselines — silently run interpreted under
+    the oracle, the baselines — silently run their own search under
     ``MatchOptions(codegen=True)`` rather than choking on an unknown
     constructor keyword.
     """

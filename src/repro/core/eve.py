@@ -8,8 +8,9 @@ surroundings can never complete, before any further edges are attempted —
 this is the paper's best algorithm.
 
 The shared search machinery lives in :class:`E2EMatcher`; EVE only flips
-the ``vertex_prematching`` hook (the candidate loop consults
-``_vmatch_plan`` built during preparation).
+the ``vertex_prematching`` hook, so ``prepare`` puts the look-ahead's
+per-position labels in the plan's tables and the generated enumerators
+(:mod:`repro.core.codegen`, shape and plan mode alike) test them.
 """
 
 from __future__ import annotations

@@ -90,9 +90,10 @@ class MatchOptions:
         constraint checks unrolled per position, dead candidate
         branches elided, STN window bounds inlined as constants.  The
         match multiset and every ``SearchStats`` counter are pinned
-        bit-identical to the interpreted path; only wall clock
-        changes.  Algorithms without a specializing generator (the
-        baselines, ``brute-force``) silently run interpreted.
+        bit-identical to the shape enumerator an uncompiled plan runs;
+        only wall clock changes.  Algorithms without a specializing
+        generator (the baselines, ``brute-force``) silently run their
+        own search.
     trace:
         Record per-phase spans into a fresh tracer, returned on
         ``MatchResult.trace``.

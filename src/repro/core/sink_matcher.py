@@ -7,8 +7,10 @@ deadline says so.  :class:`SinkMatcherBase` holds everything about
 that contract that does not depend on the algorithm: idempotent
 ``prepare()``, the tiered codegen state (``compile()``,
 ``compiled_source``), the pull facade ``run()`` and the dispatching
-``run_sink()``.  A subclass supplies its plan-building ``_prepare`` and
-its interpreted ``_run_sink``.
+``run_sink()``.  A subclass supplies its plan-building ``_prepare``.
+For V2V and E2E/EVE that builds the plan's tables, and an uncompiled
+plan runs on the shape enumerator :mod:`repro.core.codegen` writes for
+them; the oracle supplies its own ``_run_sink``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,13 @@ from ..graphs import (
 )
 from ..obs import NULL_TRACER, TraceSink
 
-from .codegen import CompiledPlan, compile_enumerator
+from .codegen import (
+    CompiledPlan,
+    ShapeEntry,
+    Tables,
+    compile_enumerator,
+    shape_enumerator,
+)
 from .match import Match
 from .options import RunContext
 from .sinks import CollectSink, ResultSink, StopEnumeration
@@ -40,8 +48,9 @@ class SinkMatcherBase:
 
     ``codegen`` (V2V and E2E/EVE only; their constructors expose it)
     makes ``prepare`` compile the plan's specialized enumerator at once;
-    otherwise the plan runs interpreted until :meth:`compile` is called,
-    as the service does on a plan's first reuse.
+    otherwise the plan runs on its shape enumerator until
+    :meth:`compile` is called, as the service does on a plan's first
+    reuse.
     """
 
     name: str
@@ -73,8 +82,13 @@ class SinkMatcherBase:
         self._view: GraphSnapshot
         if self.supports_codegen:
             self.codegen = codegen
+        #: The plan as the generated enumerators read it, and the shape
+        #: enumerator uncompiled runs use (set by ``prepare`` on matchers
+        #: with a generator).
+        self.tables: Tables
+        self._shape: ShapeEntry
         #: Specialized enumerator set by :meth:`compile`; None means the
-        #: interpreted loop runs.
+        #: shape enumerator (or the oracle's search) runs.
         self._compiled: CompiledPlan | None = None
         self._compile_lock = threading.Lock()
         self._compile_tried = False
@@ -94,12 +108,17 @@ class SinkMatcherBase:
         with tr.span("compile-snapshot"):
             self._view = ensure_snapshot(self.graph)
         self._prepare(tr)
+        if self.supports_codegen:
+            # Resolved here, not at the first run, so a process pool's
+            # workers inherit the compiled shape from the parent.
+            self._shape = shape_enumerator(self.tables)
         self._prepared = True
         if self.supports_codegen and self.codegen:
             self.compile(tracer=tr)
 
     def _prepare(self, tracer: TraceSink) -> None:
-        """Build the algorithm's plan over ``self._view``."""
+        """Build the algorithm's plan over ``self._view`` (with a
+        generator: ``self.tables``)."""
 
     def compile(self, tracer: TraceSink | None = None) -> bool:
         """Compile this plan's specialized enumerator (idempotent).
@@ -110,7 +129,7 @@ class SinkMatcherBase:
         False when an earlier call already compiled (or tried to), the
         matcher has no generator, or the generator declined the query
         shape.  Later runs dispatch to the compiled entry; runs already
-        under way finish interpreted.
+        under way finish on the shape enumerator.
         """
         if not self.supports_codegen:
             return False
@@ -160,8 +179,8 @@ class SinkMatcherBase:
     def run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
         """Push every match into *sink* — the primary entry point.
 
-        Runs the compiled enumerator when the plan has one, else the
-        interpreted ``_run_sink``.  A satisfied sink raises
+        Runs the compiled enumerator when the plan has one, else
+        ``_run_sink``.  A satisfied sink raises
         :class:`StopEnumeration`, which unwinds the DFS recursion
         directly (no further candidates generated, no further timestamps
         expanded); the stop is recorded on ``ctx.stats``
@@ -179,5 +198,6 @@ class SinkMatcherBase:
             ctx.stats.record_stop()
 
     def _run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
-        """The interpreted search (every subclass overrides it)."""
-        raise NotImplementedError
+        """Run the shape enumerator over this plan's tables (the oracle,
+        which has no generator, overrides it)."""
+        self._shape(ctx, sink, self.tables)

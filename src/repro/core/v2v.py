@@ -34,12 +34,10 @@ from .candidate_space import (
     pair_readers,
     vertex_candidate_lists,
 )
-from .codegen import ShapeEntry, V2VTables, v2v_shape_enumerator
+from .codegen import V2VTables
 from .filters import initial_vertex_candidates
-from .options import RunContext
 from .planner import plan_costs, validate_plan
 from .sink_matcher import SinkMatcherBase
-from .sinks import ResultSink
 from .tcq import TCQ, build_tcq
 from .timestamps import TimestampPlan
 
@@ -104,8 +102,6 @@ class V2VMatcher(SinkMatcherBase):
         self.candidate_lists: tuple[NeighbourCandidates | None, ...] | None = None
         #: The plan as the enumerators read it (set by ``prepare``).
         self.tables: V2VTables
-        #: The shape enumerator cold runs use (set by ``prepare``).
-        self._shape: ShapeEntry
 
     # ------------------------------------------------------------------
     # preparation (Algorithm 2 lines 1-4); timed separately by the engine
@@ -170,15 +166,3 @@ class V2VMatcher(SinkMatcherBase):
             ).assignments,
             dist=dist,
         )
-        # Resolved here, not at the first run, so a process pool's
-        # workers inherit the compiled shape from the parent.
-        self._shape = v2v_shape_enumerator(
-            query.num_vertices, query.num_edges
-        )
-
-    # ------------------------------------------------------------------
-    # matching (Algorithm 2 lines 5-27)
-    # ------------------------------------------------------------------
-    def _run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
-        """Run the shape enumerator over this plan's tables."""
-        self._shape(ctx, sink, self.tables)

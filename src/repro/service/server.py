@@ -154,8 +154,8 @@ class ServiceResult:
     ordered: bool = False
     #: True when the plan's compiled enumerator (``codegen``) served the
     #: answer: an in-process run on a reused plan of an algorithm with a
-    #: generator.  A cold plan and a process-pool fan-out run
-    #: interpreted.  A request's ``codegen`` field does not change it.
+    #: generator.  A cold plan and a process-pool fan-out run the shape
+    #: enumerator.  A request's ``codegen`` field does not change it.
     codegen: bool = False
     estimate: CountEstimate | None = None
     stats: SearchStats = field(repr=False, default_factory=SearchStats)
@@ -508,11 +508,11 @@ class TCSMService:
         result caches key distinct plans separately.
 
         Plans compile on reuse (:mod:`repro.core.codegen`): a cold plan
-        runs the interpreted enumerator, and the first plan-cache hit
-        that runs in-process compiles it, so every reused plan runs
-        generated code.  A ``codegen`` entry in *options* is dropped:
-        it selects nothing and splits no cache key.  Process-pool
-        workers keep their plans interpreted.  The result's ``codegen``
+        runs the shape enumerator of its query shape, and the first
+        plan-cache hit that runs in-process compiles it, so every reused
+        plan runs its own plan-mode code.  A ``codegen`` entry in
+        *options* is dropped: it selects nothing and splits no cache
+        key.  Process-pool workers keep their plans on the shape tier.  The result's ``codegen``
         field says whether the compiled enumerator served the answer.
 
         ``trace=True`` forces tracing for this query; otherwise the
@@ -769,8 +769,8 @@ class TCSMService:
     ) -> bool:
         """Compile a reused plan's enumerator; True if it is compiled.
 
-        A plan-cache miss stays interpreted: a plan used once never earns
-        back the compile.  The first hit compiles it (once, whatever the
+        A plan-cache miss stays on its shape enumerator: a plan used once
+        never earns back the compile.  The first hit compiles it (once, whatever the
         concurrency; the ``codegen-compile`` span lands in this query's
         trace) and counts ``plan_compiles``.
         """

@@ -1,16 +1,19 @@
-"""V2V's shape enumerators: one generated search per query shape.
+"""Shape enumerators: one generated search per query shape.
 
-A cold V2V plan runs the enumerator :mod:`repro.core.codegen` writes
-for its vertex and edge counts ``(n, m)``, reading the plan from its
-tables; ``compile()`` writes the same search with the tables inlined.
+A cold V2V, E2E or EVE plan runs the enumerator :mod:`repro.core.codegen`
+writes for its shape, reading the plan from its tables; ``compile()``
+writes the same search with the tables inlined.  A V2V shape is the
+vertex and edge counts ``(n, m)``; an E2E or EVE shape is the edge count
+alone, each position's kind being read from the tables at run time.
 
 * Many plans of a few shapes compile one enumerator per shape, shared
   by every plan of that shape, and none of those compiles is a plan
   compile: no ``<repro-codegen`` source, no listener call.
-* On a disconnected pattern and an edge-labelled one, whole and split
-  into partitions, the shape enumerator finds the oracle's matches with
-  plan mode's counters.
-* An edgeless query, which plan mode declines, runs on its shape
+* On a disconnected pattern (a seed after the root), an edge-labelled
+  one and, for E2E/EVE, one with ``in`` and ``close`` positions, whole
+  and split into partitions, the shape enumerator finds the oracle's
+  matches with plan mode's counters.
+* An edgeless query, which plan mode declines, runs on its V2V shape
   enumerator, whose leaf sums no runs.
 * A traceback out of a shape enumerator shows its generated lines.
 * An unbounded gap (``math.inf``) is read from the tables in shape mode
@@ -27,6 +30,7 @@ import pytest
 
 from repro.core import MatchOptions, RunContext, find_matches
 from repro.core import codegen
+from repro.core.candidate_space import CLOSE, IN, SEED
 from repro.core.engine import create_matcher
 from repro.graphs import (
     QueryGraph,
@@ -61,6 +65,30 @@ LABELLED = (
     TemporalConstraints([(0, 1, 150), (1, 2, 150)], num_edges=3),
 )
 
+#: Three edges into vertex 1 and one between their sources: whatever
+#: the E2E/EVE order, some position extends along an in-edge and one
+#: closes a cycle.
+IN_CLOSE = (
+    QueryGraph(["A", "B", "A", "B"], [(0, 1), (2, 1), (3, 1), (0, 2)]),
+    TemporalConstraints([(0, 1, 150), (1, 2, 150), (0, 3, 150)], num_edges=4),
+)
+
+PATTERNS = {
+    "disconnected": DISCONNECTED,
+    "labelled": LABELLED,
+    "in-close": IN_CLOSE,
+}
+
+#: (algorithm, pattern) cases; V2V's keep their original ids.
+SHAPE_CASES = [
+    pytest.param("tcsm-v2v", "disconnected", id="disconnected"),
+    pytest.param("tcsm-v2v", "labelled", id="labelled"),
+] + [
+    pytest.param(algorithm, case, id=f"{algorithm}-{case}")
+    for algorithm in ("tcsm-e2e", "tcsm-eve")
+    for case in PATTERNS
+]
+
 
 @pytest.fixture(scope="module")
 def graph():
@@ -83,48 +111,63 @@ def _codegen_keys():
     return {key for key in linecache.cache if key.startswith("<repro-codegen")}
 
 
+def _shape_key(algorithm, query):
+    """The shape cache's key for *query* under *algorithm*."""
+    if algorithm == "tcsm-v2v":
+        return ("v2v", query.num_vertices, query.num_edges)
+    return (algorithm.removeprefix("tcsm-"), query.num_edges)
+
+
 def test_plans_of_a_shape_share_one_enumerator(graph):
-    shapes = {(q.num_vertices, q.num_edges) for q in SHAPED}
-    before = dict(codegen._SHAPES)
-    keys = _codegen_keys()
-    compiles = []
-    codegen.set_codegen_listener(compiles.append)
-    try:
-        matchers = []
-        for i in range(40):
-            query = SHAPED[i % 3]
-            constraints = TemporalConstraints(
-                [(0, 1, 20 + 5 * i)], num_edges=query.num_edges
-            )
-            matcher = create_matcher("tcsm-v2v", query, constraints, graph)
-            find_matches(query, constraints, graph, matcher=matcher)
-            assert matcher.compiled_source is None
-            matchers.append(matcher)
-    finally:
-        codegen.set_codegen_listener(None)
-    added = set(codegen._SHAPES) - set(before)
-    assert added <= shapes and len(added) <= 3
-    assert _codegen_keys() == keys
-    assert compiles == []
-    for matcher in matchers:
-        shape = (matcher.query.num_vertices, matcher.query.num_edges)
-        assert matcher._shape is codegen._SHAPES[shape]
-        assert matcher._shape is codegen.v2v_shape_enumerator(*shape)
+    for algorithm in ALGORITHMS:
+        # V2V: three shapes; E2E and EVE: two (the edge counts).
+        shapes = {_shape_key(algorithm, q) for q in SHAPED}
+        before = dict(codegen._SHAPES)
+        keys = _codegen_keys()
+        compiles = []
+        codegen.set_codegen_listener(compiles.append)
+        try:
+            matchers = []
+            for i in range(40):
+                query = SHAPED[i % 3]
+                constraints = TemporalConstraints(
+                    [(0, 1, 20 + 5 * i)], num_edges=query.num_edges
+                )
+                matcher = create_matcher(algorithm, query, constraints, graph)
+                find_matches(query, constraints, graph, matcher=matcher)
+                assert matcher.compiled_source is None
+                matchers.append(matcher)
+        finally:
+            codegen.set_codegen_listener(None)
+        added = set(codegen._SHAPES) - set(before)
+        assert added <= shapes and len(added) <= len(shapes)
+        assert _codegen_keys() == keys
+        assert compiles == []
+        for matcher in matchers:
+            shape = _shape_key(algorithm, matcher.query)
+            assert matcher._shape is codegen._SHAPES[shape]
+            assert matcher._shape is codegen.shape_enumerator(matcher.tables)
 
 
 @pytest.mark.parametrize("partition", [None, (0, 3), (1, 3), (2, 3)])
-@pytest.mark.parametrize("case", ["disconnected", "labelled"])
+@pytest.mark.parametrize("algorithm, case", SHAPE_CASES)
 def test_shape_equals_oracle_and_plan_mode(
-    graph, labelled_graph, case, partition
+    graph, labelled_graph, algorithm, case, partition
 ):
-    query, constraints = DISCONNECTED if case == "disconnected" else LABELLED
-    data = graph if case == "disconnected" else labelled_graph
+    query, constraints = PATTERNS[case]
+    data = labelled_graph if case == "labelled" else graph
     options = MatchOptions(partition=partition)
-    shape = create_matcher("tcsm-v2v", query, constraints, data)
+    shape = create_matcher(algorithm, query, constraints, data)
     cold = find_matches(query, constraints, data, matcher=shape, options=options)
     assert shape.compiled_source is None
+    if algorithm != "tcsm-v2v":
+        # The case reaches the kinds it is named for.
+        kinds = set(shape.tables.kinds[1:])
+        assert {"disconnected": {SEED}, "in-close": {IN, CLOSE}}.get(
+            case, set()
+        ) <= kinds
     plan = find_matches(
-        query, constraints, data, algorithm="tcsm-v2v",
+        query, constraints, data, algorithm=algorithm,
         options=options.replace(codegen=True),
     )
     assert plan.matches == cold.matches
@@ -139,15 +182,17 @@ def test_partitions_cover_the_oracle(graph, labelled_graph):
     for (query, constraints), data in (
         (DISCONNECTED, graph),
         (LABELLED, labelled_graph),
+        (IN_CLOSE, graph),
     ):
         oracle = find_matches(query, constraints, data, algorithm="brute-force")
-        parts = []
-        for index in range(3):
-            parts += find_matches(
-                query, constraints, data, algorithm="tcsm-v2v",
-                options=MatchOptions(partition=(index, 3)),
-            ).matches
-        assert sorted(parts) == sorted(oracle.matches)
+        for algorithm in ALGORITHMS:
+            parts = []
+            for index in range(3):
+                parts += find_matches(
+                    query, constraints, data, algorithm=algorithm,
+                    options=MatchOptions(partition=(index, 3)),
+                ).matches
+            assert sorted(parts) == sorted(oracle.matches)
 
 
 def test_edgeless_query_runs_on_its_shape(graph):
@@ -166,22 +211,32 @@ def test_edgeless_query_runs_on_its_shape(graph):
 def test_shape_traceback_shows_generated_lines(graph):
     query = SHAPED[0]
     constraints = TemporalConstraints([(0, 1, 50)], num_edges=2)
-    matcher = create_matcher("tcsm-v2v", query, constraints, graph)
-    matcher.prepare()
-    try:
-        matcher.run_sink(RunContext(), RaisingSink())
-    except _Boom as exc:
-        frames = traceback.extract_tb(exc.__traceback__)
-    generated = [f for f in frames if f.filename == "<repro-shape:v2v/3/2>"]
-    assert generated
-    assert all(f.line for f in generated)
-    assert generated[0].name == "_enumerate"
-    assert "accept(" in generated[-1].line
+    for algorithm, filename in (
+        ("tcsm-v2v", "<repro-shape:v2v/3/2>"),
+        ("tcsm-e2e", "<repro-shape:e2e/2>"),
+        ("tcsm-eve", "<repro-shape:eve/2>"),
+    ):
+        matcher = create_matcher(algorithm, query, constraints, graph)
+        matcher.prepare()
+        try:
+            matcher.run_sink(RunContext(), RaisingSink())
+        except _Boom as exc:
+            frames = traceback.extract_tb(exc.__traceback__)
+        generated = [f for f in frames if f.filename == filename]
+        assert generated
+        assert all(f.line for f in generated)
+        assert generated[0].name == "_enumerate"
+        assert "accept(" in generated[-1].line
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_unbounded_gap_compiles(graph, algorithm):
     constraints = TemporalConstraints([(0, 1, math.inf)], num_edges=2)
+    matcher = create_matcher(algorithm, SHAPED[0], constraints, graph)
+    matcher.prepare()
+    tables = matcher.tables
+    gaps = tables.closing if algorithm == "tcsm-v2v" else tables.checks
+    assert math.inf in [c.gap for checks in gaps for c in checks]
     _, plan = assert_equivalent(
         SHAPED[0], constraints, graph, algorithm, MatchOptions()
     )

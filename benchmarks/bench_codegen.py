@@ -1,18 +1,12 @@
-"""Compiled vs interpreted enumerators: the codegen record and its floor.
+"""The generated enumerators' record: counters pinned, seconds reported.
 
-``MatchOptions(codegen=True)`` swaps the interpreted DFS for a
-specialised enumeration function generated per (query shape, matching
-order, window plan) — constraint checks unrolled, dead branches elided,
-STN-closure window bounds inlined as constants.  That machinery only
-earns its keep if it is actually faster.  Two workloads, each run in
-count mode under both enumerators of all three TCSM matchers:
+Every V2V, E2E and EVE plan runs the one enumerator
+:mod:`repro.core.codegen` writes for its query shape.  Two workloads,
+each run in count mode under all three TCSM matchers:
 
 * **dense** — the Exp-1-style dense graph ``bench_topk.py`` uses (~80
   vertices, out-degree 12, ten timestamps per pair) and a three-edge
-  A-B-A-B path: a few hundred thousand matches.  The compiled
-  ``tcsm-eve`` run must finish at least ``MIN_SPEEDUP``x faster than the
-  interpreted one (compile time excluded — a prepare-time cost paid once
-  per cached plan, reported separately), with the same match count.
+  A-B-A-B path: a few hundred thousand matches.
 * **enum-heavy** — the suite's enum-heavy plans: the nine paper (q, tc)
   patterns on the EE stand-in at a 90-day gap.  Reported per algorithm,
   summed over the nine patterns.
@@ -20,8 +14,7 @@ count mode under both enumerators of all three TCSM matchers:
 Every run's match count, ``timestamps_expanded``/``timestamps_skipped``
 and filter counters are deterministic; ``--check`` recomputes them and
 compares against the committed ``BENCH_codegen.json``, with no timing
-bar (timing on shared hosts is too noisy to gate on).  Interpreted and
-compiled runs must also agree with each other.
+bar (timing on shared hosts is too noisy to gate on).
 
 Runs standalone::
 
@@ -29,10 +22,9 @@ Runs standalone::
     PYTHONPATH=src python benchmarks/bench_codegen.py
 
 The first form exits non-zero on a counter mismatch and writes its
-report to ``--out``.  The second, a full timed run, also exits non-zero
-below the floor and overwrites the record, keeping its ``parent`` block
-(the same script's measurement of the commit before the candidate-space
-slot index).  Under pytest the floor and the counter check run.
+report to ``--out``.  The second, a full timed run, overwrites the
+record, keeping its ``parent`` block (the same script's measurement of
+an earlier commit).  Under pytest the counter check runs.
 """
 
 import argparse
@@ -52,15 +44,9 @@ from repro.graphs import QueryGraph, TemporalConstraints
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_codegen.json"
 
-#: The matcher held to the speedup floor (and measured for context).
-ALGORITHM = "tcsm-eve"
 ALGORITHMS = ("tcsm-eve", "tcsm-e2e", "tcsm-v2v")
 
-#: Floor pinned by the issue: the compiled enumerator must be >= 1.3x
-#: faster than the interpreted matcher on the same prepared plan.
-MIN_SPEEDUP = 1.3
-
-#: Timed runs per (plan, enumerator); the best one counts.
+#: Timed runs per plan; the best one counts.
 REPEATS = 2
 
 #: The enum-heavy point: the suite's graph and gap.
@@ -110,13 +96,10 @@ def _best_run(
     constraints: TemporalConstraints,
     graph: Any,
     algorithm: str,
-    codegen: bool,
     repeats: int,
 ) -> tuple[float, MatchResult]:
     """Best wall clock of *repeats* count runs of one prepared plan."""
-    matcher = prepare(
-        query, constraints, graph, algorithm, options=MatchOptions(codegen=codegen)
-    )
+    matcher = prepare(query, constraints, graph, algorithm)
     options = MatchOptions(mode="count")
     best = float("inf")
     result = None
@@ -139,64 +122,39 @@ def _dense_instance() -> tuple[QueryGraph, TemporalConstraints]:
 
 
 def measure_dense(repeats: int = REPEATS) -> dict[str, Any]:
-    """Interpreted vs compiled count runs on the dense workload."""
+    """Count runs of each algorithm on the dense workload."""
     graph = dense_graph()
     query, constraints = _dense_instance()
-    seconds: dict[str, dict[str, float]] = {}
+    seconds: dict[str, float] = {}
     counters: dict[str, dict[str, object]] = {}
     for algorithm in ALGORITHMS:
         key = algorithm.replace("tcsm-", "")
-        row: dict[str, float] = {}
-        for codegen in (False, True):
-            mode = "codegen" if codegen else "interp"
-            row[mode], result = _best_run(
-                query, constraints, graph, algorithm, codegen, repeats
-            )
-            counters[f"dense/{key}/{mode}"] = _counters(result.stats)
-        row["speedup"] = row["interp"] / max(1e-9, row["codegen"])
-        seconds[key] = row
-    # Compile cost, reported separately: a one-off prepare-time expense
-    # amortised by the service's plan cache (compile once per PlanKey).
-    started = time.perf_counter()
-    matcher = prepare(
-        query, constraints, graph, ALGORITHM, options=MatchOptions(codegen=True)
-    )
-    compile_seconds = time.perf_counter() - started
-    source = getattr(matcher, "compiled_source", None)
-    assert source is not None
+        seconds[key], result = _best_run(
+            query, constraints, graph, algorithm, repeats
+        )
+        counters[f"dense/{key}"] = _counters(result.stats)
     return {
         "temporal_edges": graph.num_temporal_edges,
         "seconds": seconds,
-        "compile_seconds": compile_seconds,
-        "compiled_source_lines": source.count("\n"),
         "counters": counters,
     }
 
 
 def measure_enum_heavy(repeats: int = REPEATS) -> dict[str, Any]:
-    """Seconds per algorithm and enumerator over the nine paper patterns."""
+    """Seconds per algorithm over the nine paper patterns."""
     graph = load_dataset(ENUM_DATASET, seed=1).freeze()
-    seconds: dict[str, dict[str, float]] = {
-        algorithm.replace("tcsm-", ""): {"interp": 0.0, "codegen": 0.0}
-        for algorithm in ALGORITHMS
-    }
+    seconds = {algorithm.replace("tcsm-", ""): 0.0 for algorithm in ALGORITHMS}
     counters: dict[str, dict[str, object]] = {}
     for qname, tname, query, constraints in paper_workloads(
         gap=ENUM_GAP_DAYS * DAY
     ):
         for algorithm in ALGORITHMS:
             key = algorithm.replace("tcsm-", "")
-            for codegen in (False, True):
-                mode = "codegen" if codegen else "interp"
-                best, result = _best_run(
-                    query, constraints, graph, algorithm, codegen, repeats
-                )
-                seconds[key][mode] += best
-                counters[f"enum_heavy/{qname}-{tname}/{key}/{mode}"] = _counters(
-                    result.stats
-                )
-    for row in seconds.values():
-        row["speedup"] = row["interp"] / max(1e-9, row["codegen"])
+            best, result = _best_run(query, constraints, graph, algorithm, repeats)
+            seconds[key] += best
+            counters[f"enum_heavy/{qname}-{tname}/{key}"] = _counters(
+                result.stats
+            )
     return {
         "temporal_edges": graph.num_temporal_edges,
         "seconds": seconds,
@@ -209,65 +167,24 @@ def measure(repeats: int = REPEATS) -> dict[str, Any]:
     dense = measure_dense(repeats)
     enum_heavy = measure_enum_heavy(repeats)
     counters = {**dense.pop("counters"), **enum_heavy.pop("counters")}
-    return {
-        "min_speedup": MIN_SPEEDUP,
-        "dense": dense,
-        "enum_heavy": enum_heavy,
-        "counters": counters,
-    }
-
-
-def floor_failures(
-    seconds: dict[str, dict[str, float]], counters: dict[str, Any]
-) -> list[str]:
-    """The speedup floor and same-answer bar on the dense workload."""
-    failures: list[str] = []
-    key = ALGORITHM.replace("tcsm-", "")
-    speedup = seconds[key]["speedup"]
-    if speedup < MIN_SPEEDUP:
-        failures.append(
-            f"codegen speedup {speedup:.2f}x on {ALGORITHM} is below the "
-            f"{MIN_SPEEDUP:.1f}x floor over the interpreted matcher"
-        )
-    for algorithm in ALGORITHMS:
-        akey = algorithm.replace("tcsm-", "")
-        interp = counters[f"dense/{akey}/interp"]["matches"]
-        compiled = counters[f"dense/{akey}/codegen"]["matches"]
-        if interp != compiled:
-            failures.append(
-                f"{algorithm} compiled run counted {compiled} matches, "
-                f"interpreted counted {interp}"
-            )
-    return failures
+    return {"dense": dense, "enum_heavy": enum_heavy, "counters": counters}
 
 
 def counter_failures(
     counters: dict[str, Any], record: dict[str, Any]
 ) -> list[str]:
-    """Counter mismatches against *record*, and between the enumerators."""
-    failures: list[str] = []
+    """Counter mismatches against *record*."""
     want = record["counters"]
-    for key in sorted(set(counters) | set(want)):
-        if counters.get(key) != want.get(key):
-            failures.append(
-                f"{key}: {counters.get(key)}, record has {want.get(key)}"
-            )
-        if key.endswith("/codegen"):
-            interp = key[: -len("codegen")] + "interp"
-            if counters.get(key) != counters.get(interp):
-                failures.append(f"{key} differs from {interp}")
-    return failures
+    return [
+        f"{key}: {counters.get(key)}, record has {want.get(key)}"
+        for key in sorted(set(counters) | set(want))
+        if counters.get(key) != want.get(key)
+    ]
 
 
 def load_record(path: Path = RECORD_PATH) -> dict[str, Any]:
     with path.open(encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def test_codegen_speedup_floor() -> None:
-    dense = measure_dense()
-    failures = floor_failures(dense["seconds"], dense["counters"])
-    assert failures == [], failures
 
 
 def test_counters_against_record() -> None:
@@ -294,21 +211,13 @@ def main(argv: list[str] | None = None) -> int:
     dense, enum_heavy = report["dense"], report["enum_heavy"]
     print(f"dense: {dense['temporal_edges']} temporal edges")
     for name, point in (("dense", dense), ("enum-heavy", enum_heavy)):
-        for key, row in point["seconds"].items():
-            print(
-                f"{name:10s} {key}: interpreted {row['interp']:.3f}s / "
-                f"compiled {row['codegen']:.3f}s ({row['speedup']:.2f}x)"
-            )
-    print(
-        f"compile cost: {dense['compile_seconds']:.3f}s for "
-        f"{dense['compiled_source_lines']} generated lines"
-    )
+        for key, seconds in point["seconds"].items():
+            print(f"{name:10s} {key}: {seconds:.3f}s")
+    failures: list[str] = []
     if args.check:
         failures = counter_failures(report["counters"], load_record())
         if not failures:
             print(f"counters match {RECORD_PATH.name}")
-    else:
-        failures = floor_failures(dense["seconds"], report["counters"])
     for failure in failures:
         print(f"REGRESSION: {failure}")
     out = args.out

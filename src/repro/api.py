@@ -97,11 +97,11 @@ def prepare(
     Preparation (TCQ/TCQ+ compilation, candidate filtering, window
     plans) runs once here; the returned matcher can then serve many
     ``match(..., matcher=...)`` calls against the same graph without
-    re-preparing.  ``options.plan`` and ``options.codegen`` shape the
-    prepared plan, by the same rule :func:`match` applies; the remaining
+    re-preparing.  ``options.plan`` shapes the prepared plan, by the
+    same rule :func:`match` applies; the remaining
     option fields are per-run and take effect at :func:`match` time.
     """
-    implied = matcher_kwargs(algorithm, options or MatchOptions())
+    implied = matcher_kwargs(options or MatchOptions())
     built = create_matcher(
         algorithm, query, constraints, graph, **{**implied, **matcher_options}
     )

@@ -82,9 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("enumerate", "count", "estimate"),
                        help="answer shape: enumerate matches, count "
                             "exactly, or estimate via HT sampling")
-    match.add_argument("--codegen", action="store_true",
-                       help="compile a specialised enumerator for this "
-                            "(pattern, plan) before matching")
     match.add_argument("--count-only", action="store_true",
                        help="print only the match count")
     match.add_argument("--json", action="store_true",
@@ -167,9 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stop after this many matches")
     trace.add_argument("--time-budget", type=float, default=None,
                        help="wall-clock budget in seconds")
-    trace.add_argument("--codegen", action="store_true",
-                       help="compile a specialised enumerator (adds a "
-                            "codegen-compile span to the trace)")
     trace.add_argument("--tighten", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="tighten constraints via STN closure first "
@@ -297,7 +291,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
             collect_matches=not args.count_only and mode == "enumerate",
             order_by=args.order_by,
             mode=mode,
-            codegen=args.codegen,
         ),
     )
     if result.estimate is not None:
@@ -335,10 +328,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
             )
             print(f"vertices={list(match.vertex_map)} edges={edges}")
     truncated = " (stopped at budget)" if result.stats.budget_exhausted else ""
-    engine = f"{result.algorithm}+codegen" if args.codegen else result.algorithm
     print(
         f"# {result.num_matches} matches in "
-        f"{result.total_seconds:.3f}s with {engine}{truncated}",
+        f"{result.total_seconds:.3f}s with {result.algorithm}{truncated}",
         file=sys.stderr,
     )
     return 0
@@ -449,12 +441,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             limit=args.limit,
             time_budget=args.time_budget,
             tighten=args.tighten,
-            codegen=args.codegen,
         ),
         tracer=tracer,
     )
-    engine = f"{args.algorithm}+codegen" if args.codegen else args.algorithm
-    print(f"# traced {engine} on {source}: "
+    print(f"# traced {args.algorithm} on {source}: "
           f"{result.num_matches} matches in {result.total_seconds:.4f}s")
     print(render_span_tree(tracer))
     summary = result.stats.filter_summary()

@@ -1,7 +1,6 @@
 """Core TCSM algorithms: TCQ/TCQ+ construction and the three matchers."""
 
 from .bruteforce import BruteForceMatcher, brute_force_matches
-from .codegen import CompiledPlan, compile_enumerator, set_codegen_listener
 from .e2e import E2EMatcher
 from .engine import (
     MatchResult,
@@ -16,7 +15,6 @@ from .engine import (
     merge_prepare_stats,
     register_algorithm,
     run_prepared,
-    supports_codegen,
     supports_partition,
 )
 from .results import CountEstimate, MatchSet
@@ -83,7 +81,6 @@ __all__ = [
     "BoundedQueueSink",
     "BruteForceMatcher",
     "CollectSink",
-    "CompiledPlan",
     "CountEstimate",
     "CountSink",
     "Diagnostic",
@@ -121,7 +118,6 @@ __all__ = [
     "check_partition",
     "choose_edge_order",
     "choose_vertex_order",
-    "compile_enumerator",
     "constraint_slack",
     "constraint_slices",
     "count_matches",
@@ -156,8 +152,6 @@ __all__ = [
     "run_prepared",
     "score_edge_order",
     "score_vertex_order",
-    "set_codegen_listener",
-    "supports_codegen",
     "supports_partition",
     "tcq_from_order",
     "tcq_plus_from_order",

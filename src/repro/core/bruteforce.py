@@ -38,15 +38,6 @@ class BruteForceMatcher(SinkMatcherBase):
 
     name = "brute-force"
 
-    def __init__(
-        self,
-        query: QueryGraph,
-        constraints: TemporalConstraints,
-        graph: GraphView,
-    ) -> None:
-        # No ``codegen`` keyword: the oracle has no generator.
-        super().__init__(query, constraints, graph)
-
     def _run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
         deadline = ctx.deadline
         partition = ctx.partition

@@ -9,13 +9,10 @@ partial vertex map subsumes the forward-edge (FE) intersection check and
 additionally enforces vertex injectivity, which Definition 4's isomorphism
 semantics require.
 
-The search itself is generated by :mod:`repro.core.codegen`, which
-writes it once in two modes: a *shape* enumerator shared by every plan
-with the query's edge count, which reads the plan from the
-:class:`~repro.core.codegen.E2ETables` built here and runs cold plans
-and process workers, and a *plan* enumerator with those tables inlined,
-which ``compile()`` builds for reused plans.  Both read the adjacency
-through one index: LDF's candidate pairs as CSR slot ids per matching
+The search itself is generated by :mod:`repro.core.codegen`: one
+enumerator, shared by every plan with the query's edge count, reads the
+plan from the :class:`~repro.core.codegen.E2ETables` built here.  It
+reads the adjacency through one index: LDF's candidate pairs as CSR slot ids per matching
 position (:mod:`repro.core.candidate_space`), so a slot names a
 candidate neighbour and its timestamp run on the snapshot's flat planes.
 """
@@ -58,16 +55,9 @@ class E2EMatcher(SinkMatcherBase):
         ``"paper"`` (default) uses Algorithm 3's TCF-walking matching
         order; ``"cost"`` asks :mod:`repro.core.planner` to choose the
         cheapest order under the data graph's statistics.
-    codegen:
-        When True, ``prepare`` compiles a specialized enumeration
-        function for the concrete (query shape, matching order, window
-        plan) via :mod:`repro.core.codegen` and ``run_sink`` dispatches
-        to it; match multisets and every ``SearchStats`` counter are
-        pinned bit-identical to the shape enumerator.
     """
 
     name = "tcsm-e2e"
-    supports_codegen = True
 
     #: Subclass hook (TCSM-EVE): vertex pre-matching on newly introduced
     #: query vertices.  E2E performs no vertex look-ahead.
@@ -80,9 +70,8 @@ class E2EMatcher(SinkMatcherBase):
         graph: GraphView,
         intersect_candidates: bool = True,
         plan: str = "paper",
-        codegen: bool = False,
     ) -> None:
-        super().__init__(query, constraints, graph, codegen)
+        super().__init__(query, constraints, graph)
         if query.num_edges == 0:
             raise AlgorithmError(
                 "edge-based matchers need at least one query edge"
@@ -136,7 +125,6 @@ class E2EMatcher(SinkMatcherBase):
                 for pos, kind in enumerate(space.kinds)
             ),
             windows=build_edge_window_plan(tcq.order, self.constraints),
-            checks=tcq.check_at,
             vmatch=self._vmatch_plan(tcq) if self.vertex_prematching else None,
             edges=tuple(
                 (a, b, label)

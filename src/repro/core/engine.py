@@ -61,7 +61,6 @@ __all__ = [
     "merge_prepare_stats",
     "register_algorithm",
     "run_prepared",
-    "supports_codegen",
     "supports_partition",
 ]
 
@@ -214,36 +213,16 @@ def available_algorithms(include_baselines: bool = True) -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def supports_codegen(algorithm: str) -> bool:
-    """True when *algorithm*'s factory has a specializing generator.
-
-    Registered matcher classes declare it with a ``supports_codegen``
-    class attribute (the three TCSM matchers); algorithms without one —
-    the oracle, the baselines — silently run their own search under
-    ``MatchOptions(codegen=True)`` rather than choking on an unknown
-    constructor keyword.
-    """
-    key = algorithm.lower()
-    if key not in _REGISTRY:
-        _ensure_baselines_loaded()
-    factory = _REGISTRY.get(key)
-    return bool(getattr(factory, "supports_codegen", False))
-
-
-def matcher_kwargs(algorithm: str, options: MatchOptions) -> dict[str, Any]:
-    """Constructor keywords that *options* implies for *algorithm*.
+def matcher_kwargs(options: MatchOptions) -> dict[str, Any]:
+    """Constructor keywords that *options* implies.
 
     The one rule shared by :func:`find_matches` and ``repro.api.prepare``:
     a non-default ``plan`` is forwarded (every matcher's default is
-    ``"paper"``, so baselines without the parameter keep working), and
-    ``codegen`` only to matchers that declare a generator, so
-    ``codegen=True`` composes with every registered algorithm.
+    ``"paper"``, so baselines without the parameter keep working).
     """
     kwargs: dict[str, Any] = {}
     if options.plan != "paper":
         kwargs["plan"] = options.plan
-    if options.codegen and supports_codegen(algorithm):
-        kwargs["codegen"] = True
     return kwargs
 
 
@@ -347,7 +326,7 @@ def find_matches(
             # are left alone (the service wraps at registry.register).
             graph = snapshot_write_barrier(graph)
         # An explicit matcher option wins over the one options imply.
-        matcher_options = {**matcher_kwargs(algorithm, opts), **matcher_options}
+        matcher_options = {**matcher_kwargs(opts), **matcher_options}
         matcher = create_matcher(
             algorithm, query, constraints, graph, **matcher_options
         )

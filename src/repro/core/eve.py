@@ -9,8 +9,8 @@ this is the paper's best algorithm.
 
 The shared search machinery lives in :class:`E2EMatcher`; EVE only flips
 the ``vertex_prematching`` hook, so ``prepare`` puts the look-ahead's
-per-position labels in the plan's tables and the generated enumerators
-(:mod:`repro.core.codegen`, shape and plan mode alike) test them.
+per-position labels in the plan's tables and the generated enumerator
+(:mod:`repro.core.codegen`) tests them.
 """
 
 from __future__ import annotations

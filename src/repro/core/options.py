@@ -85,15 +85,10 @@ class MatchOptions:
         confidence interval, no enumeration at all; see
         :mod:`repro.core.estimate`).
     codegen:
-        Compile a specialized enumeration function for the prepared
-        plan at ``prepare()`` time (see :mod:`repro.core.codegen`):
-        constraint checks unrolled per position, dead candidate
-        branches elided, STN window bounds inlined as constants.  The
-        match multiset and every ``SearchStats`` counter are pinned
-        bit-identical to the shape enumerator an uncompiled plan runs;
-        only wall clock changes.  Algorithms without a specializing
-        generator (the baselines, ``brute-force``) silently run their
-        own search.
+        Accepted and ignored (deprecated): every V2V, E2E and EVE plan
+        runs the one generated enumerator of its query shape (see
+        :mod:`repro.core.codegen`), whatever this says, and the field
+        changes no answer, counter or cache key.
     trace:
         Record per-phase spans into a fresh tracer, returned on
         ``MatchResult.trace``.
@@ -141,14 +136,8 @@ class MatchOptions:
         and with a ``limit`` the order decides which matches are
         returned; ``order_by``/``mode`` change the result's shape
         outright, so a cached complete enumeration is never served for
-        a ``limit=k`` request nor vice versa).  ``codegen`` is covered
-        too, though it never changes the answer (it is pinned not to):
-        the hash separates one-shot runs that compile at ``prepare``
-        from those that do not.  The service keys neither cache on it —
-        its ``PlanKey`` fingerprints the matcher options
-        (``options_fingerprint``), and the ``MatchOptions`` behind its
-        ``ResultKey`` never set ``codegen``, because service plans
-        compile on reuse.  ``time_budget`` is excluded because only
+        a ``limit=k`` request nor vice versa).  ``codegen`` is excluded
+        because it selects nothing, ``time_budget`` because only
         budget-independent (complete) results are ever cached, and
         ``trace``/``sanitize`` because observability and runtime
         checking never change the answer.  Equal options hash equal
@@ -156,7 +145,6 @@ class MatchOptions:
         """
         payload = json.dumps(
             {
-                "codegen": self.codegen,
                 "limit": self.limit,
                 "tighten": self.tighten,
                 "collect_matches": self.collect_matches,

@@ -5,17 +5,15 @@ subclass) and the brute-force oracle push every match into a
 :class:`~repro.core.sinks.ResultSink` and stop when the sink or the
 deadline says so.  :class:`SinkMatcherBase` holds everything about
 that contract that does not depend on the algorithm: idempotent
-``prepare()``, the tiered codegen state (``compile()``,
-``compiled_source``), the pull facade ``run()`` and the dispatching
-``run_sink()``.  A subclass supplies its plan-building ``_prepare``.
-For V2V and E2E/EVE that builds the plan's tables, and an uncompiled
-plan runs on the shape enumerator :mod:`repro.core.codegen` writes for
-them; the oracle supplies its own ``_run_sink``.
+``prepare()``, the pull facade ``run()`` and ``run_sink()``.  A
+subclass supplies its plan-building ``_prepare``.  For V2V and E2E/EVE
+that builds the plan's tables, which the shape enumerator written by
+:mod:`repro.core.codegen` reads; the oracle supplies its own
+``_run_sink``.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator
 
 from ..errors import AlgorithmError
@@ -28,13 +26,7 @@ from ..graphs import (
 )
 from ..obs import NULL_TRACER, TraceSink
 
-from .codegen import (
-    CompiledPlan,
-    ShapeEntry,
-    Tables,
-    compile_enumerator,
-    shape_enumerator,
-)
+from .codegen import ShapeEntry, Tables, shape_enumerator
 from .match import Match
 from .options import RunContext
 from .sinks import CollectSink, ResultSink, StopEnumeration
@@ -44,30 +36,16 @@ __all__ = ["SinkMatcherBase"]
 
 
 class SinkMatcherBase:
-    """Base of the matchers whose search pushes into a result sink.
-
-    ``codegen`` (V2V and E2E/EVE only; their constructors expose it)
-    makes ``prepare`` compile the plan's specialized enumerator at once;
-    otherwise the plan runs on its shape enumerator until
-    :meth:`compile` is called, as the service does on a plan's first
-    reuse.
-    """
+    """Base of the matchers whose search pushes into a result sink."""
 
     name: str
     supports_partition = True
-    #: Whether :mod:`repro.core.codegen` has a specializing generator for
-    #: this matcher (the engine consults it before forwarding the
-    #: ``codegen`` option to the constructor).
-    supports_codegen = False
-    #: Compile in ``prepare``; set only on matchers with a generator.
-    codegen: bool
 
     def __init__(
         self,
         query: QueryGraph,
         constraints: TemporalConstraints,
         graph: GraphView,
-        codegen: bool = False,
     ) -> None:
         if constraints.num_edges != query.num_edges:
             raise AlgorithmError(
@@ -80,18 +58,11 @@ class SinkMatcherBase:
         #: The compiled data plane every read goes through (set by
         #: ``prepare``).
         self._view: GraphSnapshot
-        if self.supports_codegen:
-            self.codegen = codegen
-        #: The plan as the generated enumerators read it, and the shape
-        #: enumerator uncompiled runs use (set by ``prepare`` on matchers
-        #: with a generator).
+        #: The plan as the generated enumerator reads it, and that
+        #: enumerator (set by ``prepare`` unless the subclass runs its
+        #: own search).
         self.tables: Tables
         self._shape: ShapeEntry
-        #: Specialized enumerator set by :meth:`compile`; None means the
-        #: shape enumerator (or the oracle's search) runs.
-        self._compiled: CompiledPlan | None = None
-        self._compile_lock = threading.Lock()
-        self._compile_tried = False
         #: Filter counters accumulated during ``prepare`` (merged into a
         #: query's stats exactly once, by ``merge_prepare_stats``).
         self.prepare_stats = SearchStats()
@@ -108,52 +79,15 @@ class SinkMatcherBase:
         with tr.span("compile-snapshot"):
             self._view = ensure_snapshot(self.graph)
         self._prepare(tr)
-        if self.supports_codegen:
+        if hasattr(self, "tables"):
             # Resolved here, not at the first run, so a process pool's
             # workers inherit the compiled shape from the parent.
             self._shape = shape_enumerator(self.tables)
         self._prepared = True
-        if self.supports_codegen and self.codegen:
-            self.compile(tracer=tr)
 
     def _prepare(self, tracer: TraceSink) -> None:
         """Build the algorithm's plan over ``self._view`` (with a
         generator: ``self.tables``)."""
-
-    def compile(self, tracer: TraceSink | None = None) -> bool:
-        """Compile this plan's specialized enumerator (idempotent).
-
-        Thread-safe: concurrent callers on one shared plan compile it
-        once, under the ``codegen-compile`` span of the caller that does
-        the work.  Returns True when this call compiled the enumerator;
-        False when an earlier call already compiled (or tried to), the
-        matcher has no generator, or the generator declined the query
-        shape.  Later runs dispatch to the compiled entry; runs already
-        under way finish on the shape enumerator.
-        """
-        if not self.supports_codegen:
-            return False
-        self.prepare(tracer)
-        with self._compile_lock:
-            if self._compile_tried:
-                return False
-            self._compile_tried = True
-            tr = tracer if tracer is not None else NULL_TRACER
-            with tr.span("codegen-compile", algorithm=self.name) as sp:
-                self._compiled = compile_enumerator(self)
-                sp.annotate(compiled=self._compiled is not None)
-            return self._compiled is not None
-
-    @property
-    def compiled_source(self) -> str | None:
-        """Generated source of the specialized enumerator, if compiled.
-
-        The debug hook documented in ``docs/CODEGEN.md``; ``None`` until
-        :meth:`compile` has run (``prepare`` runs it when ``codegen`` is
-        set), or when the generator bailed on this query shape.
-        """
-        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
-        return None if compiled is None else compiled.source
 
     # ------------------------------------------------------------------
     # matching
@@ -179,21 +113,15 @@ class SinkMatcherBase:
     def run_sink(self, ctx: RunContext, sink: ResultSink) -> None:
         """Push every match into *sink* — the primary entry point.
 
-        Runs the compiled enumerator when the plan has one, else
-        ``_run_sink``.  A satisfied sink raises
+        Runs ``_run_sink``.  A satisfied sink raises
         :class:`StopEnumeration`, which unwinds the DFS recursion
         directly (no further candidates generated, no further timestamps
         expanded); the stop is recorded on ``ctx.stats``
         (:meth:`SearchStats.record_stop`).
         """
         self.prepare()
-        # Set once by compile(): a lock-free read sees None or the plan.
-        compiled = self._compiled  # reprolint: guarded-by(_compile_lock)
         try:
-            if compiled is not None:
-                compiled.entry(ctx, sink)
-            else:
-                self._run_sink(ctx, sink)
+            self._run_sink(ctx, sink)
         except StopEnumeration:
             ctx.stats.record_stop()
 

@@ -9,13 +9,10 @@ matched.  Once all vertices are embedded, the per-edge timestamp choices
 that jointly satisfy the constraint set are enumerated — the "edge
 permutation" step that makes V2V pay on temporally dense instances.
 
-The search itself is generated by :mod:`repro.core.codegen`, which
-writes it once in two modes: a *shape* enumerator shared by every plan
-of the query's vertex and edge counts, which reads the plan from the
-:class:`~repro.core.codegen.V2VTables` built here and runs cold plans
-and process workers, and a *plan* enumerator with those tables inlined,
-which ``compile()`` builds for reused plans.  Both draw a position's
-candidates from one per-plan list per bound prec vertex
+The search itself is generated by :mod:`repro.core.codegen`: one
+enumerator, shared by every plan of the query's vertex and edge counts,
+reads the plan from the :class:`~repro.core.codegen.V2VTables` built
+here.  It draws a position's candidates from one per-plan list per bound prec vertex
 (:mod:`repro.core.candidate_space`): the neighbours that pass the NLF
 intersection, in neighbour order, so no non-candidate is scanned, and
 the skipped ones are credited to the counters in bulk.  Pairs and their
@@ -68,16 +65,9 @@ class V2VMatcher(SinkMatcherBase):
         ``"paper"`` (default) uses Algorithm 1's tsup-greedy matching
         order; ``"cost"`` asks :mod:`repro.core.planner` to choose the
         cheapest order under the data graph's statistics.
-    codegen:
-        When True, ``prepare`` compiles a specialized enumeration
-        function for the concrete (query shape, matching order, STN
-        closure) via :mod:`repro.core.codegen` and ``run_sink``
-        dispatches to it; match multisets and every ``SearchStats``
-        counter are pinned bit-identical to the shape enumerator.
     """
 
     name = "tcsm-v2v"
-    supports_codegen = True
 
     def __init__(
         self,
@@ -88,9 +78,8 @@ class V2VMatcher(SinkMatcherBase):
         intersect_candidates: bool = True,
         use_windows: bool = True,
         plan: str = "paper",
-        codegen: bool = False,
     ) -> None:
-        super().__init__(query, constraints, graph, codegen)
+        super().__init__(query, constraints, graph)
         self.count_based_nlf = count_based_nlf
         self.intersect_candidates = intersect_candidates
         self.use_windows = use_windows

@@ -135,9 +135,9 @@ def build_edge_window_plan(
         # 0 <= t_later - t_earlier <= gap, attributed to whichever side
         # binds second (the position where the check becomes possible).
         if position[c.earlier] < position[c.later]:
-            raw[position[c.later]].append((c.earlier, float(c.gap), 0.0))
+            raw[position[c.later]].append((c.earlier, c.gap, 0))
         else:
-            raw[position[c.earlier]].append((c.later, 0.0, float(c.gap)))
+            raw[position[c.earlier]].append((c.later, 0, c.gap))
     return tuple(tuple(entries) for entries in raw)
 
 
@@ -221,12 +221,8 @@ def constraint_slices(
         if stats is not None:
             stats.timestamps_skipped += total
         return (), ()
-    e_slice = window_slice(
-        earlier_times, later_times[0] - gap, float(later_times[-1])
-    )
-    l_slice = window_slice(
-        later_times, float(earlier_times[0]), earlier_times[-1] + gap
-    )
+    e_slice = window_slice(earlier_times, later_times[0] - gap, later_times[-1])
+    l_slice = window_slice(later_times, earlier_times[0], earlier_times[-1] + gap)
     if stats is not None:
         kept = len(e_slice) + len(l_slice)
         stats.timestamps_expanded += kept

@@ -24,7 +24,7 @@ from ..errors import ConstraintError, InfeasibleConstraintsError
 
 __all__ = ["Constraint", "TemporalConstraints"]
 
-Gap = float  # integral in practice; float admits math.inf for "no bound"
+Gap = float  # an int once validated; float admits math.inf for "no bound"
 
 
 class Constraint(NamedTuple):
@@ -56,6 +56,11 @@ class TemporalConstraints:
         Number of edges in the query graph the constraints refer to; used
         to validate indices eagerly (pass ``query.num_edges``).
 
+    A finite gap is floored to an ``int``: timestamps are integers, so
+    ``t_later - t_earlier <= gap`` holds exactly when it holds for
+    ``floor(gap)``, and integral gaps keep every window bound
+    (``t + gap``) exact beyond 2**53, where a float sum would round.
+
     Raises
     ------
     ConstraintError
@@ -80,6 +85,8 @@ class TemporalConstraints:
         for raw in triples:
             c = Constraint(*raw)
             self._validate(c)
+            if math.isfinite(c.gap):
+                c = c._replace(gap=math.floor(c.gap))
             key = (c.earlier, c.later)
             if key in seen:
                 raise ConstraintError(
@@ -195,17 +202,18 @@ class TemporalConstraints:
         Each constraint contributes the arcs ``t_later - t_earlier <= gap``
         and ``t_earlier - t_later <= 0``.  Floyd–Warshall over query-edge
         indices (|E_q| is small) gives the tightest implied bound for every
-        ordered pair; ``math.inf`` means unconstrained.
+        ordered pair; ``math.inf`` means unconstrained.  Finite entries
+        are ``int`` (the gaps are), so ``t + D[x][y]`` is exact.
         """
         m = self._num_edges
-        dist = [[math.inf] * m for _ in range(m)]
+        dist: list[list[float]] = [[math.inf] * m for _ in range(m)]
         for x in range(m):
-            dist[x][x] = 0.0
+            dist[x][x] = 0
         for c in self._constraints:
             if c.gap < dist[c.earlier][c.later]:
-                dist[c.earlier][c.later] = float(c.gap)
-            if 0.0 < dist[c.later][c.earlier]:
-                dist[c.later][c.earlier] = 0.0
+                dist[c.earlier][c.later] = c.gap
+            if 0 < dist[c.later][c.earlier]:
+                dist[c.later][c.earlier] = 0
         for mid in range(m):
             row_mid = dist[mid]
             for x in range(m):

@@ -32,9 +32,8 @@ Two pool flavours:
     recompiles — and each worker keeps an LRU of prepared matchers keyed
     by the query's plan key, so a repeated plan skips ``prepare()`` in
     the worker just as the plan cache skips it in-process.  Worker plans
-    run the shape enumerators their parent resolved before the fork and
-    never compile: a plan reused in the pool would pay its compile once
-    per worker.  Before each task a worker drops the plans and
+    run the shape enumerators their parent resolved before the fork.
+    Before each task a worker drops the plans and
     mappings of graphs the parent has since replaced or dropped.  A
     worker that dies mid-query fails that query with
     :class:`~repro.errors.WorkerCrashedError`; that query's workers are
@@ -158,7 +157,7 @@ class ProcessSpec:
 
 
 class _WorkerPlans:
-    """One pool worker's LRU of prepared (uncompiled: shape-tier) matchers.
+    """One pool worker's LRU of prepared matchers.
 
     Keyed by (segment name, plan key): a hit reuses the matcher its
     first task prepared; a miss prepares one against the attached graph.

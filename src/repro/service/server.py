@@ -152,11 +152,6 @@ class ServiceResult:
     truncated_by_limit: bool = False
     truncated_by_deadline: bool = False
     ordered: bool = False
-    #: True when the plan's compiled enumerator (``codegen``) served the
-    #: answer: an in-process run on a reused plan of an algorithm with a
-    #: generator.  A cold plan and a process-pool fan-out run the shape
-    #: enumerator.  A request's ``codegen`` field does not change it.
-    codegen: bool = False
     estimate: CountEstimate | None = None
     stats: SearchStats = field(repr=False, default_factory=SearchStats)
     trace_id: str | None = None
@@ -181,7 +176,6 @@ class ServiceResult:
             "truncated_by_limit": self.truncated_by_limit,
             "truncated_by_deadline": self.truncated_by_deadline,
             "ordered": self.ordered,
-            "codegen": self.codegen,
             "plan_cache": self.plan_cache,
             "result_cache": self.result_cache,
             "build_seconds": self.build_seconds,
@@ -507,13 +501,10 @@ class TCSMService:
         ``"cost"``); it is folded into the matcher options, so plan and
         result caches key distinct plans separately.
 
-        Plans compile on reuse (:mod:`repro.core.codegen`): a cold plan
-        runs the shape enumerator of its query shape, and the first
-        plan-cache hit that runs in-process compiles it, so every reused
-        plan runs its own plan-mode code.  A ``codegen`` entry in
-        *options* is dropped: it selects nothing and splits no cache
-        key.  Process-pool workers keep their plans on the shape tier.  The result's ``codegen``
-        field says whether the compiled enumerator served the answer.
+        Every plan runs the generated enumerator of its query shape
+        (:mod:`repro.core.codegen`).  A ``codegen`` entry in *options*
+        is accepted and dropped: it selects nothing and splits no cache
+        key.
 
         ``trace=True`` forces tracing for this query; otherwise the
         configured sample rate decides.  Traced queries bypass the result
@@ -577,8 +568,7 @@ class TCSMService:
         options = dict(options) if options else {}
         if plan is not None:
             options["plan"] = plan
-        # Compiling is the plan cache's decision (on reuse), so a
-        # codegen request neither compiles in prepare nor splits a key.
+        # Accepted for compatibility; it selects nothing.
         options.pop("codegen", None)
         order = (order_by or "any").lower()
         answer_mode = (mode or "enumerate").lower()
@@ -668,9 +658,6 @@ class TCSMService:
             # is "process"; a one-partition query runs on this thread on
             # the cached plan either way.
             shared = handle.shared if count > 1 else None
-            compiled = shared is None and self._compile_on_reuse(
-                plan, plan_hit, tr
-            )
             with tr.span("enumerate", algorithm=algo) as span:
                 if shared is not None:
                     # Workers attach to the segment by name and keep
@@ -743,7 +730,6 @@ class TCSMService:
                 truncated_by_limit=outcome.truncated_by_limit,
                 truncated_by_deadline=timed_out,
                 ordered=outcome.ordered,
-                codegen=compiled,
                 plan_cache="hit" if plan_hit else "miss",
                 result_cache="miss" if use_result_cache else "bypass",
                 build_seconds=0.0 if plan_hit else plan.build_seconds,
@@ -763,24 +749,6 @@ class TCSMService:
             return result, result.to_dict(include_matches) if reply else None
         finally:
             self._release()
-
-    def _compile_on_reuse(
-        self, plan: CachedPlan, plan_hit: bool, tr: TraceSink
-    ) -> bool:
-        """Compile a reused plan's enumerator; True if it is compiled.
-
-        A plan-cache miss stays on its shape enumerator: a plan used once
-        never earns back the compile.  The first hit compiles it (once, whatever the
-        concurrency; the ``codegen-compile`` span lands in this query's
-        trace) and counts ``plan_compiles``.
-        """
-        matcher = plan.matcher
-        compile_plan = getattr(matcher, "compile", None)
-        if compile_plan is None:
-            return False  # no generator for this algorithm
-        if plan_hit and compile_plan(tracer=tr):
-            self.metrics.inc("plan_compiles")
-        return getattr(matcher, "compiled_source", None) is not None
 
     def _estimate(
         self,

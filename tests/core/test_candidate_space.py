@@ -125,7 +125,7 @@ def test_prepare_builds_no_entries():
     graph = random_temporal_graph(30, 400, ["A", "B"], seed=5)
     query = QUERIES[1]
     tc = TemporalConstraints([], num_edges=query.num_edges)
-    matcher = create_matcher("tcsm-eve", query, tc, graph, codegen=True)
+    matcher = create_matcher("tcsm-eve", query, tc, graph)
     matcher.prepare()
     indexes = [i for i in matcher.candidate_space.slots if i is not None]
     assert indexes and not any(indexes)
@@ -175,29 +175,28 @@ def test_concurrent_runs_share_one_lazily_filled_index():
     query = QUERIES[1]
     tc = TemporalConstraints([(0, 1, 60), (1, 2, 60)], num_edges=4)
     want = find_matches(query, tc, graph, algorithm="tcsm-eve")
-    for codegen in (False, True):
-        matcher = create_matcher("tcsm-eve", query, tc, graph, codegen=codegen)
-        matcher.prepare()
-        results: list = []
+    matcher = create_matcher("tcsm-eve", query, tc, graph)
+    matcher.prepare()
+    results: list = []
 
-        def run():
-            results.append(find_matches(query, tc, graph, matcher=matcher))
+    def run():
+        results.append(find_matches(query, tc, graph, matcher=matcher))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(results) == 8
-        for result in results:
-            assert result.matches == want.matches
-            assert result.stats == want.stats
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    for result in results:
+        assert result.matches == want.matches
+        assert result.stats == want.stats
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +283,7 @@ def test_v2v_prepare_builds_no_entries():
     graph = random_temporal_graph(30, 400, ["A", "B"], seed=5)
     query = V2V_QUERIES[1]
     tc = TemporalConstraints([], num_edges=query.num_edges)
-    matcher = create_matcher("tcsm-v2v", query, tc, graph, codegen=True)
+    matcher = create_matcher("tcsm-v2v", query, tc, graph)
     matcher.prepare()
     lists = [entry for entry in matcher.candidate_lists if entry is not None]
     assert lists and not any(lists)
@@ -299,26 +298,25 @@ def test_concurrent_v2v_runs_share_one_lazily_filled_list():
     tc = TemporalConstraints([(0, 1, 60), (1, 2, 60)], num_edges=3)
     want = find_matches(query, tc, graph, algorithm="tcsm-v2v")
     assert want.matches
-    for codegen in (False, True):
-        matcher = create_matcher("tcsm-v2v", query, tc, graph, codegen=codegen)
-        matcher.prepare()
-        results: list = []
+    matcher = create_matcher("tcsm-v2v", query, tc, graph)
+    matcher.prepare()
+    results: list = []
 
-        def run():
-            results.append(find_matches(query, tc, graph, matcher=matcher))
+    def run():
+        results.append(find_matches(query, tc, graph, matcher=matcher))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=run) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(results) == 8
-        for result in results:
-            assert result.matches == want.matches
-            assert result.stats == want.stats
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8
+    for result in results:
+        assert result.matches == want.matches
+        assert result.stats == want.stats

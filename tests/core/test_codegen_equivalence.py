@@ -1,16 +1,14 @@
-"""Differential tests: compiled enumerators vs the interpreted matchers.
+"""Differential tests: the generated enumerators vs the oracle, and
+``MatchOptions.codegen`` as the no-op it is.
 
-``MatchOptions(codegen=True)`` swaps the interpreted DFS for a
-specialised function generated by :mod:`repro.core.codegen`.  The
-contract is *bit-identical observable behaviour*: the match multiset,
-the emission order, and every :class:`SearchStats` counter stream
-(candidates, validations, per-layer failures, timestamp window
-bookkeeping, filter buckets) must be indistinguishable from the
-interpreted run — across query shapes, algorithms, graph backends and
-result sinks.  Anything less would make the flag unusable: counters are
-pinned by the paper-parity suite and the benchmarks, and a compiled
-plan silently drifting from its interpreted twin is the classic codegen
-failure mode.
+Every V2V, E2E and EVE plan runs the one enumerator
+:mod:`repro.core.codegen` writes for its query shape.  ``codegen`` is
+still accepted and must select nothing: with it on, the match sequence
+and every :class:`SearchStats` counter stream (candidates, validations,
+per-layer failures, timestamp window bookkeeping, filter buckets) are
+exactly those of a run without it — across query shapes, algorithms,
+graph backends and result sinks — and a full enumeration finds the
+brute-force oracle's match multiset.
 """
 
 import gc
@@ -20,8 +18,7 @@ import weakref
 import pytest
 
 from repro.core import MatchOptions, find_matches
-from repro.core.codegen import compile_enumerator, set_codegen_listener
-from repro.core.engine import create_matcher, supports_codegen
+from repro.core.engine import create_matcher
 from repro.graphs import (
     QueryGraph,
     TemporalConstraints,
@@ -61,7 +58,7 @@ def segmented_copy(source):
 
 
 def key_stats(stats):
-    """Every counter stream the compiled plan must reproduce exactly."""
+    """Every counter stream a run reports."""
     return {
         "candidates": stats.candidates_generated,
         "validations": stats.validations,
@@ -82,18 +79,29 @@ def key_stats(stats):
 
 
 def assert_equivalent(query, constraints, graph, algorithm, options, **kwargs):
-    """One interpreted-vs-compiled differential run."""
+    """One run with and one without ``codegen``, plus the oracle.
+
+    The two runs must agree exactly; an unlimited, unpartitioned
+    enumeration must find the oracle's match multiset.
+    """
     base = find_matches(
         query, constraints, graph, algorithm=algorithm,
         options=options, **kwargs,
     )
-    comp = find_matches(
+    flagged = find_matches(
         query, constraints, graph, algorithm=algorithm,
         options=options.replace(codegen=True), **kwargs,
     )
-    assert comp.matches == base.matches, "match sequence diverged"
-    assert key_stats(comp.stats) == key_stats(base.stats), "counters diverged"
-    return base, comp
+    assert flagged.matches == base.matches, "match sequence diverged"
+    assert key_stats(flagged.stats) == key_stats(base.stats), "counters diverged"
+    whole = options.limit is None and options.partition is None
+    if whole and options.mode == "enumerate":
+        oracle = find_matches(
+            query, constraints, graph, algorithm="brute-force",
+            options=MatchOptions(tighten=options.tighten),
+        )
+        assert sorted(base.matches) == sorted(oracle.matches)
+    return base, flagged
 
 
 #: (query, constraints) triple covering a path, a cycle-with-chord, and
@@ -225,11 +233,6 @@ class TestRandomizedFuzz:
 
 
 class TestCodegenMechanics:
-    def test_supports_codegen_flags(self):
-        for algorithm in ALGORITHMS:
-            assert supports_codegen(algorithm)
-        assert not supports_codegen("brute-force")
-
     def test_codegen_on_unsupported_algorithm_is_ignored(self, backends):
         query, constraints = PATTERNS[0]
         base = find_matches(
@@ -242,32 +245,14 @@ class TestCodegenMechanics:
         )
         assert sorted(comp.matches) == sorted(base.matches)
 
-    def test_compiled_source_exposed_and_listener_fires(self, backends):
-        query, constraints = PATTERNS[1]
-        compiled = []
-        set_codegen_listener(lambda plan: compiled.append(plan))
-        try:
-            matcher = create_matcher(
-                "tcsm-eve", query, constraints, backends["snapshot"],
-                codegen=True,
-            )
-            matcher.prepare()
-        finally:
-            set_codegen_listener(None)
-        assert matcher.compiled_source is not None
-        assert "def _enumerate" in matcher.compiled_source
-        assert len(compiled) == 1
-        assert compiled[0].source == matcher.compiled_source
-
-    def test_compile_enumerator_rejects_foreign_objects(self):
-        assert compile_enumerator(object()) is None
-
     def test_codegen_in_canonical_hash(self):
+        """It selects nothing, so it keys nothing."""
         plain = MatchOptions().canonical_hash()
-        compiled = MatchOptions(codegen=True).canonical_hash()
-        assert plain != compiled
+        flagged = MatchOptions(codegen=True).canonical_hash()
+        assert plain == flagged
 
     def test_deadline_through_compiled_entry(self, backends):
+        """A deadline stops the generated entry, flag or no flag."""
         query, constraints = PATTERNS[1]
         result = find_matches(
             query, constraints, backends["snapshot"], algorithm="tcsm-eve",
@@ -280,18 +265,20 @@ class TestCodegenMechanics:
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_dropped_compiled_plan_is_freed_without_a_collection(algorithm):
-    """A compiled plan is in no reference cycle, so dropping its matcher
-    frees the generated function and the candidate index it closes over
-    at once (a plan cache's evictions do not wait for the collector)."""
+    """A prepared plan that has run its compiled shape enumerator is in
+    no reference cycle, so dropping its matcher frees it (and the
+    candidate index only it holds) at once: a plan cache's evictions do
+    not wait for the collector."""
     graph = ensure_snapshot(random_graph())
     query = QueryGraph(["A", "B", "A"], [(0, 1), (1, 2)])
     tc = TemporalConstraints([(0, 1, 50)], num_edges=2)
+    gc.collect()
     gc.disable()
     try:
-        matcher = create_matcher(algorithm, query, tc, graph, codegen=True)
+        matcher = create_matcher(algorithm, query, tc, graph)
         find_matches(query, tc, graph, matcher=matcher)
-        entry = weakref.ref(matcher._compiled.entry)
+        plan = weakref.ref(matcher)
         del matcher
-        assert entry() is None
+        assert plan() is None
     finally:
         gc.enable()

@@ -1,17 +1,17 @@
-"""Lifetime of enumeration state: runs and compiled plans free what they
-hold by reference counting alone.
+"""Lifetime of enumeration state: runs and plans free what they hold
+by reference counting alone.
 
-A service keeps matchers in an LRU and compiles plans without bound, so
+A service keeps matchers in an LRU and prepares plans without bound, so
 neither may lean on the cyclic collector.  With ``gc`` disabled:
 
-* an interpreted V2V, E2E or EVE run leaves no collectable object,
-  whether it runs to the end or is stopped by a limit, a deadline or a
-  sink that raises (the compiled-plan counterpart is
+* a V2V, E2E or EVE run (on its shape enumerator) leaves no collectable
+  object, whether it runs to the end or is stopped by a limit, a
+  deadline or a sink that raises (the dropped-plan counterpart is
   ``test_dropped_compiled_plan_is_freed_without_a_collection`` in
   ``test_codegen_equivalence.py``);
-* a generated source stays in :mod:`linecache` exactly as long as its
-  entry function, so tracebacks out of a live plan show generated lines
-  and dropped plans leave nothing behind.
+* generated source lives in :mod:`linecache` only under the shapes'
+  ``<repro-shape:`` filenames, so tracebacks out of a live plan show
+  generated lines and dropped plans leave nothing behind.
 """
 
 import gc
@@ -78,7 +78,6 @@ def _run(matcher, stop):
 def test_interpreted_run_leaves_no_cycle(graph, algorithm, stop):
     matcher = create_matcher(algorithm, QUERY, CONSTRAINTS, graph)
     matcher.prepare()
-    assert matcher.compiled_source is None
     gc.collect()
     gc.disable()
     try:
@@ -92,36 +91,35 @@ def test_interpreted_run_leaves_no_cycle(graph, algorithm, stop):
     assert (seen > expected) if stop == "full" else (seen == expected)
 
 
-def _codegen_keys():
-    return {key for key in linecache.cache if key.startswith("<repro-codegen")}
+def _plan_keys():
+    """linecache keys that are not a shape enumerator's."""
+    return {key for key in linecache.cache if not key.startswith("<repro-shape:")}
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_dropped_plans_leave_no_linecache_entry(graph, algorithm):
-    before = _codegen_keys()
+    before = _plan_keys()
     gc.collect()
     gc.disable()
     try:
         for _ in range(50):
-            matcher = create_matcher(
-                algorithm, QUERY, CONSTRAINTS, graph, codegen=True
-            )
+            matcher = create_matcher(algorithm, QUERY, CONSTRAINTS, graph)
             matcher.prepare()
-            assert matcher.compiled_source is not None
+            _run(matcher, "full")
             del matcher
-        assert _codegen_keys() <= before
+        assert _plan_keys() <= before
     finally:
         gc.enable()
 
 
 def test_live_plan_traceback_shows_generated_lines(graph):
-    matcher = create_matcher("tcsm-eve", QUERY, CONSTRAINTS, graph, codegen=True)
+    matcher = create_matcher("tcsm-eve", QUERY, CONSTRAINTS, graph)
     matcher.prepare()
     try:
         matcher.run_sink(RunContext(), RaisingSink())
     except _Boom as exc:
         frames = traceback.extract_tb(exc.__traceback__)
-    generated = [f for f in frames if f.filename.startswith("<repro-codegen")]
+    generated = [f for f in frames if f.filename == "<repro-shape:eve/2>"]
     assert generated
     assert all(f.line for f in generated)
     assert generated[0].name == "_enumerate"

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from repro.core import (
+    MatchOptions,
     count_timestamp_assignments,
     create_matcher,
     find_matches,
@@ -185,7 +186,7 @@ def test_prepared_v2v_plan_never_recomputes_the_distance_matrix(
     graph = random_temporal_graph(30, 600, ["A", "B"], seed=3)
     query = QueryGraph(["A", "B", "A", "B"], [(0, 1), (1, 2), (2, 3)])
     tc = TemporalConstraints([(0, 1, 40), (1, 2, 40)], num_edges=3)
-    matcher = create_matcher("tcsm-v2v", query, tc, graph, codegen=codegen)
+    matcher = create_matcher("tcsm-v2v", query, tc, graph)
     matcher.prepare()
     calls = []
     original = TemporalConstraints.distance_matrix
@@ -195,7 +196,9 @@ def test_prepared_v2v_plan_never_recomputes_the_distance_matrix(
         return original(self)
 
     monkeypatch.setattr(TemporalConstraints, "distance_matrix", counted)
-    result = find_matches(query, tc, graph, matcher=matcher)
+    result = find_matches(
+        query, tc, graph, matcher=matcher, options=MatchOptions(codegen=codegen)
+    )
     leaves = result.stats.filters["timestamp-join"].considered
     assert leaves > 100 and result.stats.matches > 100
     assert calls == []

@@ -1,24 +1,25 @@
 """Shape enumerators: one generated search per query shape.
 
-A cold V2V, E2E or EVE plan runs the enumerator :mod:`repro.core.codegen`
-writes for its shape, reading the plan from its tables; ``compile()``
-writes the same search with the tables inlined.  A V2V shape is the
-vertex and edge counts ``(n, m)``; an E2E or EVE shape is the edge count
-alone, each position's kind being read from the tables at run time.
+Every V2V, E2E or EVE plan runs the enumerator :mod:`repro.core.codegen`
+writes for its shape, reading the plan from its tables.  A V2V shape is
+the vertex and edge counts ``(n, m)``; an E2E or EVE shape is the edge
+count alone, each position's kind being read from the tables at run
+time.
 
 * Many plans of a few shapes compile one enumerator per shape, shared
-  by every plan of that shape, and none of those compiles is a plan
-  compile: no ``<repro-codegen`` source, no listener call.
+  by every plan of that shape; :mod:`linecache` gains only the shapes'
+  sources.
 * On a disconnected pattern (a seed after the root), an edge-labelled
   one and, for E2E/EVE, one with ``in`` and ``close`` positions, whole
   and split into partitions, the shape enumerator finds the oracle's
-  matches with plan mode's counters.
-* An edgeless query, which plan mode declines, runs on its V2V shape
-  enumerator, whose leaf sums no runs.
+  matches, and a request for plan mode (``codegen=True``, accepted and
+  ignored) gets exactly the same matches and counters.
+* An edgeless query runs on its V2V shape enumerator, whose leaf sums
+  no runs.
 * A traceback out of a shape enumerator shows its generated lines.
-* An unbounded gap (``math.inf``) is read from the tables in shape mode
-  and inlined as a number, not as the name ``inf``, in plan mode (by
-  both generators).
+* An unbounded gap (``math.inf``) is read from the tables.
+* E2E/EVE test no constraint per timestamp: the STN-closure window
+  each position bisects to already implies every check closing there.
 """
 
 import linecache
@@ -107,8 +108,9 @@ def labelled_graph():
     return ensure_snapshot(graph)
 
 
-def _codegen_keys():
-    return {key for key in linecache.cache if key.startswith("<repro-codegen")}
+def _plan_keys():
+    """linecache keys that are not a shape enumerator's."""
+    return {key for key in linecache.cache if not key.startswith("<repro-shape:")}
 
 
 def _shape_key(algorithm, query):
@@ -123,26 +125,19 @@ def test_plans_of_a_shape_share_one_enumerator(graph):
         # V2V: three shapes; E2E and EVE: two (the edge counts).
         shapes = {_shape_key(algorithm, q) for q in SHAPED}
         before = dict(codegen._SHAPES)
-        keys = _codegen_keys()
-        compiles = []
-        codegen.set_codegen_listener(compiles.append)
-        try:
-            matchers = []
-            for i in range(40):
-                query = SHAPED[i % 3]
-                constraints = TemporalConstraints(
-                    [(0, 1, 20 + 5 * i)], num_edges=query.num_edges
-                )
-                matcher = create_matcher(algorithm, query, constraints, graph)
-                find_matches(query, constraints, graph, matcher=matcher)
-                assert matcher.compiled_source is None
-                matchers.append(matcher)
-        finally:
-            codegen.set_codegen_listener(None)
+        keys = _plan_keys()
+        matchers = []
+        for i in range(40):
+            query = SHAPED[i % 3]
+            constraints = TemporalConstraints(
+                [(0, 1, 20 + 5 * i)], num_edges=query.num_edges
+            )
+            matcher = create_matcher(algorithm, query, constraints, graph)
+            find_matches(query, constraints, graph, matcher=matcher)
+            matchers.append(matcher)
         added = set(codegen._SHAPES) - set(before)
         assert added <= shapes and len(added) <= len(shapes)
-        assert _codegen_keys() == keys
-        assert compiles == []
+        assert _plan_keys() == keys
         for matcher in matchers:
             shape = _shape_key(algorithm, matcher.query)
             assert matcher._shape is codegen._SHAPES[shape]
@@ -159,7 +154,6 @@ def test_shape_equals_oracle_and_plan_mode(
     options = MatchOptions(partition=partition)
     shape = create_matcher(algorithm, query, constraints, data)
     cold = find_matches(query, constraints, data, matcher=shape, options=options)
-    assert shape.compiled_source is None
     if algorithm != "tcsm-v2v":
         # The case reaches the kinds it is named for.
         kinds = set(shape.tables.kinds[1:])
@@ -198,11 +192,9 @@ def test_partitions_cover_the_oracle(graph, labelled_graph):
 def test_edgeless_query_runs_on_its_shape(graph):
     query = QueryGraph(["A", "B"], [])
     constraints = TemporalConstraints([], num_edges=0)
-    matcher = create_matcher(
-        "tcsm-v2v", query, constraints, graph, codegen=True
-    )
+    matcher = create_matcher("tcsm-v2v", query, constraints, graph)
     result = find_matches(query, constraints, graph, matcher=matcher)
-    assert matcher.compiled_source is None
+    assert matcher._shape is codegen._SHAPES[("v2v", 2, 0)]
     oracle = find_matches(query, constraints, graph, algorithm="brute-force")
     assert sorted(result.matches) == sorted(oracle.matches)
     assert result.matches
@@ -235,9 +227,19 @@ def test_unbounded_gap_compiles(graph, algorithm):
     matcher = create_matcher(algorithm, SHAPED[0], constraints, graph)
     matcher.prepare()
     tables = matcher.tables
-    gaps = tables.closing if algorithm == "tcsm-v2v" else tables.checks
-    assert math.inf in [c.gap for checks in gaps for c in checks]
-    _, plan = assert_equivalent(
+    if algorithm == "tcsm-v2v":
+        bounds = [c.gap for checks in tables.closing for c in checks]
+    else:
+        bounds = [b for window in tables.windows for _, *pair in window for b in pair]
+    assert math.inf in bounds
+    result, _ = assert_equivalent(
         SHAPED[0], constraints, graph, algorithm, MatchOptions()
     )
-    assert plan.matches
+    assert result.matches
+
+
+@pytest.mark.parametrize("eve", [False, True])
+def test_e2e_window_is_the_only_temporal_check(eve):
+    source, _ = codegen._compile_e2e(4, eve)
+    assert "tmp_c += 1" in source
+    assert "tmp_p" not in source and "gap" not in source

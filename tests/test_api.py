@@ -1,15 +1,15 @@
 """The public facade: ``repro.api.prepare`` / ``match`` / ``serve``.
 
 ``prepare`` and ``match`` turn a :class:`MatchOptions` into matcher
-constructor keywords by one shared rule (``plan`` always, ``codegen``
-where the algorithm has a generator), so a plan prepared up front is the
-plan a one-shot ``match`` would have built.
+constructor keywords by one shared rule (``plan``; ``codegen`` is
+accepted and ignored), so a plan prepared up front is the plan a
+one-shot ``match`` would have built.
 """
 
 import pytest
 
 from repro import api
-from repro.datasets import random_instance, toy_instance
+from repro.datasets import toy_instance
 from repro.graphs import snapshot_compile_count
 
 
@@ -67,29 +67,16 @@ class TestOptionsForwarding:
         )
         assert matcher.plan == "paper"
 
-    @pytest.mark.parametrize("algorithm", ["tcsm-v2v", "tcsm-e2e", "tcsm-eve"])
-    def test_codegen_is_forwarded(self, algorithm):
-        query, constraints, graph = random_instance(seed=1)
-        matcher = api.prepare(
-            query, constraints, graph, algorithm=algorithm,
-            options=api.MatchOptions(codegen=True),
-        )
-        assert matcher.codegen is True
-        assert matcher.compiled_source is not None
-        interpreted = api.match(query, constraints, graph, algorithm=algorithm)
-        compiled = api.match(query, constraints, graph, matcher=matcher)
-        assert compiled.matches == interpreted.matches
-        assert compiled.stats == interpreted.stats
-
     def test_codegen_ignored_where_unsupported(self, toy):
+        """No algorithm takes ``codegen`` any more: every one ignores it."""
         query, constraints, graph = toy
-        matcher = api.prepare(
-            query, constraints, graph, algorithm="brute-force",
-            options=api.MatchOptions(codegen=True),
-        )
-        assert not hasattr(matcher, "codegen")
-        assert api.match(
-            query, constraints, graph, matcher=matcher
-        ).matches == api.match(
-            query, constraints, graph, algorithm="brute-force"
-        ).matches
+        for algorithm in ("brute-force", "tcsm-v2v", "tcsm-e2e", "tcsm-eve"):
+            matcher = api.prepare(
+                query, constraints, graph, algorithm=algorithm,
+                options=api.MatchOptions(codegen=True),
+            )
+            assert not hasattr(matcher, "codegen")
+            flagged = api.match(query, constraints, graph, matcher=matcher)
+            plain = api.match(query, constraints, graph, algorithm=algorithm)
+            assert flagged.matches == plain.matches
+            assert flagged.stats == plain.stats

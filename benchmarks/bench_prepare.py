@@ -1,4 +1,4 @@
-"""Prepare cost per pattern: STN closure, NLF/LDF filters, planner, codegen.
+"""Prepare cost per pattern: STN closure, NLF/LDF filters, planner.
 
 Plan-churn traffic (every request a never-seen pattern) pays a full
 ``prepare`` per request, and the candidate filters (the paper's Defs.
@@ -7,9 +7,9 @@ patterns from the sx-askubuntu (UB) stand-in exactly as the suite's
 plan-churn workload does (``benchmarks/suite/inputs.py``: 4-6 vertices,
 a tree or one extra edge, 2 or 3 constraints, each extracted from the
 graph), and times ``repro.api.prepare`` with ``plan="cost"`` on every
-pattern for each TCSM algorithm, with and without codegen.
+pattern for each TCSM algorithm.
 
-The report carries, per configuration, the mean and median prepare time
+The report carries, per algorithm, the mean and median prepare time
 per pattern, and the total ``nlf`` / ``ldf`` filter counters over all
 prepares.  The counters are deterministic: the check mode
 (``--check``) recomputes them and compares the totals against the
@@ -51,8 +51,7 @@ DATASET = "UB"
 #: Patterns drawn per plan-churn shape (12 shapes).
 PATTERNS_PER_SHAPE = 4
 ALGORITHMS = ("tcsm-v2v", "tcsm-e2e", "tcsm-eve")
-CODEGEN = (False, True)
-#: Timed prepares per (pattern, configuration); the best one counts.
+#: Timed prepares per (pattern, algorithm); the best one counts.
 REPEATS = 3
 #: The candidate filters whose counters the record pins.
 FILTERS = ("nlf", "ldf")
@@ -76,7 +75,6 @@ def workload(seed: int = SEED, repeats: int = REPEATS) -> dict[str, object]:
         "shapes": [list(shape) for shape in _shapes()],
         "patterns_per_shape": PATTERNS_PER_SHAPE,
         "algorithms": list(ALGORITHMS),
-        "codegen": list(CODEGEN),
         "plan": "cost",
         "repeats": repeats,
     }
@@ -97,34 +95,32 @@ def patterns(seed: int = SEED) -> tuple[TemporalGraph, list[dict[str, Any]]]:
 
 
 def measure(seed: int = SEED, repeats: int = REPEATS) -> dict[str, Any]:
-    """Per-configuration prepare times and the total filter counters."""
+    """Per-algorithm prepare times and the total filter counters."""
     graph, drawn = patterns(seed)
     snapshot = graph.freeze()  # compile once, outside the timed region
     parsed = [pattern_from_dict(pattern) for pattern in drawn]
     configs: dict[str, dict[str, float]] = {}
     totals = {name: {"considered": 0, "pruned": 0} for name in FILTERS}
+    options = MatchOptions(plan="cost")
     for algorithm in ALGORITHMS:
-        for codegen in CODEGEN:
-            options = MatchOptions(plan="cost", codegen=codegen)
-            times: list[float] = []
-            for query, constraints in parsed:
-                best = float("inf")
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    matcher = prepare(
-                        query, constraints, snapshot, algorithm, options=options
-                    )
-                    best = min(best, time.perf_counter() - started)
-                times.append(best)
-                for name, bucket in matcher.prepare_stats.filters.items():
-                    if name in totals:
-                        totals[name]["considered"] += bucket.considered
-                        totals[name]["pruned"] += bucket.pruned
-            key = f"{algorithm}/{'codegen' if codegen else 'interp'}"
-            configs[key] = {
-                "mean_ms": statistics.fmean(times) * 1e3,
-                "median_ms": statistics.median(times) * 1e3,
-            }
+        times: list[float] = []
+        for query, constraints in parsed:
+            best = float("inf")
+            for _ in range(repeats):
+                started = time.perf_counter()
+                matcher = prepare(
+                    query, constraints, snapshot, algorithm, options=options
+                )
+                best = min(best, time.perf_counter() - started)
+            times.append(best)
+            for name, bucket in matcher.prepare_stats.filters.items():
+                if name in totals:
+                    totals[name]["considered"] += bucket.considered
+                    totals[name]["pruned"] += bucket.pruned
+        configs[algorithm] = {
+            "mean_ms": statistics.fmean(times) * 1e3,
+            "median_ms": statistics.median(times) * 1e3,
+        }
     every = [row["mean_ms"] for row in configs.values()]
     return {
         "patterns": len(drawn),

@@ -25,7 +25,13 @@ from .plans import (
 )
 from .async_front import AsyncFrontConfig, AsyncFrontDoor, serve_stdio_async
 from .registry import GraphHandle, GraphRegistry
-from .server import ServiceConfig, ServiceResult, TCSMService, serve_stdio
+from .server import (
+    PendingRequest,
+    ServiceConfig,
+    ServiceResult,
+    TCSMService,
+    serve_stdio,
+)
 from .tracing import TraceSampler, TraceStore
 
 __all__ = [
@@ -38,6 +44,7 @@ __all__ = [
     "GraphRegistry",
     "Histogram",
     "MetricsRegistry",
+    "PendingRequest",
     "PlanCache",
     "PlanKey",
     "ProcessSpec",

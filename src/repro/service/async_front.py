@@ -16,13 +16,24 @@ event loop.  The :class:`AsyncFrontDoor` bridges the two worlds:
   one request per visit, so a tenant flooding the door cannot starve a
   light tenant: with two tenants at equal priority each gets every other
   admission slot regardless of queue depths.
+* **Answers without a search stay on the loop.**  When the door is
+  idle (no request queued in any lane, no batch running on a service
+  thread), it runs the service's ``lookup`` on the event loop: a
+  result-cache hit, ``poll``, ``ping``, ``metrics``, ``graphs``, a
+  ``trace`` lookup and every error or rejection envelope are answered
+  there, and the submitting coroutine yields once so other clients
+  run.  Anything else joins its tenant's lane as the lookup left it, so
+  the service thread continues it without looking it up again.  A busy
+  door answers nothing inline: the loop would contend for the GIL with
+  the thread that searches.  A service without ``lookup`` (any object
+  with only ``submit``) has every request cross to a thread.
 * **Batched thread handoff.**  Each admission worker owns one
   long-lived service thread.  It drains up to ``max_batch`` requests
   per wakeup and hands the batch to its thread through a
   :class:`queue.SimpleQueue`; the thread runs the batch and answers
-  with ``loop.call_soon_threadsafe``.  A request crosses one thread
-  boundary each way, and the handoff is paid per batch, not per
-  request.
+  with ``loop.call_soon_threadsafe``.  A request that crosses to a
+  thread crosses one thread boundary each way, and the handoff is paid
+  per batch, not per request.
 
 :func:`serve_stdio_async` is the JSONL wiring (``repro serve --async``):
 same newline-delimited protocol as :func:`~repro.service.serve_stdio`,
@@ -80,12 +91,22 @@ class AsyncFrontConfig:
 
 @dataclass
 class FrontDoorStats:
-    """Counters the front door keeps (read them via ``stats()``)."""
+    """Counters the front door keeps (read them via ``stats_snapshot()``).
+
+    Each of the ``submitted`` requests ends as one of: ``shed`` (the
+    door rejected it), ``inline`` (answered on the event loop) or
+    ``admitted`` (handed to a service thread in one of ``batches``).
+    ``served`` counts the admitted requests whose reply came back from
+    a thread.  Once the lanes drain, ``submitted == shed + inline +
+    admitted``, and ``served == admitted`` unless an exception escaped
+    a batch.  ``admitted / batches`` is the mean thread handoff's size.
+    """
 
     submitted: int = 0
     admitted: int = 0
     shed: int = 0
     served: int = 0
+    inline: int = 0
     batches: int = 0
     shed_by_tenant: dict[str, int] = field(default_factory=dict)
 
@@ -95,12 +116,15 @@ class FrontDoorStats:
             "admitted": self.admitted,
             "shed": self.shed,
             "served": self.served,
+            "inline": self.inline,
             "batches": self.batches,
             "shed_by_tenant": dict(self.shed_by_tenant),
         }
 
 
-_QueueItem = tuple[dict[str, Any], "asyncio.Future[dict[str, Any]]"]
+#: A queued request (or what the service's ``lookup`` left of it) and
+#: the future its reply settles.
+_QueueItem = tuple[Any, "asyncio.Future[dict[str, Any]]"]
 #: One batch handed to a service thread, and the future it settles.
 _Handoff = tuple[list[_QueueItem], "asyncio.Future[None]"]
 
@@ -110,8 +134,11 @@ class AsyncFrontDoor:
 
     The wrapped object only needs a ``submit(request) -> response``
     method; in production that is a :class:`TCSMService`, in tests it
-    can be any stub.  Use as an async context manager, or call
-    :meth:`start` / :meth:`close` explicitly::
+    can be any stub.  If it also has ``lookup(request)``, returning the
+    reply (a dict) or something to pass to ``submit`` instead of the
+    request, an idle door answers on the loop what ``lookup`` answers.
+    Use as an async context manager, or call :meth:`start` /
+    :meth:`close` explicitly::
 
         async with AsyncFrontDoor(service) as front:
             response = await front.submit({"op": "ping"})
@@ -137,6 +164,9 @@ class AsyncFrontDoor:
         self._threads: list[threading.Thread] = []
         self._inboxes: list[SimpleQueue[_Handoff | None]] = []
         self._closing = False
+        self._lookup = getattr(service, "lookup", None)
+        #: Batches handed to a service thread and not yet settled.
+        self._running = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -204,7 +234,8 @@ class AsyncFrontDoor:
         Returns the service's response, or an immediate shed envelope
         (``status="rejected"``, ``shed=true``) when the tenant's queue
         is at ``max_queue_depth`` — the caller never blocks behind a
-        backlog it cannot join.
+        backlog it cannot join.  An idle door answers what the service's
+        ``lookup`` answers at once, then yields to the loop once.
         """
         if self._cond is None:
             raise ServiceError(
@@ -212,20 +243,34 @@ class AsyncFrontDoor:
                 "call start()"
             )
         tenant = str(request.get(self.config.tenant_field, "default"))
-        future: asyncio.Future[dict[str, Any]]
-        future = asyncio.get_running_loop().create_future()
+        answer: dict[str, Any] | None = None
         async with self._cond:
             self.stats.submitted += 1
             if self._closing:
                 return self._shed_response(request, tenant, "closing")
-            queue = self._queues.setdefault(tenant, deque())
-            if len(queue) >= self.config.max_queue_depth:
-                return self._shed_response(request, tenant, "queue full")
-            queue.append((request, future))
-            if len(queue) == 1:
-                self._ready.append(tenant)
-            self._cond.notify()
-        return await future
+            item: Any = request
+            if self._lookup is not None and not (self._ready or self._running):
+                # Idle: no thread searches, so answering here takes no
+                # GIL time from a search.
+                item = self._lookup(request)
+                if isinstance(item, dict):
+                    self.stats.inline += 1
+                    answer = item
+            if answer is None:
+                queue = self._queues.setdefault(tenant, deque())
+                if len(queue) >= self.config.max_queue_depth:
+                    return self._shed_response(request, tenant, "queue full")
+                future: asyncio.Future[dict[str, Any]]
+                future = asyncio.get_running_loop().create_future()
+                queue.append((item, future))
+                if len(queue) == 1:
+                    self._ready.append(tenant)
+                self._cond.notify()
+        if answer is None:
+            return await future
+        # Let other clients run before this one sends again.
+        await asyncio.sleep(0)
+        return answer
 
     def _shed_response(
         self, request: dict[str, Any], tenant: str, reason: str
@@ -273,6 +318,7 @@ class AsyncFrontDoor:
                         self._ready.append(tenant)
                 self.stats.admitted += len(batch)
                 self.stats.batches += 1
+                self._running += 1
             done: asyncio.Future[None] = loop.create_future()
             inbox.put((batch, done))
             try:
@@ -315,8 +361,13 @@ class AsyncFrontDoor:
         """Settle one batch's futures (runs on the event loop).
 
         A failed batch fails only ``done``; the worker awaiting it fails
-        the batch's futures.
+        the batch's futures.  The batch stops counting as running here,
+        before any of its clients resumes, so a client that sends again
+        at once finds the door idle.
         """
+        # A loop callback: it runs between coroutine steps, never inside
+        # one that reads or counts _running under _cond.
+        self._running -= 1  # reprolint: guarded-by(_cond)
         if isinstance(outcome, BaseException):
             if not done.done():
                 done.set_exception(outcome)

@@ -75,6 +75,7 @@ from ..graphs import (
     QueryGraph,
     SharedSnapshot,
     TemporalConstraints,
+    TemporalEdge,
     snapshot_compile_count,
     snapshot_write_barrier,
 )
@@ -209,10 +210,31 @@ def _start_worker(capacity: int) -> None:
     _WORKER_PLANS = _WorkerPlans(capacity)
 
 
+#: A match as it crosses the pipe: its edges and its vertex map as
+#: plain tuples.  A worker converts and pickles these in under a third
+#: of the time the :class:`Match` / :class:`TemporalEdge` NamedTuples
+#: take to pickle; the parent rebuilds the NamedTuples before merging.
+_WireMatch = tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+def _to_wire(matches: list[Match]) -> tuple[_WireMatch, ...]:
+    return tuple(
+        (tuple(map(tuple, match.edge_map)), match.vertex_map)
+        for match in matches
+    )
+
+
+def _from_wire(rows: tuple[_WireMatch, ...]) -> tuple[Match, ...]:
+    return tuple(
+        Match(tuple(map(TemporalEdge._make, edges)), vertices)
+        for edges, vertices in rows
+    )
+
+
 class _SliceResult(NamedTuple):
     """What a worker returns for one partition."""
 
-    matches: tuple[Match, ...]
+    matches: tuple[_WireMatch, ...]
     stats: SearchStats
     #: ``time.monotonic()`` when the worker picked the task up.
     started: float
@@ -263,7 +285,7 @@ def _run_task(
         )
         span.annotate(matches=run.stats.matches)
     return _SliceResult(
-        matches=tuple(run.matches),
+        matches=_to_wire(run.matches),
         stats=run.stats,
         started=started,
         pid=os.getpid(),
@@ -594,7 +616,7 @@ class QueryExecutor:
         # count stops each partition at the limit, as order "any" does.
         heaps = spec.mode == "enumerate" and spec.collect_matches
         matches_merged, stats_merged, truncated = _merge_partitions(
-            [(part.matches, part.stats) for part in parts],
+            [(_from_wire(part.matches), part.stats) for part in parts],
             spec.limit,
             spec.order_by if heaps else "any",
         )

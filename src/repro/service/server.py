@@ -24,6 +24,7 @@ import json
 import math
 import threading
 import time
+from collections.abc import Callable, Generator
 from dataclasses import dataclass, field, replace
 from typing import IO, Any, NamedTuple, cast
 
@@ -82,6 +83,7 @@ from .registry import GraphHandle, GraphRegistry
 from .tracing import TraceSampler, TraceStore
 
 __all__ = [
+    "PendingRequest",
     "ServiceConfig",
     "ServiceResult",
     "TCSMService",
@@ -238,6 +240,47 @@ class _Pattern:
         if self._parsed is None:
             self._parsed = pattern_from_dict(self._raw)
         return self._parsed
+
+
+#: A query's answer: its result and, for a JSONL request, its reply.
+_Answer = tuple[ServiceResult, dict[str, Any] | None]
+#: A query's two steps (see :meth:`TCSMService._query_steps`).
+_QuerySteps = Generator[None, None, _Answer]
+
+
+class PendingRequest:
+    """A request :meth:`TCSMService.lookup` could not answer without a
+    search or a change of state.
+
+    Pass it to :meth:`TCSMService.submit`, on any thread and once, to
+    finish it.  A query's ``steps`` resume past its result-cache read
+    and already hold its admission slot; any other op (``steps`` None)
+    runs whole.  ``get`` reads a field of the request, as on the request
+    itself, so code that reads a request on its way into ``submit``
+    reads a pending one alike.
+    """
+
+    __slots__ = ("request", "steps")
+
+    def __init__(
+        self, request: dict[str, Any], steps: _QuerySteps | None = None
+    ) -> None:
+        self.request = request
+        self.steps = steps
+
+    def get(self, name: str, default: Any = None) -> Any:
+        return self.request.get(name, default)
+
+
+#: Ops a lookup leaves for ``submit``: each changes the service's state.
+_STATE_OPS = (
+    "load_graph",
+    "drop_graph",
+    "subscribe",
+    "ingest",
+    "unsubscribe",
+    "shutdown",
+)
 
 
 class TCSMService:
@@ -515,7 +558,7 @@ class TCSMService:
         pattern = _Pattern(
             pattern_fingerprint(query, constraints), parsed=(query, constraints)
         )
-        result, _ = self._serve(
+        steps = self._query_steps(
             graph_name,
             pattern,
             reply=False,
@@ -531,9 +574,10 @@ class TCSMService:
             mode=mode,
             trace=trace,
         )
+        result, _ = _answer(steps)
         return result
 
-    def _serve(
+    def _query_steps(
         self,
         graph_name: str,
         pattern: _Pattern,
@@ -550,8 +594,18 @@ class TCSMService:
         order_by: str | None,
         mode: str | None,
         trace: bool,
-    ) -> tuple[ServiceResult, dict[str, Any] | None]:
-        """The query path :meth:`query` and the JSONL ``query`` op share.
+    ) -> _QuerySteps:
+        """The query path :meth:`query` and the JSONL ``query`` op share,
+        in its two steps.
+
+        The lookup step runs to a ``yield``: request defaults, admission,
+        the graph handle, the sampling decision, the result key and the
+        result-cache read.  A hit returns there.  Every other query (a
+        miss, a traced or uncached one, an estimate) yields holding its
+        admission slot, and the execute step resumes it, on any thread
+        and once: plan, run, cache put and meter.  The slot is released
+        when the steps end, or when they are closed (or collected)
+        unresumed.
 
         Returns the result and, when *reply* is set, its JSONL payload.
         A result-cache hit returns the entry as it was stored: the result
@@ -585,6 +639,7 @@ class TCSMService:
                 # no plan, no fan-out, and — critically — no result-cache
                 # read or write, so approximate counts never masquerade
                 # as exact entries.
+                yield
                 result = self._estimate(handle, pattern, options, tr, budget)
                 self._meter(result.algorithm, result, result_hit=False)
                 return result, result.to_dict(include_matches) if reply else None
@@ -619,6 +674,8 @@ class TCSMService:
                     return cached.result, cached.reply
                 self.metrics.inc("result_cache_misses")
 
+            # The search: everything below is the execute step.
+            yield
             plan_key = PlanKey(
                 graph_name=handle.name,
                 graph_version=handle.version,
@@ -894,7 +951,7 @@ class TCSMService:
     # ------------------------------------------------------------------
     # JSON request dispatch
     # ------------------------------------------------------------------
-    def submit(self, request: dict[str, Any]) -> dict[str, Any]:
+    def submit(self, request: dict[str, Any] | PendingRequest) -> dict[str, Any]:
         """Handle one JSON-level request; never raises.
 
         Known ops: ``query``, ``load_graph``, ``drop_graph``, ``graphs``,
@@ -904,13 +961,55 @@ class TCSMService:
         always carry
         ``status`` (``ok`` / ``error`` / ``rejected``), echo the request
         ``op`` and, when present, its ``id``.
+
+        A request runs :meth:`lookup` first; a :class:`PendingRequest`
+        that ``lookup`` returned continues from where it stopped.
+        """
+        step = request if isinstance(request, PendingRequest) else self.lookup(request)
+        if isinstance(step, dict):
+            return step
+        return self._finish(step)
+
+    def lookup(self, request: dict[str, Any]) -> dict[str, Any] | PendingRequest:
+        """The part of :meth:`submit` that needs no search.
+
+        Returns the reply of a request that needs none: a result-cache
+        hit, ``poll``, ``ping``, ``metrics``, ``graphs``, ``trace``, and
+        every error or rejection envelope.  Any other request comes back
+        as a :class:`PendingRequest` for ``submit`` to finish: a query
+        past its admission and result-cache read, an op that changes
+        state untouched.  A request is looked up once: ``submit`` does
+        not repeat the lookup for a pending request.
         """
         op = request.get("op", "query")
-        base: dict[str, Any] = {"op": op}
+        if op == "query":
+            return self._respond(request, lambda: self._lookup_query(request))
+        if op in _STATE_OPS:
+            return PendingRequest(request)
+        return self._respond(request, lambda: self._dispatch(op, request))
+
+    def _finish(self, pending: PendingRequest) -> dict[str, Any]:
+        """Run the work *pending* has left; its reply."""
+
+        def work() -> dict[str, Any]:
+            if pending.steps is None:
+                return self._dispatch(pending.get("op", "query"), pending.request)
+            return cast("dict[str, Any]", _answer(pending.steps)[1])
+
+        return cast("dict[str, Any]", self._respond(pending.request, work))
+
+    def _respond(
+        self,
+        request: dict[str, Any],
+        work: Callable[[], dict[str, Any] | PendingRequest],
+    ) -> dict[str, Any] | PendingRequest:
+        """*work*'s payload in an ``ok`` envelope, its failure in an
+        ``error`` or ``rejected`` one; a pending request passes through."""
+        base: dict[str, Any] = {"op": request.get("op", "query")}
         if "id" in request:
             base["id"] = request["id"]
         try:
-            payload = self._dispatch(op, request)
+            payload = work()
         except AdmissionError as exc:
             return {**base, "status": "rejected", "error": str(exc)}
         except ReproError as exc:
@@ -921,11 +1020,12 @@ class TCSMService:
                 "status": "error",
                 "error": f"bad request: {exc!r}",
             }
+        if isinstance(payload, PendingRequest):
+            return payload
         return {**base, "status": "ok", **payload}
 
     def _dispatch(self, op: str, request: dict[str, Any]) -> dict[str, Any]:
-        if op == "query":
-            return self._handle_query(request)
+        """Every op but ``query``."""
         if op == "load_graph":
             handle = self.load_graph_file(
                 str(request["name"]),
@@ -990,7 +1090,11 @@ class TCSMService:
             self._patterns.put(key, fingerprint)
         return _Pattern(fingerprint, parsed=parsed)
 
-    def _handle_query(self, request: dict[str, Any]) -> dict[str, Any]:
+    def _lookup_query(
+        self, request: dict[str, Any]
+    ) -> dict[str, Any] | PendingRequest:
+        """A query request's fields and lookup step: its reply on a
+        result-cache hit, else its pending execute step."""
         pattern = self._request_pattern(request)
         count_only = _flag(request, "count_only")
         budget: Any = _UNSET_BUDGET
@@ -1013,7 +1117,7 @@ class TCSMService:
         options: dict[str, Any] | None = None
         if (mode or "enumerate").lower() == "estimate":
             options = _numbers(request, probes=int, seed=int)
-        _, payload = self._serve(
+        steps = self._query_steps(
             str(request["graph"]),
             pattern,
             reply=True,
@@ -1029,7 +1133,10 @@ class TCSMService:
             mode=mode,
             trace=_flag(request, "trace"),
         )
-        return cast("dict[str, Any]", payload)
+        answer = _advance(steps)
+        if answer is None:
+            return PendingRequest(request, steps)
+        return cast("dict[str, Any]", answer[1])
 
     def _handle_subscribe(self, request: dict[str, Any]) -> dict[str, Any]:
         if "pattern" in request:
@@ -1091,6 +1198,21 @@ class TCSMService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _advance(steps: _QuerySteps) -> _Answer | None:
+    """Run *steps* to its answer, or to its search (None)."""
+    try:
+        next(steps)
+    except StopIteration as end:
+        return cast(_Answer, end.value)
+    return None
+
+
+def _answer(steps: _QuerySteps) -> _Answer:
+    """Run *steps* to its answer, through its search if it has one."""
+    answer = _advance(steps)
+    return answer if answer is not None else cast(_Answer, _advance(steps))
 
 
 def _flag(request: dict[str, Any], name: str) -> bool:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import create_matcher, find_matches
+from repro.core import Match, create_matcher, find_matches
+from repro.graphs import TemporalEdge
 from repro.service import (
     ExecutionOutcome,
     ProcessSpec,
@@ -236,6 +237,19 @@ class TestProcessExecution:
             outcome = executor.run_process(toy_spec, workers=2)
         assert outcome.partitions == 2
         assert sorted(outcome.matches) == sorted(reference.matches)
+
+    def test_worker_matches_come_back_as_matches(self, toy_spec):
+        """Workers ship plain tuples; the parent rebuilds the types, so
+        a process answer reads like an in-process one."""
+        with QueryExecutor(max_workers=2, pool="process") as executor:
+            outcome = executor.run_process(toy_spec, workers=2)
+        assert outcome.matches
+        for match in outcome.matches:
+            assert type(match) is Match
+            assert all(type(edge) is TemporalEdge for edge in match.edge_map)
+            assert match.timestamp_vector() == tuple(
+                edge.t for edge in match.edge_map
+            )
 
     def test_queue_time_is_measured(self, toy_spec):
         with QueryExecutor(max_workers=2, pool="process") as executor:
